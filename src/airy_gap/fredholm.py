@@ -4,14 +4,17 @@ The operator acts on (x_m, +infinity) with piecewise weight 1 - s_j on each
 interval (x_j, x_{j-1}); its determinant is the generating function of the
 counting statistics of the Airy point process.  Discretization is panel-wise
 Gauss-Legendre (Nystrom) with the symmetrized weighting
-A_ik = sqrt(w_i w_k) K(xi_i, xi_k), a pivoted-LU / symmetric-eigenvalue log
-determinant, and an automatic 80-bit escalation for deep gaps where the top
-eigenvalue of A comes within ~1e-6 of 1 and double assembly noise would
-dominate.
+A_ik = sqrt(w_i w_k) K(xi_i, xi_k) and a symmetric-eigenvalue log
+determinant.  Deep gaps, where the top eigenvalue of A comes within ~1e-6 of
+1 and double assembly noise would dominate, escalate automatically: A is
+assembled in 80-bit floats, LAPACK eigh of its double rounding gives the
+eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
+Rayleigh-Ritz step on that subspace.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -32,9 +35,17 @@ PANEL_MAX_LENGTH = 4.0
 TRUNCATION_POINT_MIN = 12.5
 #: escalate to the float128 pipeline when min eig(I - A) drops below this
 DEEP_GAP_THRESHOLD = 1e-6
+#: eigenvalues with 1 - lambda below this get the 80-bit Rayleigh-Ritz
+#: correction; the double log1p of the rest loses at most ~1e-13 each
+NEAR_ONE_GAP = 1e-3
 CONVERGENCE_TOL = 1e-8
 
 _LD = np.longdouble
+#: False where np.longdouble is plain double (e.g. MSVC builds), so the
+#: 80-bit escalation could not resolve anything double does not
+EXTENDED_PRECISION = bool(np.finfo(_LD).eps < 1e-18)
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +204,13 @@ def _kernel_matrix(xi: np.ndarray, extended: bool = False) -> np.ndarray:
         ai, aip = specfun.airy_ai_real_xp(xi)
     else:
         ai, aip, _, _ = _sp.airy(xi)
+    M = np.outer(ai, aip)
+    K = M - M.T
+    del M
     den = xi[:, None] - xi[None, :]
     np.fill_diagonal(den, 1.0)
-    K = (np.outer(ai, aip) - np.outer(aip, ai)) / den
+    K /= den
+    del den
     np.fill_diagonal(K, aip * aip - xi * ai * ai)
     return K
 
@@ -203,42 +218,61 @@ def _kernel_matrix(xi: np.ndarray, extended: bool = False) -> np.ndarray:
 def _symmetrized_matrix(scheme: QuadratureScheme, extended: bool = False) -> np.ndarray:
     K = _kernel_matrix(scheme.xi, extended=extended)
     sw = np.sqrt(scheme.w_eff)
-    return sw[:, None] * K * sw[None, :]
+    K *= sw[:, None]
+    K *= sw[None, :]
+    return K
 
 
 # ---------------------------------------------------------------------------
 # log determinant
 # ---------------------------------------------------------------------------
 
-def _lu_logdet_ld(B: np.ndarray) -> float:
-    """log det of a float128 matrix by partially pivoted LU, in place."""
-    n = B.shape[0]
+def _cholesky_logdet_ld(M: np.ndarray) -> np.longdouble:
+    """log det of a small symmetric positive definite float128 matrix.
+
+    Reads the lower triangle only, like LAPACK potrf with uplo='L'.
+    """
+    k = M.shape[0]
+    L = np.zeros_like(M)
     logdet = _LD(0.0)
-    sign = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(B[k:, k])))
-        if B[p, k] == 0.0:
-            raise NumericalError(f"LU breakdown: zero pivot at column {k} of {n}")
-        if p != k:
-            B[[k, p]] = B[[p, k]]
-            sign = -sign
-        piv = B[k, k]
-        if piv < 0.0:
-            sign = -sign
-        logdet += np.log(np.abs(piv))
-        if k + 1 < n:
-            B[k + 1:, k] /= piv
-            B[k + 1:, k + 1:] -= np.outer(B[k + 1:, k], B[k, k + 1:])
-    if sign < 0:
-        raise NumericalError("negative determinant: operator left the s in [0,1] regime")
-    return float(logdet)
+    for j in range(k):
+        d = M[j, j] - L[j, :j] @ L[j, :j]
+        if not d > 0.0:
+            raise NumericalError(
+                f"non-positive Cholesky pivot {float(d):.3g} at {j} of {k}: "
+                "operator left the s in [0,1] regime")
+        L[j, j] = np.sqrt(d)
+        L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+        logdet += np.log(d)
+    return logdet
+
+
+def _ritz_logdet(A: np.ndarray) -> float:
+    """log det(I - A) of a symmetric float128 A with eigenvalues below ~1.
+
+    LAPACK eigh of A rounded to double gives the spectrum; eigenvalues with
+    1 - lambda >= NEAR_ONE_GAP enter through log1p in double.  The k
+    eigenvectors V of the rest span a nearly invariant subspace, and the
+    product of their eigenvalues of I - A is recomputed in float128 as the
+    Rayleigh-Ritz ratio det(V^T (I - A) V) / det(V^T V).  Its error is
+    second order in the double eigenvector error, and it does not depend on
+    how eigh mixes eigenvectors inside a cluster of near-1 eigenvalues.
+    """
+    evals, vecs = np.linalg.eigh(A.astype(np.float64))
+    near = 1.0 - evals < NEAR_ONE_GAP
+    bulk = np.sum(np.log1p(-evals[~near]))
+    V = vecs[:, near].astype(_LD)
+    del vecs
+    ritz = V.T @ (V - A @ V)
+    gram = V.T @ V
+    _log.info("80-bit log det: N=%d, k=%d eigenvalues within %g of 1, min(1-lambda)=%.3g",
+              A.shape[0], V.shape[1], NEAR_ONE_GAP, 1.0 - evals[-1])
+    return float(_LD(bulk) + _cholesky_logdet_ld(ritz) - _cholesky_logdet_ld(gram))
 
 
 def _logdet_extended(config: GapConfig, scheme: QuadratureScheme) -> float:
     xscheme = build_scheme(config, scheme.nodes_per_panel, scheme.tail_length, dtype=_LD)
-    A = _symmetrized_matrix(xscheme, extended=True)
-    B = np.eye(A.shape[0], dtype=_LD) - A
-    return _lu_logdet_ld(B)
+    return _ritz_logdet(_symmetrized_matrix(xscheme, extended=True))
 
 
 def logdet_single(config: GapConfig, scheme: QuadratureScheme,
@@ -246,8 +280,11 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme,
     """log det(I - A) at one resolution.
 
     precision: 'double' (LAPACK symmetric eigenvalues), 'extended' (float128
-    assembly + LU), or 'auto' (double, escalating when the spectral gap of
-    I - A falls under DEEP_GAP_THRESHOLD).
+    assembly, double eigh, float128 Rayleigh-Ritz correction of the
+    eigenvalues within NEAR_ONE_GAP of 1), or 'auto' (double, escalating
+    when the spectral gap of I - A falls under DEEP_GAP_THRESHOLD).  'auto'
+    raises NumericalError instead of escalating where np.longdouble is no
+    wider than double.
     """
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
@@ -257,13 +294,18 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme,
     if not A.size:
         return 0.0
     evals = np.linalg.eigvalsh(A)
+    del A
     gap = 1.0 - evals[-1]
     if precision == "auto" and gap < DEEP_GAP_THRESHOLD:
+        if not EXTENDED_PRECISION:
+            raise NumericalError(
+                f"spectral gap {gap:.3g} of I - A needs the 80-bit path, but "
+                f"np.longdouble is plain double here (eps {np.finfo(_LD).eps:.3g})")
         return _logdet_extended(config, scheme)
     if gap <= 0.0:
         raise NumericalError(
             f"discretized operator reached eigenvalue {evals[-1]:.6g} >= 1 "
-            f"(n={A.shape[0]}, precision={precision}); use 'auto' or 'extended'")
+            f"(n={evals.size}, precision={precision}); use 'auto' or 'extended'")
     return float(np.sum(np.log1p(-evals)))
 
 

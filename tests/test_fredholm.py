@@ -1,5 +1,6 @@
 """Determinant core: kernel, schemes, log det, resolvent, counting traces."""
 
+import logging
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from airy_gap import fredholm as fr
 from airy_gap import specfun as sf
-from airy_gap.fredholm import GapConfig
+from airy_gap.fredholm import GapConfig, NumericalError
 
 #: frozen regression value for log F(-2; 0) (nodes_per_panel = 160)
 LOGF_MINUS2_S0 = -0.8837651153091381
@@ -187,6 +188,85 @@ def test_logdet_deep_gap_uses_extended_path():
     A = fr._symmetrized_matrix(fr.build_scheme(cfg))
     spectral_gap = 1.0 - float(np.linalg.eigvalsh(A)[-1])
     assert spectral_gap < fr.DEEP_GAP_THRESHOLD
+
+
+def _exact_spectrum_matrix(gaps):
+    """float128 Q diag(1 - gaps) Q^T whose eigenvalues are exactly 1 - gaps.
+
+    Q is the 16 x 16 Sylvester-Hadamard matrix over 4 (entries +-1/4) and
+    every gap is a multiple of 2^-59, so each product and partial sum of the
+    assembly is exact in the 64-bit significand.
+    """
+    H = np.ones((1, 1))
+    for _ in range(4):
+        H = np.block([[H, H], [H, -H]])
+    Q = (H / 4.0).astype(np.longdouble)
+    return (Q * (1 - gaps)) @ Q.T
+
+
+@pytest.mark.parametrize("near_pair", [(5000, 5500), (57646075, 63410682)])
+def test_ritz_logdet_synthetic_spectrum(near_pair):
+    # a pair just below 1, then two more near-1 eigenvalues and a bulk.  At
+    # 8.7e-15 and 9.5e-15 the pair is closer than double resolves inside a
+    # matrix near 1, so eigh mixes its eigenvectors (per-vector Rayleigh
+    # quotients miss by ~1e-3 here); 1e-10 and 1.1e-10 are resolved cleanly
+    units = list(near_pair) + [2 ** 39, 2 ** 47] + [k * 2 ** 55 for k in range(1, 13)]
+    gaps = np.array([np.ldexp(np.longdouble(u), -59) for u in units])
+    expected = float(np.sum(np.log(gaps)))
+    value = fr._ritz_logdet(_exact_spectrum_matrix(gaps))
+    # 80-bit rounding of the O(1) entries of A V resolves a gap g only to
+    # about eps/g relative; the bound is 1e-9 relative unless that is coarser
+    floor = 2.0 * float(np.finfo(np.longdouble).eps * np.sum(1 / gaps[:4]))
+    assert abs(value - expected) < max(1e-9 * abs(expected), floor)
+
+
+def test_ritz_logdet_rejects_eigenvalue_above_one():
+    gaps = np.array([np.ldexp(np.longdouble(k), -4) for k in range(1, 17)])
+    gaps[0] = -gaps[0]
+    with pytest.raises(NumericalError, match="Cholesky"):
+        fr._ritz_logdet(_exact_spectrum_matrix(gaps))
+
+
+def test_extended_matches_double_where_double_suffices(caplog):
+    for x, s in ((-5.0,), (0.0,)), ((-1.0,), (0.5,)):
+        cfg = GapConfig(x, s)
+        scheme = fr.build_scheme(cfg)
+        with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
+            extended = fr.logdet_single(cfg, scheme, precision="extended")
+        assert abs(extended - fr.logdet_single(cfg, scheme, precision="double")) < 1e-11
+    # x = -1, s = 0.5 has no eigenvalue near 1: the Ritz block is empty
+    assert f"N={scheme.size}, k=0 " in caplog.records[-1].getMessage()
+
+
+@pytest.mark.parametrize("x, s, expected, tol", [
+    ((-9.0,), (0.0,), -61.16112840903529, 1e-9),
+    ((-10.0,), (0.0,), -83.75765666858979, 1e-7),
+    ((-8.0, -12.0), (0.0, 0.3), -50.99977627284346, 1e-10),
+])
+def test_deep_gap_values_pinned(x, s, expected, tol):
+    # values of the earlier 80-bit pivoted-LU factorization, 48 nodes per panel
+    cfg = GapConfig(x, s)
+    assert abs(fr.logdet_single(cfg, fr.build_scheme(cfg)) - expected) < tol
+
+
+def test_escalation_logged_at_info(caplog):
+    cfg = GapConfig((-10.0,), (0.0,))
+    scheme = fr.build_scheme(cfg)
+    with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
+        fr.logdet_single(cfg, scheme)
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO
+    assert f"N={scheme.size}, k=" in record.getMessage()
+    assert "min(1-lambda)=" in record.getMessage()
+
+
+def test_auto_refuses_deep_gap_without_wider_longdouble(monkeypatch):
+    monkeypatch.setattr(fr, "EXTENDED_PRECISION", False)
+    deep = GapConfig((-10.0,), (0.0,))
+    with pytest.raises(NumericalError, match="longdouble"):
+        fr.logdet_single(deep, fr.build_scheme(deep))
+    shallow = GapConfig((-2.0,), (0.0,))
+    assert fr.logdet_single(shallow, fr.build_scheme(shallow)) < 0.0
 
 
 def test_log_E_and_E0_dispatch():
