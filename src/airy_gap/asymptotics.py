@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._constants import EULER_GAMMA, PI_SQ, TWO_PI, ZETA_PRIME_MINUS_ONE
-from .specfun import SingularityError, log_barnes_g
+from .specfun import SingularityError, _is_imaginary, log_barnes_g
 
 LOG2 = math.log(2.0)
 
@@ -23,7 +23,7 @@ LOG2 = math.log(2.0)
 def _imag_part(beta, name: str = "beta") -> float:
     """Validate a purely imaginary jump parameter and return its imaginary part."""
     b = complex(beta)
-    if abs(b.real) > 1e-12 * max(1.0, abs(b.imag)):
+    if not _is_imaginary(b):
         raise ValueError(f"{name} must be purely imaginary, got {beta!r}")
     return b.imag
 
@@ -32,13 +32,22 @@ def _imag_vector(betas, name: str = "beta") -> np.ndarray:
     return np.array([_imag_part(v, name) for v in np.atleast_1d(betas)])
 
 
-def _check_ordered_negative(x) -> np.ndarray:
+def _expansion_args(x, beta, conditioned: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Negative endpoints x_1 > ... > x_m and the imaginary parts of beta.
+
+    A conditioned expansion needs m >= 2 and takes beta_2, ..., beta_m.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs >= 0.0):
         raise ValueError("endpoints must be negative")
     if np.any(np.diff(xs) >= 0.0):
         raise ValueError("endpoints must be strictly decreasing")
-    return xs
+    if conditioned and xs.size < 2:
+        raise ValueError("conditioned expansion needs m >= 2")
+    bs = _imag_vector(beta, "beta0" if conditioned else "beta")
+    if bs.size != xs.size - conditioned:
+        raise ValueError(f"need one jump parameter per endpoint, x_{1 + conditioned} to x_m")
+    return xs, bs
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +190,7 @@ def log_E_asym(x, beta) -> AsymptoticBreakdown:
     (evaluated at the endpoints directly, using scale invariance); plus the
     Barnes G pair terms.
     """
-    xs = _check_ordered_negative(x)
-    bs = _imag_vector(beta)
-    if xs.size != bs.size:
-        raise ValueError("x and beta must have matching length")
+    xs, bs = _expansion_args(x, beta)
     drift = TWO_PI * float(sum(b * mu(v) for b, v in zip(bs, xs)))
     variance = 2.0 * PI_SQ * float(sum(b * b * sigma2(v) for b, v in zip(bs, xs)))
     cross = 4.0 * PI_SQ * float(
@@ -201,10 +207,7 @@ def log_E_product_form(x, beta) -> float:
     -4 pi^2 sum_{k<j} beta_j beta_k Sigma(x_k, x_j); agrees with
     log_E_asym(...).total to rounding, which the tests pin at 1e-12.
     """
-    xs = _check_ordered_negative(x)
-    bs = _imag_vector(beta)
-    if xs.size != bs.size:
-        raise ValueError("x and beta must have matching length")
+    xs, bs = _expansion_args(x, beta)
     one_point = float(sum(log_E_m1(v, 1j * b) for v, b in zip(xs, bs)))
     pair = 4.0 * PI_SQ * float(
         sum(bs[k] * bs[j] * sigma_cov(xs[k], xs[j])
@@ -232,12 +235,7 @@ def log_E0_asym(x, beta0) -> AsymptoticBreakdown:
     Same structure as log_E_asym with the shifted ingredients mu0, sigma2_0
     and Sigma0(tau_k, tau_j) = Sigma(tau_k - tau_1, tau_j - tau_1).
     """
-    xs = _check_ordered_negative(x)
-    if xs.size < 2:
-        raise ValueError("conditioned expansion needs m >= 2")
-    bs = _imag_vector(beta0, "beta0")
-    if bs.size != xs.size - 1:
-        raise ValueError("beta0 must have length m - 1")
+    xs, bs = _expansion_args(x, beta0, conditioned=True)
     x1 = float(xs[0])
     rest = xs[1:]
     drift = TWO_PI * float(sum(b * mu0(v, x1) for b, v in zip(bs, rest)))
@@ -255,12 +253,7 @@ def log_E0_product_form(x, beta0) -> float:
     log E(y; beta0) with y_j = x_j - x_1, plus per-point factors
     beta_j^2 log[2(x1-x_j)/(x1-2x_j)] - 2 i beta_j |x1| |x1-x_j|^(1/2).
     """
-    xs = _check_ordered_negative(x)
-    if xs.size < 2:
-        raise ValueError("conditioned expansion needs m >= 2")
-    bs = _imag_vector(beta0, "beta0")
-    if bs.size != xs.size - 1:
-        raise ValueError("beta0 must have length m - 1")
+    xs, bs = _expansion_args(x, beta0, conditioned=True)
     x1 = float(xs[0])
     y = xs[1:] - x1
     shifted = log_E_asym(y, [1j * b for b in bs]).total

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
-from ._constants import TWO_PI
 from . import specfun
 from .specfun import NumericalError
 
@@ -58,8 +57,7 @@ class GapConfig:
 
     s_j in [0, 1]; only s_1 may vanish (an interior s_j = 0 puts the
     determinant in a different asymptotic regime this package does not
-    cover).  beta holds the jump parameters i*log(s_j/s_{j+1})/(2 pi)
-    (s_{m+1} := 1), with None in the first slot when s_1 = 0.
+    cover).  asymptotics.beta_from_s maps s to the jump parameters.
     """
 
     x: tuple[float, ...]
@@ -80,17 +78,6 @@ class GapConfig:
     @property
     def m(self) -> int:
         return len(self.x)
-
-    @property
-    def beta(self) -> tuple:
-        out = []
-        svals = self.s + (1.0,)
-        for j in range(self.m):
-            if svals[j] == 0.0:
-                out.append(None)
-            else:
-                out.append(1j * math.log(svals[j] / svals[j + 1]) / TWO_PI)
-        return tuple(out)
 
 
 def default_tail_length(x1: float) -> float:
@@ -123,10 +110,24 @@ class QuadratureScheme:
         return self.xi.size
 
 
-def _split_panels(a: float, b: float) -> list[tuple[float, float]]:
-    count = max(1, math.ceil((b - a) / PANEL_MAX_LENGTH - 1e-12))
-    edges = np.linspace(a, b, count + 1)
-    return list(zip(edges[:-1], edges[1:]))
+def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
+    """Gauss-Legendre panels of length <= PANEL_MAX_LENGTH over each interval.
+
+    Returns the panels, the nodes, their weights and, per node, the position
+    of its interval in `intervals`.
+    """
+    rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
+    panels, xs, ws, pos = [], [], [], []
+    for p, (a, b) in enumerate(intervals):
+        count = max(1, math.ceil((b - a) / PANEL_MAX_LENGTH - 1e-12))
+        edges = np.linspace(a, b, count + 1)
+        for pa, pb in zip(edges[:-1], edges[1:]):
+            nodes, weights = rule.mapped(dtype(pa), dtype(pb))
+            panels.append((float(pa), float(pb)))
+            xs.append(nodes)
+            ws.append(weights)
+            pos.append(np.full(nodes.size, p, dtype=np.int32))
+    return tuple(panels), np.concatenate(xs), np.concatenate(ws), np.concatenate(pos)
 
 
 def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
@@ -145,35 +146,18 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
         tail_length = default_tail_length(config.x[0])
     if tail_length < 8.0:
         raise ValueError("tail_length must be at least 8")
-    rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
-    panels: list[tuple[float, float]] = []
-    owners: list[int] = []
-    for j in range(config.m, 1, -1):  # interior intervals, left to right
-        a, b = config.x[j - 1], config.x[j - 2]
-        if not b > a:
-            raise ValueError(f"degenerate interval ({a}, {b})")
-        new = _split_panels(a, b)
-        panels += new
-        owners += [j] * len(new)
-    new = _split_panels(config.x[0], config.x[0] + tail_length)
-    panels += new
-    owners += [1] * len(new)
-
-    xi_parts, wp_parts, we_parts, idx_parts = [], [], [], []
-    for (a, b), j in zip(panels, owners):
-        nodes, weights = rule.mapped(dtype(a), dtype(b))
-        xi_parts.append(nodes)
-        wp_parts.append(weights)
-        we_parts.append(weights * dtype(1.0 - config.s[j - 1]))
-        idx_parts.append(np.full(nodes.size, j, dtype=np.int32))
+    ends = config.x[::-1] + (config.x[0] + tail_length,)  # x_m < ... < x_1 < x_0
+    panels, xi, w, pos = _panelize(zip(ends, ends[1:]), nodes_per_panel, dtype)
+    interval_index = np.int32(config.m) - pos
+    thinning = np.array([1.0 - v for v in config.s], dtype=dtype)
     return QuadratureScheme(
-        panels=tuple((float(a), float(b)) for a, b in panels),
+        panels=panels,
         nodes_per_panel=int(nodes_per_panel),
         tail_length=float(tail_length),
-        xi=np.concatenate(xi_parts),
-        w_plain=np.concatenate(wp_parts),
-        w_eff=np.concatenate(we_parts),
-        interval_index=np.concatenate(idx_parts),
+        xi=xi,
+        w_plain=w,
+        w_eff=w * thinning[interval_index - 1],
+        interval_index=interval_index,
     )
 
 
@@ -198,25 +182,34 @@ def airy_kernel(u: float, v: float) -> float:
     return float((aiu * aipv - aipu * aiv) / (u - v))
 
 
-def _kernel_matrix(xi: np.ndarray, extended: bool = False) -> np.ndarray:
-    """Dense K(xi_i, xi_k) on distinct nodes, diagonal by the confluent form."""
-    if extended:
-        ai, aip = specfun.airy_ai_real_xp(xi)
-    else:
-        ai, aip, _, _ = _sp.airy(xi)
-    M = np.outer(ai, aip)
-    K = M - M.T
-    del M
-    den = xi[:, None] - xi[None, :]
-    np.fill_diagonal(den, 1.0)
+def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') at real nodes, by the 80-bit march for longdouble nodes."""
+    if x.dtype == _LD:
+        return specfun.airy_ai_real_xp(x)
+    ai, aip, _, _ = _sp.airy(x)
+    return ai, aip
+
+
+def _kernel_matrix(xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
+    """Dense K(xa_i, xb_k) on nodes disjoint from each other.
+
+    Without xb it is the square block on the distinct nodes xa, its diagonal
+    by the confluent form.  The precision follows the dtype of the nodes.
+    """
+    ai, aip = _airy_pair(xa)
+    bi, bip = (ai, aip) if xb is None else _airy_pair(xb)
+    K = np.outer(ai, bip)
+    K -= np.outer(aip, bi)
+    den = xa[:, None] - (xa if xb is None else xb)[None, :]
+    if xb is None:
+        np.fill_diagonal(den, 1.0)
+        np.fill_diagonal(K, aip * aip - xa * ai * ai)
     K /= den
-    del den
-    np.fill_diagonal(K, aip * aip - xi * ai * ai)
     return K
 
 
-def _symmetrized_matrix(scheme: QuadratureScheme, extended: bool = False) -> np.ndarray:
-    K = _kernel_matrix(scheme.xi, extended=extended)
+def _symmetrized_matrix(scheme: QuadratureScheme) -> np.ndarray:
+    K = _kernel_matrix(scheme.xi)
     sw = np.sqrt(scheme.w_eff)
     K *= sw[:, None]
     K *= sw[None, :]
@@ -272,7 +265,7 @@ def _ritz_logdet(A: np.ndarray) -> float:
 
 def _logdet_extended(config: GapConfig, scheme: QuadratureScheme) -> float:
     xscheme = build_scheme(config, scheme.nodes_per_panel, scheme.tail_length, dtype=_LD)
-    return _ritz_logdet(_symmetrized_matrix(xscheme, extended=True))
+    return _ritz_logdet(_symmetrized_matrix(xscheme))
 
 
 def logdet_single(config: GapConfig, scheme: QuadratureScheme,
@@ -291,8 +284,6 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme,
     if precision == "extended":
         return _logdet_extended(config, scheme)
     A = _symmetrized_matrix(scheme)
-    if not A.size:
-        return 0.0
     evals = np.linalg.eigvalsh(A)
     del A
     gap = 1.0 - evals[-1]
@@ -319,7 +310,7 @@ class DeterminantReport:
     est_error: float
 
 
-def log_det(config: GapConfig, scheme: QuadratureScheme | None = None, *,
+def log_det(config: GapConfig, *,
             nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
             tail_length: float | None = None,
             refine: int = 1,
@@ -331,19 +322,12 @@ def log_det(config: GapConfig, scheme: QuadratureScheme | None = None, *,
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    if scheme is None:
-        scheme = build_scheme(config, nodes_per_panel, tail_length)
-    if all(v == 1.0 for v in config.s):
-        n = scheme.nodes_per_panel
-        resolutions = tuple((n * 2 ** k, 0.0) for k in range(refine + 1))
-        return DeterminantReport(0.0, resolutions, True, 0.0)
+    trivial = all(v == 1.0 for v in config.s)  # zero operator: log F = 0 exactly
     resolutions = []
-    value = logdet_single(config, scheme, precision)
-    resolutions.append((scheme.nodes_per_panel, value))
-    for k in range(1, refine + 1):
-        finer = build_scheme(config, scheme.nodes_per_panel * 2 ** k, scheme.tail_length)
-        value = logdet_single(config, finer, precision)
-        resolutions.append((finer.nodes_per_panel, value))
+    for k in range(refine + 1):
+        scheme = build_scheme(config, nodes_per_panel * 2 ** k, tail_length)
+        value = 0.0 if trivial else logdet_single(config, scheme, precision)
+        resolutions.append((scheme.nodes_per_panel, value))
     est_error = abs(resolutions[-1][1] - resolutions[-2][1])
     return DeterminantReport(
         log_f=resolutions[-1][1],
@@ -369,7 +353,6 @@ def log_E0(config: GapConfig, **kwargs) -> float:
         raise ValueError("log_E0 requires s_1 = 0")
     if config.m < 2:
         raise ValueError("log_E0 requires m >= 2")
-    kwargs.setdefault("tail_length", default_tail_length(config.x[0]))
     full = log_det(config, **kwargs)
     ref = log_det(GapConfig((config.x[0],), (0.0,)), **kwargs)
     return full.log_f - ref.log_f
@@ -391,6 +374,12 @@ class ResolventDiag:
         return float(self.weights @ self.values)
 
 
+def _last_interval(config: GapConfig, scheme: QuadratureScheme) -> tuple[float, float]:
+    """(x_m, x_{m-1}), with x_0 = x_1 + T the truncation point of the scheme."""
+    ends = (config.x[0] + scheme.tail_length,) + config.x
+    return ends[-1], ends[-2]
+
+
 def resolvent_diag(config: GapConfig, scheme: QuadratureScheme,
                    window: tuple[float, float]) -> ResolventDiag:
     """Diagonal of the resolvent (I - K)^(-1) K over a window in (x_m, x_{m-1}).
@@ -398,14 +387,10 @@ def resolvent_diag(config: GapConfig, scheme: QuadratureScheme,
     The symmetrized Nystrom resolvent B = (I - A)^(-1) A maps back to kernel
     samples through R(xi_i, xi_i) = B_ii / w_plain_i.
     """
-    if config.s[-1] == 1.0:
-        sampled = (scheme.xi >= window[0]) & (scheme.xi <= window[1])
-        z = np.zeros(int(np.count_nonzero(sampled)))
-        return ResolventDiag(scheme.xi[sampled], z, scheme.w_plain[sampled])
     a, b = float(window[0]), float(window[1])
-    upper = config.x[config.m - 2] if config.m >= 2 else config.x[0] + scheme.tail_length
-    if not (config.x[-1] <= a < b <= upper):
-        raise ValueError(f"window must sit inside ({config.x[-1]}, {upper})")
+    lower, upper = _last_interval(config, scheme)
+    if not (lower <= a < b <= upper):
+        raise ValueError(f"window must sit inside ({lower}, {upper})")
     A = _symmetrized_matrix(scheme)
     try:
         B = np.linalg.solve(np.eye(A.shape[0]) - A, A)
@@ -416,24 +401,20 @@ def resolvent_diag(config: GapConfig, scheme: QuadratureScheme,
     return ResolventDiag(scheme.xi[mask], values, scheme.w_plain[mask])
 
 
-def weight_derivative_identity_gap(config: GapConfig,
-                                   nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
-                                   step: float | None = None) -> tuple[float, float, float]:
+def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL
+                                   ) -> tuple[float, float, float]:
     """Residual of d/ds_m log F = (1 - s_m)^(-1) integral of R over (x_m, x_{m-1}).
 
     Returns (finite_difference, resolvent_value, |difference|).  The central
-    step defaults to 1e-5 * max(s_m, 0.1), balancing truncation against
-    determinant noise.
+    step is 1e-5 * max(s_m, 0.1), balancing truncation against determinant
+    noise.
     """
     s_m = config.s[-1]
     if s_m == 1.0 or s_m == 0.0:
         raise ValueError("identity check needs s_m in (0, 1)")
-    if step is None:
-        step = 1e-5 * max(s_m, 0.1)
+    step = 1e-5 * max(s_m, 0.1)
     scheme = build_scheme(config, nodes_per_panel)
-    window = (config.x[-1], config.x[config.m - 2] if config.m >= 2
-              else config.x[0] + scheme.tail_length)
-    res = resolvent_diag(config, scheme, window)
+    res = resolvent_diag(config, scheme, _last_interval(config, scheme))
     resolvent_value = res.integral() / (1.0 - s_m)
 
     def at(sm: float) -> float:
@@ -469,14 +450,7 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
 
 
 def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = specfun.gauss_legendre_rule(nodes_per_panel)
-    xs, ws = [], []
-    for a, b in _normalize_intervals(intervals):
-        for pa, pb in _split_panels(a, b):
-            nodes, weights = rule.mapped(pa, pb)
-            xs.append(nodes)
-            ws.append(weights)
-    return np.concatenate(xs), np.concatenate(ws)
+    return _panelize(_normalize_intervals(intervals), nodes_per_panel)[1:3]
 
 
 def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
@@ -486,7 +460,7 @@ def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> flo
     where the kernel has decayed below 1e-24.
     """
     xi, w = _set_nodes(intervals, nodes_per_panel)
-    ai, aip, _, _ = _sp.airy(xi)
+    ai, aip = _airy_pair(xi)
     return float(w @ (aip * aip - xi * ai * ai))
 
 
@@ -504,16 +478,10 @@ def cov_count(intervals_a, intervals_b,
     """Covariance of counts on disjoint sets: -tr(1_A K 1_B K)."""
     sa = _normalize_intervals(intervals_a)
     sb = _normalize_intervals(intervals_b)
-    for a, b in sa:
-        for c, d in sb:
-            if max(a, c) < min(b, d):
-                raise ValueError("covariance sets overlap")
+    _normalize_intervals(sa + sb)  # raises when the two sets overlap
     xa, wa = _set_nodes(sa, nodes_per_panel)
     xb, wb = _set_nodes(sb, nodes_per_panel)
-    aia, aipa, _, _ = _sp.airy(xa)
-    aib, aipb, _, _ = _sp.airy(xb)
-    den = xa[:, None] - xb[None, :]
-    K = (np.outer(aia, aipb) - np.outer(aipa, aib)) / den
+    K = _kernel_matrix(xa, xb)
     return -float(wa @ (K * K) @ wb)
 
 

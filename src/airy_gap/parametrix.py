@@ -15,6 +15,7 @@ offset.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -236,7 +237,7 @@ def _chg_sector(theta: float) -> str:
 
 def _validate_beta(beta) -> complex:
     b = complex(beta)
-    if abs(b.real) > 1e-12 * max(1.0, abs(b.imag)) or abs(b) > CHG_MAX_BETA:
+    if not specfun._is_imaginary(b) or abs(b) > CHG_MAX_BETA:
         raise ValueError(f"beta must be purely imaginary with |beta| <= {CHG_MAX_BETA}, got {beta!r}")
     return 1j * b.imag
 
@@ -285,28 +286,17 @@ def _phi_hat_hg(z: complex, log_z: complex, beta: complex) -> np.ndarray:
     ])
 
 
-_CHG_CHAIN_CACHE: dict = {}
+#: jump matrices multiplied, left to right, into each sector's chain; a
+#: negative ray index stands for the inverse of that jump
+_CHG_CHAINS = {"I": (-2,), "II": (), "III": (-3,), "IV": (-2, -1, -6, 5),
+               "V": (-2, -1, -6), "VI": (-2, -1)}
 
 
 def _chg_chain(sector: str, beta: complex) -> np.ndarray:
     """Right jump-matrix chain turning the core into the sector value."""
-    key = (sector, beta)
-    cached = _CHG_CHAIN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    J = {k: chg_jump_matrix(k, beta) for k in (1, 2, 3, 5, 6)}
-    chains = {
-        "I": _inv2(J[2]),
-        "II": np.eye(2, dtype=complex),
-        "III": _inv2(J[3]),
-        "IV": _inv2(J[2]) @ _inv2(J[1]) @ _inv2(J[6]) @ J[5],
-        "V": _inv2(J[2]) @ _inv2(J[1]) @ _inv2(J[6]),
-        "VI": _inv2(J[2]) @ _inv2(J[1]),
-    }
-    if len(_CHG_CHAIN_CACHE) > 256:
-        _CHG_CHAIN_CACHE.clear()
-    _CHG_CHAIN_CACHE[key] = chains[sector]
-    return chains[sector]
+    factors = [chg_jump_matrix(k, beta) if k > 0 else _inv2(chg_jump_matrix(-k, beta))
+               for k in _CHG_CHAINS[sector]]
+    return functools.reduce(np.matmul, factors) if factors else np.eye(2, dtype=complex)
 
 
 def _phi_hg_at(z_abs: float, theta: float, beta: complex, sector: str) -> np.ndarray:
@@ -345,31 +335,15 @@ def jump_residual(model: str, ray_index: int, t: float, beta=None) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     model = model.lower()
-    if model == "airy":
-        if ray_index not in AIRY_RAYS:
-            raise ValueError(f"airy ray index must be in {sorted(AIRY_RAYS)}")
-        angle, J, plus, minus = AIRY_RAYS[ray_index]
+    if model in ("airy", "bessel"):
+        rays, in_sector = ((AIRY_RAYS, _phi_ai_in_sector) if model == "airy"
+                           else (BESSEL_RAYS, _phi_be_in_sector))
+        if ray_index not in rays:
+            raise ValueError(f"{model} ray index must be in {sorted(rays)}")
+        angle, J, plus, minus = rays[ray_index]
         z = t * cmath.exp(1j * angle)
-        if ray_index == 2:  # minus side of the cut sits at arg -> -pi
-            z_minus = t * cmath.exp(-1j * math.pi)
-            p_plus = _phi_ai_in_sector(z, plus)
-            p_minus = _phi_ai_in_sector(z_minus, minus)
-        else:
-            p_plus = _phi_ai_in_sector(z, plus)
-            p_minus = _phi_ai_in_sector(z, minus)
-        return float(np.abs(p_minus @ J - p_plus).max())
-    if model == "bessel":
-        if ray_index not in BESSEL_RAYS:
-            raise ValueError(f"bessel ray index must be in {sorted(BESSEL_RAYS)}")
-        angle, J, plus, minus = BESSEL_RAYS[ray_index]
-        z = t * cmath.exp(1j * angle)
-        if ray_index == 2:
-            p_plus = _phi_be_in_sector(z, plus)
-            p_minus = _phi_be_in_sector(t * cmath.exp(-1j * math.pi), minus)
-        else:
-            p_plus = _phi_be_in_sector(z, plus)
-            p_minus = _phi_be_in_sector(z, minus)
-        return float(np.abs(p_minus @ J - p_plus).max())
+        z_minus = t * cmath.exp(-1j * math.pi) if ray_index == 2 else z  # cut: minus side at -pi
+        return float(np.abs(in_sector(z_minus, minus) @ J - in_sector(z, plus)).max())
     if model == "chg":
         if beta is None:
             raise ValueError("chg jump residual requires beta")

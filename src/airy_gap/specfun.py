@@ -35,6 +35,11 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed (factorization, fit, conditioning)."""
 
 
+def _is_imaginary(z: complex) -> bool:
+    """Whether z is purely imaginary up to rounding: |Re z| <= 1e-12 max(1, |Im z|)."""
+    return abs(z.real) <= 1e-12 * max(1.0, abs(z.imag))
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Legendre rules
 # ---------------------------------------------------------------------------

@@ -263,6 +263,28 @@ def test_sweep_respects_thread_env(tmp_path, capsys, monkeypatch):
                 "--out", str(out_csv)], capsys)[0] == 2
 
 
+def test_sweep_rejects_index_with_underscore(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"x": [-2.0, -3.0], "s": [0.5, 0.5]})
+    out_csv = str(tmp_path / "o.csv")
+    code, _, err = run(["sweep", cfg, "--vary", "s_1_0", "--values", "0.4", "--out", out_csv],
+                       capsys)
+    assert code == 2 and "out of range" in err
+
+
+def test_sweep_csv_independent_of_thread_count(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"x": [-2.0, -3.0, -4.5], "s": [0.5, 0.5, 0.3]})
+    csvs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AIRY_GAP_THREADS", threads)
+        out_csv = tmp_path / f"threads{threads}.csv"
+        code, _, _ = run(["sweep", cfg, "--vary", "s_2", "--values", "0.1,0.3,0.5,0.7",
+                          "--nodes", "24", "--out", str(out_csv)], capsys)
+        assert code == 0
+        csvs.append(out_csv.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 5
+
+
 # ---------------------------------------------------------------------------
 # determinism and serialization
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from airy_gap import fredholm as fr
 from airy_gap import specfun as sf
+from airy_gap.asymptotics import beta_from_s
 from airy_gap.fredholm import GapConfig, NumericalError
 
 #: frozen regression value for log F(-2; 0) (nodes_per_panel = 160)
@@ -32,10 +33,11 @@ def test_config_validation():
 def test_config_beta_reproduces_weight_ratios():
     cfg = GapConfig((-1.0, -2.0, -3.5), (0.3, 0.8, 0.6))
     svals = cfg.s + (1.0,)
-    for j, b in enumerate(cfg.beta):
+    for j, b in enumerate(beta_from_s(cfg.s)):
         ratio = svals[j] / svals[j + 1]
         assert abs(np.exp(-2j * np.pi * b) - ratio) < 1e-14
-    assert GapConfig((-1.0, -2.0), (0.0, 0.5)).beta[0] is None
+    # s_1 = 0 leaves beta_1 undefined: the map returns beta_2..beta_m only
+    assert len(beta_from_s(GapConfig((-1.0, -2.0), (0.0, 0.5)).s)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +53,33 @@ def test_kernel_symmetry(rng):
 def test_kernel_at_origin():
     expected = 3.0 ** (-2.0 / 3.0) / math.gamma(1.0 / 3.0) ** 2
     assert abs(fr.airy_kernel(0.0, 0.0) - expected) < 1e-14
+
+
+def test_kernel_block_matches_scalar_kernel(rng):
+    xa = np.sort(rng.uniform(-12.0, -1.0, size=17))
+    xb = np.sort(rng.uniform(0.0, 6.0, size=11))
+    K = fr._kernel_matrix(xa, xb)
+    assert K.shape == (17, 11)
+    expected = np.array([[fr.airy_kernel(u, v) for v in xb] for u in xa])
+    assert np.max(np.abs(K - expected)) < 1e-13
+
+
+def test_kernel_precision_follows_node_dtype(monkeypatch):
+    calls = []
+    original = sf.airy_ai_real_xp
+
+    def counting(x):
+        calls.append(x.size)
+        return original(x)
+
+    monkeypatch.setattr(sf, "airy_ai_real_xp", counting)
+    cfg = GapConfig((-2.0,), (0.5,))
+    K = fr._kernel_matrix(fr.build_scheme(cfg, 8).xi)
+    assert K.dtype == np.float64 and calls == []
+    xi = fr.build_scheme(cfg, 8, dtype=np.longdouble).xi
+    K = fr._kernel_matrix(xi)
+    assert K.dtype == np.longdouble and calls == [xi.size]
+    assert fr._kernel_matrix(xi[:5], xi[5:]).dtype == np.longdouble
 
 
 def test_kernel_confluence():
@@ -316,6 +345,16 @@ def test_resolvent_positive_and_window():
         fr.resolvent_diag(GapConfig((-1.0, -3.0), (0.5, 0.5)),
                           fr.build_scheme(GapConfig((-1.0, -3.0), (0.5, 0.5))),
                           (-0.5, 0.5))
+
+
+def test_resolvent_window_checked_when_last_weight_is_one():
+    cfg = GapConfig((-1.0, -3.0), (0.5, 1.0))
+    scheme = fr.build_scheme(cfg, nodes_per_panel=24)
+    for window in ((5.0, 9.0), (-1.5, -3.0)):
+        with pytest.raises(ValueError, match="window"):
+            fr.resolvent_diag(cfg, scheme, window)
+    res = fr.resolvent_diag(cfg, scheme, (-3.0, -1.0))
+    assert res.values.size > 0 and np.all(res.values == 0.0)
 
 
 def test_weight_derivative_identity():
