@@ -122,7 +122,7 @@ def thread_count() -> int:
 def load_config(path: str) -> dict:
     """Problem description: {x, s} and/or {tau, r, s|beta}.
 
-    x must equal r*tau when both parametrizations are present.  beta entries
+    x next to tau needs r, and must equal r*tau.  beta entries
     are strings parsed by parse_imag; exactly one of s/beta is required.
     """
     try:
@@ -155,7 +155,9 @@ def load_config(path: str) -> dict:
         out["r"] = r
     if "x" not in out and "tau" in out and "r" in out:
         out["x"] = [out["r"] * t for t in out["tau"]]
-    if "x" in out and "tau" in out and "r" in out:
+    if "x" in out and "tau" in out:
+        if "r" not in out:
+            raise ValidationError("x next to tau needs r, since x must equal r*tau")
         expect = [out["r"] * t for t in out["tau"]]
         if any(abs(a - b) > 1e-9 * max(1.0, abs(b)) for a, b in zip(out["x"], expect)):
             raise ValidationError("x and r*tau disagree; drop one parametrization")
@@ -286,39 +288,32 @@ _DET_SAMPLE_POINTS = (0.5, 2.0, 8.0)
 
 def cmd_parametrix(args) -> RunReport:
     model = args.model
-    beta = None
-    if model == "chg":
-        if args.beta is None:
-            raise ValidationError("--beta is required for the chg model")
-        beta = parse_imag(args.beta)  # parametrix enforces |beta| <= CHG_MAX_BETA
-    elif args.beta is not None:
-        raise ValidationError("--beta only applies to the chg model")
+    problem = parametrix.MODELS[model]
+    if (args.beta is None) == problem.takes_beta:
+        need = "required" if problem.takes_beta else "not accepted"
+        raise ValidationError(f"--beta is {need} for the {model} model")
+    # parametrix enforces |beta| <= CHG_MAX_BETA
+    beta = None if args.beta is None else parse_imag(args.beta)
     report = RunReport("parametrix", {"model": model, "beta": args.beta})
 
-    rays = {"airy": parametrix.AIRY_RAYS.keys(),
-            "bessel": parametrix.BESSEL_RAYS.keys(),
-            "chg": range(1, 7)}[model]
     worst_jump = 0.0
-    for ray in rays:
+    for ray in problem.rays:
         for t in _PARAMETRIX_RADII:
             res = parametrix.jump_residual(model, ray, t, beta)
             report.add(f"jump_ray{ray}_t{_fmt(t)}", res)
             worst_jump = max(worst_jump, res)
     report.add("jump_max", worst_jump)
 
-    phi = {"airy": parametrix.phi_ai, "bessel": parametrix.phi_be,
-           "chg": lambda z: parametrix.phi_hg(z, beta)}[model]
     worst_det = 0.0
     for r in _DET_SAMPLE_POINTS:
         for theta in (0.9, 2.1, -1.2, -2.6):
-            worst_det = max(worst_det, phi(r * cmath.exp(1j * theta)).det_residual)
+            sample = parametrix._sample(model, r * cmath.exp(1j * theta), beta)
+            worst_det = max(worst_det, sample.det_residual)
     report.add("det_max", worst_det)
 
     fitted = parametrix.extract_asym_coeff(model, beta)
-    reference = {"airy": parametrix.PHI_AI_1, "bessel": parametrix.PHI_BE_1,
-                 "chg": parametrix.phi_hg1_reference(beta) if beta is not None else None}[model]
-    report.add("coeff_error", float(np.abs(fitted - reference).max()))
-    if model == "chg":
+    report.add("coeff_error", float(np.abs(fitted - problem.reference(beta)).max()))
+    if problem.takes_beta:
         report.add("logderivative_error",
                    abs(parametrix.hg_logderivative_limit(beta)
                        - parametrix.hg_logderivative_exact(beta)))
@@ -436,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parametrix", help="verify a model Riemann-Hilbert solution",
                        parents=[common])
-    p.add_argument("--model", required=True, choices=("airy", "bessel", "chg"))
+    p.add_argument("--model", required=True, choices=tuple(parametrix.MODELS))
     p.add_argument("--beta", default=None)
     p.set_defaults(func=cmd_parametrix)
 

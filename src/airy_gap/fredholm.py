@@ -437,8 +437,6 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
     for a, b in intervals:
         a = float(a)
         b = float(b)
-        if math.isinf(b):
-            b = max(a + 4.0, TRUNCATION_POINT_MIN)
         if not b > a:
             raise ValueError(f"empty interval ({a}, {b})")
         out.append((a, b))
@@ -450,7 +448,10 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
 
 
 def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    return _panelize(_normalize_intervals(intervals), nodes_per_panel)[1:3]
+    """Nodes and weights; a half-line (a, inf) is cut at max(a + 4, TRUNCATION_POINT_MIN)."""
+    cut = [(a, max(a + 4.0, TRUNCATION_POINT_MIN) if math.isinf(b) else b)
+           for a, b in _normalize_intervals(intervals)]
+    return _panelize(cut, nodes_per_panel)[1:3]
 
 
 def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:

@@ -3,13 +3,15 @@ hypergeometric 2x2 matrix functions with prescribed ray jumps.
 
 Each solution is assembled per sector from classical special functions and
 verified through three independent surfaces: unimodularity, the ray jump
-relations, and the large-z asymptotic coefficient matrices.  Ray orientation
-follows the jump-contour figures: the real-axis rays and the rays reaching
-into the left half plane are traversed toward the origin where the sector
-tables require it, and the + side of a ray is the side lying to the left of
-its traversal.  Boundary values are evaluated exactly on the ray by sector
-dispatch, so jump residuals measure analytic consistency, not a finite
-offset.
+relations, and the large-z asymptotic coefficient matrices.  What sets one
+model apart (domain, branch, rays, sectors, formulas, fit plan, reference
+coefficient) is one ModelProblem record in MODELS, which the single sampler
+and the verification surfaces read.  Ray orientation follows the
+jump-contour figures: the real-axis rays and the rays reaching into the left
+half plane are traversed toward the origin where the sector tables require
+it, and the + side of a ray is the side lying to the left of its traversal.
+Boundary values are evaluated exactly on the ray by sector dispatch, so jump
+residuals measure analytic consistency, not a finite offset.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,38 +84,24 @@ class ParametrixSample:
 
 
 def _near_any(theta: float, angles, tol: float = 1e-12) -> bool:
-    return any(min(abs(theta - a), abs(theta - a + 2 * math.pi), abs(theta - a - 2 * math.pi)) < tol
-               for a in angles)
+    return any(abs(math.remainder(theta - a, 2.0 * math.pi)) < tol for a in angles)
 
 
 # ---------------------------------------------------------------------------
 # Airy model solution
 # ---------------------------------------------------------------------------
 
-AIRY_MAX_RADIUS = 40.0
-_AIRY_RAY_ANGLES = (0.0, TWO_THIRDS_PI, math.pi, -TWO_THIRDS_PI)
-
 _J_UPPER = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)   # rising-ray jump
 _J_RPLUS = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 _J_CYCLE = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
-#: ray table: angle, jump matrix, (+ sector, - sector)
+#: ray table: angle, jump matrix as a function of beta, (+ sector, - sector)
 AIRY_RAYS = {
-    0: (0.0, _J_RPLUS, "I", "IV"),
-    1: (TWO_THIRDS_PI, _J_UPPER, "I", "II"),
-    2: (math.pi, _J_CYCLE, "II", "III"),
-    3: (-TWO_THIRDS_PI, _J_UPPER, "III", "IV"),
+    0: (0.0, lambda b: _J_RPLUS, "I", "IV"),
+    1: (TWO_THIRDS_PI, lambda b: _J_UPPER, "I", "II"),
+    2: (math.pi, lambda b: _J_CYCLE, "II", "III"),
+    3: (-TWO_THIRDS_PI, lambda b: _J_UPPER, "III", "IV"),
 }
-
-
-def _airy_sector(theta: float) -> str:
-    if 0.0 < theta < TWO_THIRDS_PI:
-        return "I"
-    if TWO_THIRDS_PI < theta <= math.pi:
-        return "II"
-    if -math.pi < theta < -TWO_THIRDS_PI:
-        return "III"
-    return "IV"
 
 
 def _phi_ai_in_sector(z: complex, sector: str) -> np.ndarray:
@@ -130,38 +119,23 @@ def _phi_ai_in_sector(z: complex, sector: str) -> np.ndarray:
     return _M_AIRY @ base
 
 
-def phi_ai(z) -> ParametrixSample:
-    """Airy model solution away from the four jump rays, |z| <= 40."""
-    zc = complex(z)
-    r = abs(zc)
-    if r == 0.0 or r > AIRY_MAX_RADIUS:
-        raise DomainError(f"phi_ai supports 0 < |z| <= {AIRY_MAX_RADIUS}")
-    theta = cmath.phase(zc)
-    if _near_any(theta, _AIRY_RAY_ANGLES):
-        raise RayError("z lies on a jump ray of the Airy model problem")
-    sector = _airy_sector(theta)
-    return ParametrixSample(zc, sector, _phi_ai_in_sector(zc, sector), "airy")
+def _strip_airy(phi: np.ndarray, z: complex, theta: float, beta) -> np.ndarray:
+    zq = z ** 0.25
+    z32 = z ** 1.5
+    left = np.diag([zq, 1.0 / zq])
+    right = np.diag([cmath.exp(2.0 / 3.0 * z32), cmath.exp(-2.0 / 3.0 * z32)])
+    return M_NORMALIZER.conj().T @ left @ phi @ right
 
 
 # ---------------------------------------------------------------------------
 # Bessel model solution
 # ---------------------------------------------------------------------------
 
-BESSEL_MIN_RADIUS = 1e-8
-BESSEL_MAX_RADIUS = 40.0
-_BESSEL_RAY_ANGLES = (TWO_THIRDS_PI, math.pi, -TWO_THIRDS_PI)
-
 BESSEL_RAYS = {
-    1: (TWO_THIRDS_PI, _J_UPPER, "I", "II"),
-    2: (math.pi, _J_CYCLE, "II", "III"),
-    3: (-TWO_THIRDS_PI, _J_UPPER, "III", "I"),
+    1: (TWO_THIRDS_PI, lambda b: _J_UPPER, "I", "II"),
+    2: (math.pi, lambda b: _J_CYCLE, "II", "III"),
+    3: (-TWO_THIRDS_PI, lambda b: _J_UPPER, "III", "I"),
 }
-
-
-def _bessel_sector(theta: float) -> str:
-    if abs(theta) < TWO_THIRDS_PI:
-        return "I"
-    return "II" if theta > 0 else "III"
 
 
 def _phi_be_in_sector(z: complex, sector: str) -> np.ndarray:
@@ -186,53 +160,18 @@ def _phi_be_in_sector(z: complex, sector: str) -> np.ndarray:
     ])
 
 
-def phi_be(z) -> ParametrixSample:
-    """Bessel model solution away from its three jump rays, 1e-8 < |z| <= 40."""
-    zc = complex(z)
-    r = abs(zc)
-    if not BESSEL_MIN_RADIUS < r <= BESSEL_MAX_RADIUS:
-        raise DomainError(f"phi_be supports {BESSEL_MIN_RADIUS} < |z| <= {BESSEL_MAX_RADIUS}")
-    theta = cmath.phase(zc)
-    if _near_any(theta, _BESSEL_RAY_ANGLES):
-        raise RayError("z lies on a jump ray of the Bessel model problem")
-    sector = _bessel_sector(theta)
-    return ParametrixSample(zc, sector, _phi_be_in_sector(zc, sector), "bessel")
+def _strip_bessel(phi: np.ndarray, z: complex, theta: float, beta) -> np.ndarray:
+    root = cmath.sqrt(2.0 * math.pi * cmath.sqrt(z))
+    left = np.diag([root, 1.0 / root])
+    right = np.diag([cmath.exp(-2.0 * cmath.sqrt(z)), cmath.exp(2.0 * cmath.sqrt(z))])
+    return M_NORMALIZER.conj().T @ left @ phi @ right
 
 
 # ---------------------------------------------------------------------------
 # Confluent hypergeometric model solution
 # ---------------------------------------------------------------------------
 
-CHG_MIN_RADIUS = 1e-6
-CHG_MAX_RADIUS = 40.0
 CHG_MAX_BETA = 0.5
-#: ray angles of Gamma_1..Gamma_6 in the canonical branch arg z in (-pi/2, 3pi/2)
-_CHG_RAY_ANGLE = {1: 0.5 * math.pi, 2: 0.75 * math.pi, 3: 1.25 * math.pi,
-                  4: 1.5 * math.pi, 5: -0.25 * math.pi, 6: 0.25 * math.pi}
-#: (+ sector, - sector) per ray; the minus side of Gamma_4 wraps to arg -pi/2
-_CHG_RAY_SIDES = {1: ("I", "VI"), 2: ("II", "I"), 3: ("II", "III"),
-                  4: ("III", "IV"), 5: ("IV", "V"), 6: ("VI", "V")}
-
-_CHG_SECTORS = (  # (name, lower angle, upper angle) on the canonical branch
-    ("VI", 0.25 * math.pi, 0.5 * math.pi),
-    ("I", 0.5 * math.pi, 0.75 * math.pi),
-    ("II", 0.75 * math.pi, 1.25 * math.pi),
-    ("III", 1.25 * math.pi, 1.5 * math.pi),
-    ("IV", -0.5 * math.pi, -0.25 * math.pi),
-    ("V", -0.25 * math.pi, 0.25 * math.pi),
-)
-
-
-def _canonical_arg(theta: float) -> float:
-    """Map an angle into the branch (-pi/2, 3pi/2] used by the CHG solution."""
-    return theta + 2.0 * math.pi if theta <= -0.5 * math.pi else theta
-
-
-def _chg_sector(theta: float) -> str:
-    for name, lo, hi in _CHG_SECTORS:
-        if lo < theta < hi:
-            return name
-    raise RayError("z lies on a jump ray of the confluent hypergeometric model problem")
 
 
 def _validate_beta(beta) -> complex:
@@ -305,20 +244,142 @@ def _phi_hg_at(z_abs: float, theta: float, beta: complex, sector: str) -> np.nda
     return _phi_hat_hg(z, log_z, beta) @ _chg_chain(sector, beta)
 
 
+def _strip_chg(phi: np.ndarray, z: complex, theta: float, beta: complex) -> np.ndarray:
+    log_z = math.log(abs(z)) + 1j * theta
+    if -0.5 * math.pi < theta < 0.5 * math.pi:
+        sect = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+    else:
+        sect = np.diag([cmath.exp(1j * math.pi * beta), cmath.exp(-1j * math.pi * beta)])
+    zb = cmath.exp(beta * log_z)
+    right = np.diag([cmath.exp(0.5 * z) * zb, cmath.exp(-0.5 * z) / zb])
+    return phi @ _inv2(sect) @ right
+
+
+# ---------------------------------------------------------------------------
+# one record per model problem
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ModelProblem:
+    """Everything that sets one model Riemann-Hilbert problem apart.
+
+    Samples need min_radius < |z| <= max_radius, with arg z on the branch
+    (arg_min, arg_min + 2 pi].  rays maps a ray index to (angle, jump(beta),
+    + sector, - sector), and wrap to the - side's angle on the ray where the
+    branch is cut.  sectors lists (name, lower angle, upper angle).
+    evaluate(z, |z|, arg z, sector, beta) is the value in a sector (Airy and
+    Bessel use z itself, CHG rebuilds z from |z| and arg z on its branch),
+    and strip(value, z, arg z, beta) removes its large-z prefactors.  fit holds
+    the radii, the (lowest, highest) angle, the power of 1/z and the number
+    of fitted orders; the radii sit where the special-function evaluations
+    keep full accuracy while the factorially divergent tails of the
+    expansions are still far from their optimal-truncation floor.
+    """
+
+    name: str
+    min_radius: float
+    max_radius: float
+    arg_min: float
+    rays: dict
+    wrap: dict
+    sectors: tuple
+    evaluate: Callable
+    strip: Callable
+    fit: tuple
+    reference: Callable
+    takes_beta: bool
+
+
+_FIT_WINDOW_AB = (-TWO_THIRDS_PI + 0.15, TWO_THIRDS_PI - 0.15)
+
+MODELS = {
+    "airy": ModelProblem(
+        name="airy", min_radius=0.0, max_radius=40.0, arg_min=-math.pi,
+        rays=AIRY_RAYS, wrap={2: -math.pi},
+        sectors=(("I", 0.0, TWO_THIRDS_PI), ("II", TWO_THIRDS_PI, math.pi),
+                 ("III", -math.pi, -TWO_THIRDS_PI), ("IV", -TWO_THIRDS_PI, 0.0)),
+        evaluate=lambda z, r, theta, sector, beta: _phi_ai_in_sector(z, sector),
+        strip=_strip_airy, fit=((15.0, 22.0, 30.0, 39.0), _FIT_WINDOW_AB, 1.5, 4),
+        reference=lambda beta: PHI_AI_1, takes_beta=False),
+    "bessel": ModelProblem(
+        name="bessel", min_radius=1e-8, max_radius=40.0, arg_min=-math.pi,
+        rays=BESSEL_RAYS, wrap={2: -math.pi},
+        sectors=(("I", -TWO_THIRDS_PI, TWO_THIRDS_PI), ("II", TWO_THIRDS_PI, math.pi),
+                 ("III", -math.pi, -TWO_THIRDS_PI)),
+        evaluate=lambda z, r, theta, sector, beta: _phi_be_in_sector(z, sector),
+        strip=_strip_bessel, fit=((20.0, 25.0, 31.0, 40.0), _FIT_WINDOW_AB, 0.5, 5),
+        reference=lambda beta: PHI_BE_1, takes_beta=False),
+    "chg": ModelProblem(
+        name="chg", min_radius=1e-6, max_radius=40.0, arg_min=-0.5 * math.pi,
+        # Gamma_1..Gamma_6
+        rays={k: (angle, functools.partial(chg_jump_matrix, k), plus, minus)
+              for k, (angle, plus, minus) in {
+                  1: (0.5 * math.pi, "I", "VI"), 2: (0.75 * math.pi, "II", "I"),
+                  3: (1.25 * math.pi, "II", "III"), 4: (1.5 * math.pi, "III", "IV"),
+                  5: (-0.25 * math.pi, "IV", "V"), 6: (0.25 * math.pi, "VI", "V")}.items()},
+        wrap={4: -0.5 * math.pi},
+        sectors=(("VI", 0.25 * math.pi, 0.5 * math.pi), ("I", 0.5 * math.pi, 0.75 * math.pi),
+                 ("II", 0.75 * math.pi, 1.25 * math.pi), ("III", 1.25 * math.pi, 1.5 * math.pi),
+                 ("IV", -0.5 * math.pi, -0.25 * math.pi), ("V", -0.25 * math.pi, 0.25 * math.pi)),
+        evaluate=lambda z, r, theta, sector, beta: _phi_hg_at(r, theta, beta, sector),
+        strip=_strip_chg,
+        fit=((22.0, 28.0, 34.0, 40.0), (0.5 * math.pi + 0.2, 1.5 * math.pi - 0.2), 1.0, 5),
+        reference=phi_hg1_reference, takes_beta=True),
+}
+
+
+def _resolve(name: str, beta) -> tuple[ModelProblem, complex | None]:
+    """The model's record and its validated beta (None for a model without one)."""
+    try:
+        problem = MODELS[name.lower()]
+    except KeyError:
+        raise ValueError(f"unknown model {name!r}") from None
+    if not problem.takes_beta:
+        return problem, None
+    if beta is None:
+        raise ValueError(f"the {problem.name} model requires beta")
+    return problem, _validate_beta(beta)
+
+
+def _locate(problem: ModelProblem, z: complex) -> tuple[float, str]:
+    """arg z on the model's branch and the sector holding z, off its rays."""
+    theta = cmath.phase(z)
+    if theta <= problem.arg_min:
+        theta += 2.0 * math.pi
+    if _near_any(theta, [ray[0] for ray in problem.rays.values()]):
+        raise RayError(f"z lies on a jump ray of the {problem.name} model problem")
+    return theta, next(name for name, lo, hi in problem.sectors if lo < theta < hi)
+
+
+def _sample(name: str, z, beta) -> ParametrixSample:
+    """The model solution at z, after the beta, radius and ray checks."""
+    problem, b = _resolve(name, beta)
+    zc = complex(z)
+    r = abs(zc)
+    if not problem.min_radius < r <= problem.max_radius:
+        raise DomainError(f"the {problem.name} model solution supports "
+                          f"{problem.min_radius} < |z| <= {problem.max_radius}")
+    theta, sector = _locate(problem, zc)
+    return ParametrixSample(zc, sector, problem.evaluate(zc, r, theta, sector, b), problem.name, b)
+
+
+def phi_ai(z) -> ParametrixSample:
+    """Airy model solution away from the four jump rays, |z| <= 40."""
+    return _sample("airy", z, None)
+
+
+def phi_be(z) -> ParametrixSample:
+    """Bessel model solution away from its three jump rays, 1e-8 < |z| <= 40."""
+    return _sample("bessel", z, None)
+
+
 def phi_hg(z, beta) -> ParametrixSample:
     """Confluent hypergeometric model solution, 1e-6 < |z| <= 40.
 
     beta is purely imaginary with |beta| <= 1/2; powers of z live on the
-    branch arg z in (-pi/2, 3pi/2).
+    branch arg z in (-pi/2, 3pi/2].
     """
-    b = _validate_beta(beta)
-    zc = complex(z)
-    r = abs(zc)
-    if not CHG_MIN_RADIUS < r <= CHG_MAX_RADIUS:
-        raise DomainError(f"phi_hg supports {CHG_MIN_RADIUS} < |z| <= {CHG_MAX_RADIUS}")
-    theta = _canonical_arg(cmath.phase(zc))
-    sector = _chg_sector(theta)
-    return ParametrixSample(zc, sector, _phi_hg_at(r, theta, b, sector), "chg", b)
+    return _sample("chg", z, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -334,74 +395,20 @@ def jump_residual(model: str, ray_index: int, t: float, beta=None) -> float:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    model = model.lower()
-    if model in ("airy", "bessel"):
-        rays, in_sector = ((AIRY_RAYS, _phi_ai_in_sector) if model == "airy"
-                           else (BESSEL_RAYS, _phi_be_in_sector))
-        if ray_index not in rays:
-            raise ValueError(f"{model} ray index must be in {sorted(rays)}")
-        angle, J, plus, minus = rays[ray_index]
-        z = t * cmath.exp(1j * angle)
-        z_minus = t * cmath.exp(-1j * math.pi) if ray_index == 2 else z  # cut: minus side at -pi
-        return float(np.abs(in_sector(z_minus, minus) @ J - in_sector(z, plus)).max())
-    if model == "chg":
-        if beta is None:
-            raise ValueError("chg jump residual requires beta")
-        b = _validate_beta(beta)
-        if ray_index not in _CHG_RAY_ANGLE:
-            raise ValueError("chg ray index must be 1..6")
-        theta = _CHG_RAY_ANGLE[ray_index]
-        plus, minus = _CHG_RAY_SIDES[ray_index]
-        theta_minus = -0.5 * math.pi if ray_index == 4 else theta
-        p_plus = _phi_hg_at(t, theta, b, plus)
-        p_minus = _phi_hg_at(t, theta_minus, b, minus)
-        return float(np.abs(p_minus @ chg_jump_matrix(ray_index, b) - p_plus).max())
-    raise ValueError(f"unknown model {model!r}")
+    problem, b = _resolve(model, beta)
+    if ray_index not in problem.rays:
+        raise ValueError(f"{problem.name} ray index must be in {sorted(problem.rays)}")
+    angle, jump, plus, minus = problem.rays[ray_index]
+    minus_angle = problem.wrap.get(ray_index, angle)
+    p_plus = problem.evaluate(t * cmath.exp(1j * angle), t, angle, plus, b)
+    p_minus = problem.evaluate(t * cmath.exp(1j * minus_angle), t, minus_angle, minus, b)
+    return float(np.abs(p_minus @ jump(b) - p_plus).max())
 
 
-def _strip_airy(z: complex) -> np.ndarray:
-    phi = _phi_ai_in_sector(z, _airy_sector(cmath.phase(z)))
-    zq = z ** 0.25
-    z32 = z ** 1.5
-    left = np.diag([zq, 1.0 / zq])
-    right = np.diag([cmath.exp(2.0 / 3.0 * z32), cmath.exp(-2.0 / 3.0 * z32)])
-    return M_NORMALIZER.conj().T @ left @ phi @ right
-
-
-def _strip_bessel(z: complex) -> np.ndarray:
-    phi = _phi_be_in_sector(z, "I")
-    root = cmath.sqrt(2.0 * math.pi * cmath.sqrt(z))
-    left = np.diag([root, 1.0 / root])
-    right = np.diag([cmath.exp(-2.0 * cmath.sqrt(z)), cmath.exp(2.0 * cmath.sqrt(z))])
-    return M_NORMALIZER.conj().T @ left @ phi @ right
-
-
-def _strip_chg(z: complex, beta: complex) -> np.ndarray:
-    theta = _canonical_arg(cmath.phase(z))
-    phi = _phi_hg_at(abs(z), theta, beta, _chg_sector(theta))
-    log_z = math.log(abs(z)) + 1j * theta
-    if -0.5 * math.pi < theta < 0.5 * math.pi:
-        sect = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    else:
-        sect = np.diag([cmath.exp(1j * math.pi * beta), cmath.exp(-1j * math.pi * beta)])
-    zb = cmath.exp(beta * log_z)
-    right = np.diag([cmath.exp(0.5 * z) * zb, cmath.exp(-0.5 * z) / zb])
-    return phi @ _inv2(sect) @ right
-
-
-#: sampling layout per model: radii, angle window, expansion variable power,
-#: and fitted orders.  Radii sit where the special-function evaluations keep
-#: full accuracy while the factorially divergent tails of the expansions are
-#: still far from their optimal-truncation floor.
-_EXTRACT_PLAN = {
-    "airy": ((15.0, 22.0, 30.0, 39.0), (-TWO_THIRDS_PI + 0.15, TWO_THIRDS_PI - 0.15), 1.5, 4),
-    "bessel": ((20.0, 25.0, 31.0, 40.0), (-TWO_THIRDS_PI + 0.15, TWO_THIRDS_PI - 0.15), 0.5, 5),
-    "chg": ((22.0, 28.0, 34.0, 40.0), (0.5 * math.pi + 0.2, 1.5 * math.pi - 0.2), 1.0, 5),
-}
 _EXTRACT_FIT_TOL = 1e-4
 
 
-def extract_asym_coeff(model: str, beta=None, n_angles: int = 32) -> np.ndarray:
+def extract_asym_coeff(model: str, beta=None) -> np.ndarray:
     """First correction matrix of the large-z expansion by least squares.
 
     Strips each model's explicit power/exponential prefactors on a fan of
@@ -409,27 +416,22 @@ def extract_asym_coeff(model: str, beta=None, n_angles: int = 32) -> np.ndarray:
     columns, so no exponentially large cancellation occurs), then fits the
     leading inverse-power coefficient along with two to four higher orders.
     """
-    model = model.lower()
-    if model not in _EXTRACT_PLAN:
-        raise ValueError(f"unknown model {model!r}")
-    radii, (lo, hi), power, n_orders = _EXTRACT_PLAN[model]
-    if model == "chg":
-        if beta is None:
-            raise ValueError("chg extraction requires beta")
-        b = _validate_beta(beta)
-        strip = lambda z: _strip_chg(z, b)
-    elif model == "airy":
-        strip = _strip_airy
-    else:
-        strip = _strip_bessel
-    ray_angles = {"airy": _AIRY_RAY_ANGLES, "bessel": _BESSEL_RAY_ANGLES,
-                  "chg": tuple(_CHG_RAY_ANGLE.values())}[model]
-    angles = [a for a in np.linspace(lo, hi, n_angles) if not _near_any(a, ray_angles, 0.05)]
+    problem, b = _resolve(model, beta)
+    radii, (lo, hi), power, n_orders = problem.fit
+    ray_angles = [ray[0] for ray in problem.rays.values()]
+    angles = [a for a in np.linspace(lo, hi, 32) if not _near_any(a, ray_angles, 0.05)]
     zs = [r * cmath.exp(1j * a) for r in radii for a in angles]
+
+    def stripped(z: complex) -> np.ndarray:
+        # no radius check: a point on the outermost circle may round to just
+        # above max_radius
+        theta, sector = _locate(problem, z)
+        return problem.strip(problem.evaluate(z, abs(z), theta, sector, b), z, theta, b)
+
     w = np.array([z ** -power for z in zs])
     design = np.column_stack([w ** k for k in range(1, n_orders + 1)])
     norms = np.linalg.norm(design, axis=0)
-    samples = np.array([strip(z) - np.eye(2) for z in zs]).reshape(len(zs), 4)
+    samples = np.array([stripped(z) - np.eye(2) for z in zs]).reshape(len(zs), 4)
     coeffs, *_ = np.linalg.lstsq(design / norms, samples, rcond=None)
     coeffs = coeffs / norms[:, None]
     fitted = design @ coeffs
@@ -437,7 +439,7 @@ def extract_asym_coeff(model: str, beta=None, n_angles: int = 32) -> np.ndarray:
     if residual > _EXTRACT_FIT_TOL:
         raise specfun.NumericalError(
             f"asymptotic fit residual {residual:.3e} above {_EXTRACT_FIT_TOL:.0e} "
-            f"for model {model} (radii {radii})")
+            f"for model {problem.name} (radii {radii})")
     return coeffs[0].reshape(2, 2)
 
 
@@ -448,14 +450,14 @@ def hg_logderivative_exact(beta) -> complex:
     return prod * (specfun.digamma(1.0 + b) + specfun.digamma(1.0 - b))
 
 
-def hg_logderivative_limit(beta, z_abs: float = 1e-4, step: float = 1e-6) -> complex:
+def hg_logderivative_limit(beta) -> complex:
     """Numeric limit of [Phi^{-1} d/dbeta Phi]_{21} as z -> 0 in sector II.
 
-    Central difference in beta at |z| = z_abs on the negative real axis
-    (inside sector II on the canonical branch).
+    Central difference in beta, with step 1e-6, at z = -1e-4 (inside sector
+    II on the canonical branch).
     """
     b = _validate_beta(beta)
-    theta = math.pi
+    z_abs, theta, step = 1e-4, math.pi, 1e-6
     plus = _phi_hg_at(z_abs, theta, b + 1j * step, "II")
     minus = _phi_hg_at(z_abs, theta, b - 1j * step, "II")
     center = _phi_hg_at(z_abs, theta, b, "II")

@@ -122,6 +122,15 @@ def test_compare_validation(tmp_path, capsys):
     assert run(["compare", cfg_x, "--r-list", "4,6"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("x", ([-5.0, -1.0], [-1.0, -5.0]))
+def test_config_rejects_x_with_tau_but_no_r(tmp_path, capsys, x):
+    # without r nothing ties x to tau, and compare would run on tau alone
+    cfg = write_config(tmp_path, {"x": x, "tau": [-1.0, -2.0], "s": [0.5, 0.5]})
+    code, _, err = run(["compare", cfg, "--r-list", "2,3"], capsys)
+    assert code == 2
+    assert "needs r" in err
+
+
 def test_compare_trivial_parameters_tiny_gap(tmp_path, capsys):
     cfg = write_config(tmp_path, {"tau": [-1.0], "s": [1.0]})
     code, out, _ = run(["compare", cfg, "--r-list", "4,6", "--nodes", "16"], capsys)

@@ -404,6 +404,14 @@ def test_cov_rejects_overlap():
         fr.var_count([(-3.0, -1.0), (-2.0, 0.0)])
 
 
+def test_overlap_checked_before_halfline_truncation():
+    # (13, 14) lies inside (-1, inf), past the point where that half-line is cut
+    with pytest.raises(ValueError, match="intervals overlap"):
+        fr.cov_count([(-1.0, math.inf)], [(13.0, 14.0)])
+    with pytest.raises(ValueError, match="intervals overlap"):
+        fr.var_count([(-1.0, math.inf), (13.0, 14.0)])
+
+
 def test_cov_halflines_negative_of_disjoint_blocks():
     v = fr.cov_halflines(-10.0, -20.0)
     assert v > 0.0

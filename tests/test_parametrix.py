@@ -94,6 +94,23 @@ def test_ray_ambiguity_raised():
         px.phi_hg(1.0j, 0.2j)  # on Gamma_1
 
 
+SAMPLERS = {"airy": px.phi_ai, "bessel": px.phi_be, "chg": lambda z: px.phi_hg(z, 0.2j)}
+RAY_ANGLES = {  # from the jump-contour figures
+    "airy": (0.0, 2 * math.pi / 3, math.pi, -2 * math.pi / 3),
+    "bessel": (2 * math.pi / 3, math.pi, -2 * math.pi / 3),
+    "chg": tuple(k * math.pi / 4 for k in (2, 3, 5, 6, -1, 1)),
+}
+
+
+@pytest.mark.parametrize("model,angle", [(m, a) for m, rays in RAY_ANGLES.items() for a in rays])
+@pytest.mark.parametrize("side", (1.0, -1.0))
+def test_near_ray_points_raise(model, angle, side):
+    with pytest.raises(px.RayError):
+        SAMPLERS[model](2.0 * cmath.exp(1j * (angle + side * 1e-13)))
+    sample = SAMPLERS[model](2.0 * cmath.exp(1j * (angle + side * 1e-9)))
+    assert sample.model == model and np.all(np.isfinite(sample.matrix))
+
+
 def test_domain_limits():
     with pytest.raises(sf.DomainError):
         px.phi_ai(45.0 * cmath.exp(0.3j))
