@@ -174,12 +174,10 @@ class AsymptoticBreakdown:
     variance_term: float
     cross_term: float
     barnes_term: float
-    tw_term: float = 0.0
 
     @property
     def total(self) -> float:
-        return (self.drift_term + self.variance_term + self.cross_term
-                + self.barnes_term + self.tw_term)
+        return self.drift_term + self.variance_term + self.cross_term + self.barnes_term
 
 
 def log_E_asym(x, beta) -> AsymptoticBreakdown:

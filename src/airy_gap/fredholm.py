@@ -183,11 +183,9 @@ def airy_kernel(u: float, v: float) -> float:
 
 
 def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') at real nodes, by the 80-bit march for longdouble nodes."""
-    if x.dtype == _LD:
-        return specfun.airy_ai_real_xp(x)
-    ai, aip, _, _ = _sp.airy(x)
-    return ai, aip
+    """(Ai, Ai') at real nodes in their dtype; 80-bit nodes go through
+    specfun.airy_ai_real_xp, the call a profiler wraps to count escalations."""
+    return (specfun.airy_ai_real_xp if x.dtype == _LD else specfun.airy_real)(x)
 
 
 def _kernel_matrix(xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
@@ -268,35 +266,25 @@ def _logdet_extended(config: GapConfig, scheme: QuadratureScheme) -> float:
     return _ritz_logdet(_symmetrized_matrix(xscheme))
 
 
-def logdet_single(config: GapConfig, scheme: QuadratureScheme,
-                  precision: str = "auto") -> float:
+def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     """log det(I - A) at one resolution.
 
-    precision: 'double' (LAPACK symmetric eigenvalues), 'extended' (float128
-    assembly, double eigh, float128 Rayleigh-Ritz correction of the
-    eigenvalues within NEAR_ONE_GAP of 1), or 'auto' (double, escalating
-    when the spectral gap of I - A falls under DEEP_GAP_THRESHOLD).  'auto'
-    raises NumericalError instead of escalating where np.longdouble is no
-    wider than double.
+    LAPACK symmetric eigenvalues in double, escalating to the 80-bit path
+    (float128 assembly, double eigh, float128 Rayleigh-Ritz correction of the
+    eigenvalues within NEAR_ONE_GAP of 1) when the spectral gap of I - A
+    falls under DEEP_GAP_THRESHOLD.  Raises NumericalError instead of
+    escalating where np.longdouble is no wider than double.
     """
-    if precision not in ("auto", "double", "extended"):
-        raise ValueError(f"unknown precision {precision!r}")
-    if precision == "extended":
-        return _logdet_extended(config, scheme)
     A = _symmetrized_matrix(scheme)
     evals = np.linalg.eigvalsh(A)
     del A
     gap = 1.0 - evals[-1]
-    if precision == "auto" and gap < DEEP_GAP_THRESHOLD:
+    if gap < DEEP_GAP_THRESHOLD:
         if not EXTENDED_PRECISION:
             raise NumericalError(
                 f"spectral gap {gap:.3g} of I - A needs the 80-bit path, but "
                 f"np.longdouble is plain double here (eps {np.finfo(_LD).eps:.3g})")
         return _logdet_extended(config, scheme)
-    if gap <= 0.0:
-        raise NumericalError(
-            f"discretized operator reached eigenvalue {evals[-1]:.6g} >= 1 "
-            f"(n={evals.size}, precision={precision}); use 'auto' or 'extended'")
     return float(np.sum(np.log1p(-evals)))
 
 
@@ -313,8 +301,7 @@ class DeterminantReport:
 def log_det(config: GapConfig, *,
             nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
             tail_length: float | None = None,
-            refine: int = 1,
-            precision: str = "auto") -> DeterminantReport:
+            refine: int = 1) -> DeterminantReport:
     """log F(x; s) with `refine` node-doubling refinements.
 
     The report keeps every resolution; est_error is the last refinement gap
@@ -326,7 +313,7 @@ def log_det(config: GapConfig, *,
     resolutions = []
     for k in range(refine + 1):
         scheme = build_scheme(config, nodes_per_panel * 2 ** k, tail_length)
-        value = 0.0 if trivial else logdet_single(config, scheme, precision)
+        value = 0.0 if trivial else logdet_single(config, scheme)
         resolutions.append((scheme.nodes_per_panel, value))
     est_error = abs(resolutions[-1][1] - resolutions[-2][1])
     return DeterminantReport(

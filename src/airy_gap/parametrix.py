@@ -335,6 +335,8 @@ def _resolve(name: str, beta) -> tuple[ModelProblem, complex | None]:
     except KeyError:
         raise ValueError(f"unknown model {name!r}") from None
     if not problem.takes_beta:
+        if beta is not None:
+            raise ValueError(f"the {problem.name} model takes no beta")
         return problem, None
     if beta is None:
         raise ValueError(f"the {problem.name} model requires beta")

@@ -2,14 +2,17 @@
 gamma family, Barnes G, modified Bessel / Hankel pairs, and Whittaker
 functions at mu = 0.
 
-Everything here is double precision except the extended (80-bit) real-axis
-Airy evaluator, which exists because deep gap determinants push eigenvalues
-of the discretized operator within ~1e-12 of 1 and double-rounded kernel
-entries are then not accurate enough.
+Everything here is double precision except the real-axis Airy evaluator
+`airy_real` (x >= -100).  It computes in 80-bit floats and rounds once to the dtype of
+its argument, so double nodes get values within an ulp and the deep-gap
+determinants, which push eigenvalues of the discretized operator within
+~1e-12 of 1 where double-rounded kernel entries are not accurate enough, get
+80-bit values from the same code.  scipy serves the complex arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,9 +112,6 @@ def gauss_legendre_rule(n: int, dtype=np.float64) -> QuadRule:
 
 AIRY_MAX_ABS = 60.0
 
-#: Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3)
-AIRY_AT_ZERO = (0.3550280538878172, -0.2588194037928068)
-
 
 def airy_ai(z):
     """Airy function pair (Ai(z), Ai'(z)) for complex z, |z| <= 60.
@@ -127,93 +127,104 @@ def airy_ai(z):
     return ai, aip
 
 
-# --- extended-precision real-axis evaluator --------------------------------
+# --- real-axis evaluator, computed in 80-bit floats ------------------------
 
 _LD = np.longdouble
 _ASYM_ANCHOR = 12.0
 _MARCH_STEP = 0.25
 _MARCH_ORDER = 30
+#: terms of the large-argument series: the last is its smallest term at
+#: t = 12 (5e-26 relative), and every term is smaller further out
+_ASYM_TERMS = 56
+#: (-1)^k u_k and (-1)^k v_k, k >= 1, of the series for Ai and Ai' (DLMF 9.7.5-6)
+_ASYM_U = np.cumprod([_LD(-(6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / _LD((2 * k - 1) * 216 * k)
+                      for k in range(1, _ASYM_TERMS + 1)])
+_ASYM_V = _ASYM_U * [_LD(6 * k + 1) / _LD(1 - 6 * k) for k in range(1, _ASYM_TERMS + 1)]
+#: (k + 1)(k + 2) of the Taylor recurrence of y'' = x y, as 80-bit scalars
+_RECURRENCE_LD = [_LD((k + 1) * (k + 2)) for k in range(_MARCH_ORDER - 1)]
+#: lowest argument of `airy_real`: the march is checked against mpmath down
+#: to here (3.2e-17 relative), and below it the truncation error of the fixed
+#: step grows fast (5e-15 at -200, 2e-11 at -300)
+AIRY_REAL_MIN = -100.0
 
 
 def _airy_asymptotic_ld(t):
-    """(Ai, Ai') at real t >= 12 from the large-argument expansion, float128.
-
-    The series is truncated at its smallest term; at t = 12 that term is
-    ~1e-24 relative, far below the 80-bit epsilon.
-    """
-    t = _LD(t)
+    """(Ai, Ai') at real t >= 12 from the large-argument expansion, float128."""
+    t = np.asarray(t, dtype=_LD)
     zeta = _LD(2.0) / _LD(3.0) * t ** _LD(1.5)
-    u = _LD(1.0)
-    su = _LD(1.0)
-    sv = _LD(1.0)
-    sign = _LD(1.0)
-    prev = abs(u)
-    for k in range(1, 80):
-        u = u * _LD((6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / _LD((2 * k - 1) * 216 * k)
-        term = u / zeta ** _LD(k)
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        sign = -sign
-        su += sign * term
-        sv += sign * term * _LD(6 * k + 1) / _LD(1 - 6 * k)
-        if abs(term) < _LD(1e-26):
-            break
+    powers = np.cumprod(np.broadcast_to(1 / zeta[..., None], zeta.shape + _ASYM_U.shape), axis=-1)
+    su = 1 + powers @ _ASYM_U
+    sv = 1 + powers @ _ASYM_V
     pref = np.exp(-zeta) / (_LD(2.0) * np.sqrt(_LD(np.pi)))
     ai = pref * su / t ** _LD(0.25)
     aip = -pref * sv * t ** _LD(0.25)
     return ai, aip
 
 
-def _airy_taylor_step(x0, y, yp, h):
-    """Advance (Ai, Ai') from x0 to x0 + h with the ODE y'' = x y."""
-    a = np.empty(_MARCH_ORDER + 1, dtype=_LD)
-    a[0] = y
-    a[1] = yp
-    a[2] = x0 * a[0] / _LD(2.0)
-    for k in range(1, _MARCH_ORDER - 1):
-        a[k + 2] = (x0 * a[k] + a[k - 1]) / _LD((k + 1) * (k + 2))
-    ynew = a[_MARCH_ORDER]
-    ypnew = a[_MARCH_ORDER] * _LD(_MARCH_ORDER)
+def _taylor_sum(a, h):
+    """(Ai, Ai') at x0 + h from the Taylor coefficients a about x0, by Horner's rule."""
+    y = a[_MARCH_ORDER]
+    yp = y * _MARCH_ORDER
     for k in range(_MARCH_ORDER - 1, 0, -1):
-        ynew = ynew * h + a[k]
-        ypnew = ypnew * h + a[k] * _LD(k)
-    ynew = ynew * h + a[0]
-    return ynew, ypnew
+        y = y * h + a[k]
+        yp = yp * h + a[k] * k
+    return y * h + a[0], yp
+
+
+@functools.lru_cache(maxsize=None)
+def _anchor(j: int) -> np.ndarray:
+    """Taylor coefficients a_0..a_30 of Ai about the anchor 12 - j/4, in 80-bit.
+
+    Anchor 0 comes from the large-argument series and anchor j from one
+    Taylor step of length 1/4 off anchor j - 1, so a value never depends on
+    how deep the table has been built.  Marching leftward is the
+    well-conditioned direction (the recessive solution grows relative to the
+    dominant one).
+    """
+    x0 = _LD(_ASYM_ANCHOR - _MARCH_STEP * j)
+    if j == 0:
+        y, yp = _airy_asymptotic_ld(x0)
+    else:
+        y, yp = _taylor_sum(_anchor(j - 1), _LD(-_MARCH_STEP))
+    a = [y, yp, x0 * y / _RECURRENCE_LD[0]]
+    for k in range(1, _MARCH_ORDER - 1):
+        a.append((x0 * a[k] + a[k - 1]) / _RECURRENCE_LD[k])
+    a = np.array(a)
+    a.flags.writeable = False  # shared by every caller of the cache
+    return a
+
+
+def airy_real(x):
+    """(Ai(x), Ai'(x)) for real x >= -100, in the dtype of x (at least double).
+
+    Computed in 80-bit floats and rounded once: points at or above 12 by the
+    large-argument series, every other point by one Taylor step (|h| <= 1/8)
+    off its nearest anchor 12 - j/4.  The anchors are cached as deep as the
+    lowest point has needed so far.
+    """
+    x = np.asarray(x)
+    dtype = np.promote_types(x.dtype, np.float64)
+    t = x.astype(_LD)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("airy_real needs finite arguments")
+    if np.any(t < AIRY_REAL_MIN):
+        raise DomainError(f"airy_real supports x >= {AIRY_REAL_MIN}, got {t.min()}")
+    ai = np.empty_like(t)
+    aip = np.empty_like(t)
+    far = t >= _ASYM_ANCHOR
+    ai[far], aip[far] = _airy_asymptotic_ld(t[far])
+    near = t[~far]
+    if near.size:
+        j = np.rint((_ASYM_ANCHOR - near) / _MARCH_STEP).astype(np.intp)
+        used, slot = np.unique(j, return_inverse=True)
+        table = np.stack([_anchor(i) for i in used], axis=1)
+        ai[~far], aip[~far] = _taylor_sum(table[:, slot], near - (_ASYM_ANCHOR - _MARCH_STEP * j))
+    return ai.astype(dtype, copy=False)[()], aip.astype(dtype, copy=False)[()]
 
 
 def airy_ai_real_xp(x):
-    """(Ai, Ai') on the real axis in extended precision (float128 arrays).
-
-    Values at or above 12 come from the asymptotic expansion; below, a
-    Taylor-series march of the Airy ODE walks left from the anchor at 12.
-    Marching leftward is the well-conditioned direction (the recessive
-    solution grows relative to the dominant one), so the relative error
-    stays at a few units of the 80-bit epsilon down to x ~ -60.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=_LD))
-    ai = np.empty_like(xs)
-    aip = np.empty_like(xs)
-    order = np.argsort(xs)[::-1]
-    cur_x = _LD(_ASYM_ANCHOR)
-    cur = None
-    for idx in order:
-        t = xs[idx]
-        if t >= _ASYM_ANCHOR:
-            ai[idx], aip[idx] = _airy_asymptotic_ld(t)
-            continue
-        if cur is None:
-            cur = _airy_asymptotic_ld(cur_x)
-        while cur_x - t > _MARCH_STEP:
-            cur = _airy_taylor_step(cur_x, cur[0], cur[1], -_LD(_MARCH_STEP))
-            cur_x -= _LD(_MARCH_STEP)
-        y, yp = _airy_taylor_step(cur_x, cur[0], cur[1], t - cur_x)
-        ai[idx], aip[idx] = y, yp
-        cur = (y, yp)
-        cur_x = t
-    if np.ndim(x) == 0:
-        return ai[0], aip[0]
-    return ai, aip
+    """(Ai, Ai') on the real axis in extended precision (float128 arrays)."""
+    return airy_real(np.asarray(x, dtype=_LD))
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_breakdown_zero_parameters():
 
 def test_breakdown_total_is_sum():
     br = asym.log_E_asym([-3.0, -7.0], [-0.2j, 0.35j])
-    assert br.total == br.drift_term + br.variance_term + br.cross_term + br.barnes_term + br.tw_term
+    assert br.total == br.drift_term + br.variance_term + br.cross_term + br.barnes_term
 
 
 def test_single_point_reduction():

@@ -190,14 +190,22 @@ def test_logdet_spectral_refinement_rate():
     # refinement gap should drop by at least 4x per node doubling until it
     # hits the arithmetic floor
     cfg = GapConfig((-14.0,), (0.4,))
-    values = {n: fr.log_det(GapConfig(cfg.x, cfg.s), nodes_per_panel=n, refine=1,
-                            precision="double").resolutions[0][1]
-              for n in (40, 80, 160, 320)}
+    values = {n: fr.logdet_single(cfg, fr.build_scheme(cfg, n)) for n in (40, 80, 160, 320)}
     e40 = abs(values[80] - values[40])
     e80 = abs(values[160] - values[80])
     e160 = abs(values[320] - values[160])
     assert e80 < e40 / 4.0 or e80 < 1e-12
     assert e160 < e80 / 4.0 or e160 < 1e-12
+
+
+def test_logdet_spectral_rate_before_the_floor():
+    # x = -9, s = 0 sits above the arithmetic floor: the error against 48
+    # nodes per panel falls from 7.7e-5 at 12 nodes to 1.8e-10 at 16
+    cfg = GapConfig((-9.0,), (0.0,))
+    ref = fr.logdet_single(cfg, fr.build_scheme(cfg, 48))
+    e12, e16 = (abs(fr.logdet_single(cfg, fr.build_scheme(cfg, n)) - ref) for n in (12, 16))
+    assert e12 > 1e-5
+    assert e16 < e12 / 1000.0
 
 
 def test_logdet_tail_robustness():
@@ -261,8 +269,8 @@ def test_extended_matches_double_where_double_suffices(caplog):
         cfg = GapConfig(x, s)
         scheme = fr.build_scheme(cfg)
         with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
-            extended = fr.logdet_single(cfg, scheme, precision="extended")
-        assert abs(extended - fr.logdet_single(cfg, scheme, precision="double")) < 1e-11
+            extended = fr._logdet_extended(cfg, scheme)
+        assert abs(extended - fr.logdet_single(cfg, scheme)) < 1e-11
     # x = -1, s = 0.5 has no eigenvalue near 1: the Ritz block is empty
     assert f"N={scheme.size}, k=0 " in caplog.records[-1].getMessage()
 

@@ -85,6 +85,13 @@ def test_jump_residual_validation():
         px.jump_residual("sine", 1, 1.0)
 
 
+def test_beta_rejected_for_models_without_one():
+    with pytest.raises(ValueError, match="airy model takes no beta"):
+        px.jump_residual("airy", 1, 1.0, 0.9j)
+    with pytest.raises(ValueError, match="bessel model takes no beta"):
+        px.extract_asym_coeff("bessel", "junk")
+
+
 def test_ray_ambiguity_raised():
     with pytest.raises(px.RayError):
         px.phi_ai(2.0)  # on the positive real axis

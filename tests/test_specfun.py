@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 from scipy.integrate import quad
 
+from airy_gap import fredholm as fr
 from airy_gap import specfun as sf
 from airy_gap._constants import EULER_GAMMA, zeta_int
 
@@ -133,6 +134,54 @@ def test_airy_extended_precision_vs_mpmath(mp40):
         err = abs(mp.mpf(np.format_float_scientific(a, precision=25)) - mp.airyai(mx))
         errp = abs(mp.mpf(np.format_float_scientific(ap, precision=25)) - mp.airyai(mx, 1))
         assert float((err + errp) / scale) < 5e-17
+
+
+def test_airy_double_nodes_within_4_ulp_of_mpmath(mp40):
+    xs = np.linspace(-16.0, 26.0, 421)
+    ai, aip = fr._airy_pair(xs)
+    assert ai.dtype == aip.dtype == np.float64
+    for x, a, ap in zip(xs, ai, aip):
+        mx = mp.mpf(float(x))
+        ref, refp = mp.airyai(mx), mp.airyai(mx, 1)
+        err = (abs(mp.mpf(float(a)) - ref) + abs(mp.mpf(float(ap)) - refp)) / (abs(ref) + abs(refp))
+        assert float(err) <= 4 * np.finfo(np.float64).eps, x
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_airy_real_independent_of_call_history(dtype):
+    xs = np.linspace(-5.3, 14.2, 97).astype(dtype)
+    sf._anchor.cache_clear()
+    before = sf.airy_real(xs)
+    sf.airy_real(np.linspace(-40.0, 0.0, 33).astype(dtype))  # builds deeper anchors
+    after = sf.airy_real(xs)
+    for b, a in zip(before, after):
+        assert b.dtype == dtype
+        assert np.array_equal(b, a)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.longdouble, 5e-17), (np.float64, 4 * np.finfo(np.float64).eps)])
+def test_airy_real_accurate_down_to_its_domain_edge(mp40, dtype, tol):
+    xs = np.linspace(sf.AIRY_REAL_MIN, sf.AIRY_REAL_MIN + 2.0, 17)
+    ai, aip = sf.airy_real(xs.astype(dtype))
+    for x, a, ap in zip(xs, ai, aip):
+        mx = mp.mpf(float(x))
+        ref, refp = mp.airyai(mx), mp.airyai(mx, 1)
+        err = abs(mp.mpf(np.format_float_scientific(a, precision=25)) - ref) \
+            + abs(mp.mpf(np.format_float_scientific(ap, precision=25)) - refp)
+        assert float(err / (abs(ref) + abs(refp))) <= tol, x
+    past = np.nextafter(dtype(sf.AIRY_REAL_MIN), dtype(-np.inf))
+    with pytest.raises(sf.DomainError, match="x >= -100"):
+        sf.airy_real(np.array([0.5, past], dtype=dtype))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_airy_real_rejects_non_finite(bad):
+    with pytest.raises(sf.DomainError, match="finite"):
+        sf.airy_real(np.array([0.5, bad]))
+    with pytest.raises(sf.DomainError, match="finite"):
+        sf.airy_real([0.5, bad])
+    with pytest.raises(sf.DomainError):
+        sf.airy_ai_real_xp(bad)
 
 
 # ---------------------------------------------------------------------------
