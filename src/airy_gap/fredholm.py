@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from . import specfun
 from .specfun import NumericalError
@@ -169,16 +168,19 @@ def airy_kernel(u: float, v: float) -> float:
     """Airy two-point kernel (Ai(u)Ai'(v) - Ai'(u)Ai(v)) / (u - v).
 
     Within 1e-7 of the diagonal the confluent form Ai'(t)^2 - t Ai(t)^2 is
-    used at the midpoint t = (u + v)/2.
+    used at the midpoint t = (u + v)/2.  It evaluates scipy's Airy, so it stays
+    an independent check of specfun.airy_real.
     """
+    from scipy import special
+
     u = float(u)
     v = float(v)
     if abs(u - v) < 1e-7:
         t = 0.5 * (u + v)
-        ai, aip, _, _ = _sp.airy(t)
+        ai, aip, _, _ = special.airy(t)
         return float(aip * aip - t * ai * ai)
-    aiu, aipu, _, _ = _sp.airy(u)
-    aiv, aipv, _, _ = _sp.airy(v)
+    aiu, aipu, _, _ = special.airy(u)
+    aiv, aipv, _, _ = special.airy(v)
     return float((aiu * aipv - aipu * aiv) / (u - v))
 
 
@@ -229,9 +231,7 @@ def _cholesky_logdet_ld(M: np.ndarray) -> np.longdouble:
     for j in range(k):
         d = M[j, j] - L[j, :j] @ L[j, :j]
         if not d > 0.0:
-            raise NumericalError(
-                f"non-positive Cholesky pivot {float(d):.3g} at {j} of {k}: "
-                "operator left the s in [0,1] regime")
+            raise NumericalError(f"non-positive Cholesky pivot {float(d):.3g} at {j} of {k}")
         L[j, j] = np.sqrt(d)
         L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
         logdet += np.log(d)
@@ -258,7 +258,14 @@ def _ritz_logdet(A: np.ndarray) -> float:
     gram = V.T @ V
     _log.info("80-bit log det: N=%d, k=%d eigenvalues within %g of 1, min(1-lambda)=%.3g",
               A.shape[0], V.shape[1], NEAR_ONE_GAP, 1.0 - evals[-1])
-    return float(_LD(bulk) + _cholesky_logdet_ld(ritz) - _cholesky_logdet_ld(gram))
+    try:
+        ritz_logdet, gram_logdet = _cholesky_logdet_ld(ritz), _cholesky_logdet_ld(gram)
+    except NumericalError as exc:
+        raise NumericalError(
+            f"{exc} in the 80-bit Rayleigh-Ritz step (N={A.shape[0]}, k={V.shape[1]}, "
+            f"double min(1-lambda)={1.0 - evals[-1]:.3g}): 80-bit arithmetic cannot "
+            "resolve a spectral gap of I - A this small") from exc
+    return float(_LD(bulk) + ritz_logdet - gram_logdet)
 
 
 def _logdet_extended(config: GapConfig, scheme: QuadratureScheme) -> float:

@@ -7,7 +7,9 @@ Everything here is double precision except the real-axis Airy evaluator
 its argument, so double nodes get values within an ulp and the deep-gap
 determinants, which push eigenvalues of the discretized operator within
 ~1e-12 of 1 where double-rounded kernel entries are not accurate enough, get
-80-bit values from the same code.  scipy serves the complex arguments.
+80-bit values from the same code.  scipy serves the complex arguments;
+`scipy.special` is imported inside those functions on their first call, so
+importing this module and every real-axis path stay scipy-free.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from ._constants import EULER_GAMMA, LOG_2PI, zeta_minus_one
 
@@ -80,12 +81,16 @@ def gauss_legendre_rule(n: int, dtype=np.float64) -> QuadRule:
 
     Newton starts from the Tricomi estimate cos(pi (k + 3/4)/(n + 1/2)) and
     is run to ~10 ulp in the requested dtype, so the same code serves the
-    float128 determinant path.
+    float128 determinant path.  Rules are cached per (n, dtype) and their
+    arrays are read-only.
     """
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_RULE_ORDER:
         raise ValueError(f"rule order must be an integer in [1, {MAX_RULE_ORDER}], got {n!r}")
-    if n == 1:
-        return QuadRule(1, np.zeros(1, dtype=dtype), np.full(1, 2.0, dtype=dtype))
+    return _gauss_legendre_rule(int(n), np.dtype(dtype))
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre_rule(n: int, dtype: np.dtype) -> QuadRule:
     k = np.arange(n, dtype=dtype)
     x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
     tol = 10 * np.finfo(dtype).eps
@@ -99,11 +104,13 @@ def gauss_legendre_rule(n: int, dtype=np.float64) -> QuadRule:
         raise RuntimeError("Gauss-Legendre Newton iteration failed to converge")
     _, dp = _legendre_with_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    x, w = x[::-1].copy(), w[::-1].copy()
+    x, w = x[::-1], w[::-1]
     # enforce the exact antisymmetry the analytic rule has
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
-    return QuadRule(int(n), x, w)
+    x.flags.writeable = False  # shared by every caller of the cache
+    w.flags.writeable = False
+    return QuadRule(n, x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +125,12 @@ def airy_ai(z):
 
     Accepts scalars or arrays; scalars come back as python complex.
     """
+    from scipy import special
+
     zc = np.asarray(z, dtype=complex)
     if np.any(np.abs(zc) > AIRY_MAX_ABS):
         raise DomainError(f"airy_ai supports |z| <= {AIRY_MAX_ABS}")
-    ai, aip, _, _ = _sp.airy(zc)
+    ai, aip, _, _ = special.airy(zc)
     if np.isscalar(z) or np.ndim(z) == 0:
         return complex(ai), complex(aip)
     return ai, aip
@@ -237,18 +246,22 @@ def _is_nonpositive_integer(z: complex) -> bool:
 
 def log_gamma(z) -> complex:
     """Principal branch of log Gamma(z)."""
+    from scipy import special
+
     zc = complex(z)
     if _is_nonpositive_integer(zc):
         raise PoleError(f"log_gamma pole at z = {zc}")
-    return complex(_sp.loggamma(zc))
+    return complex(special.loggamma(zc))
 
 
 def digamma(z) -> complex:
     """Digamma psi(z) = Gamma'(z)/Gamma(z)."""
+    from scipy import special
+
     zc = complex(z)
     if _is_nonpositive_integer(zc):
         raise PoleError(f"digamma pole at z = {zc}")
-    return complex(_sp.digamma(zc))
+    return complex(special.digamma(zc))
 
 
 def log_barnes_g(z) -> complex:
@@ -300,29 +313,33 @@ BESSEL_MAX_ABS = 80.0
 
 def bessel_modified_I0K0(z):
     """(I0, K0, I0', K0') at complex z with |arg z| < pi, |z| <= 80."""
+    from scipy import special
+
     zc = complex(z)
     if zc == 0 or (zc.real < 0 and zc.imag == 0):
         raise DomainError("bessel_modified_I0K0 requires |arg z| < pi")
     if abs(zc) > BESSEL_MAX_ABS:
         raise DomainError(f"bessel_modified_I0K0 supports |z| <= {BESSEL_MAX_ABS}")
-    i0 = complex(_sp.iv(0, zc))
-    k0 = complex(_sp.kv(0, zc))
-    i0p = complex(_sp.iv(1, zc))
-    k0p = -complex(_sp.kv(1, zc))
+    i0 = complex(special.iv(0, zc))
+    k0 = complex(special.kv(0, zc))
+    i0p = complex(special.iv(1, zc))
+    k0p = -complex(special.kv(1, zc))
     return i0, k0, i0p, k0p
 
 
 def hankel_H0(z, kind: int):
     """(H0, H0') for the Hankel function of the given kind (1 or 2)."""
+    from scipy import special
+
     zc = complex(z)
     if zc == 0:
         raise SingularityError("hankel_H0 is singular at z = 0")
     if abs(zc) > BESSEL_MAX_ABS:
         raise DomainError(f"hankel_H0 supports |z| <= {BESSEL_MAX_ABS}")
     if kind == 1:
-        return complex(_sp.hankel1(0, zc)), -complex(_sp.hankel1(1, zc))
+        return complex(special.hankel1(0, zc)), -complex(special.hankel1(1, zc))
     if kind == 2:
-        return complex(_sp.hankel2(0, zc)), -complex(_sp.hankel2(1, zc))
+        return complex(special.hankel2(0, zc)), -complex(special.hankel2(1, zc))
     raise ValueError(f"kind must be 1 or 2, got {kind!r}")
 
 
@@ -358,15 +375,17 @@ def kummer_u_b1(a, z, log_z=None) -> complex:
     explicit logarithm is entire).  The k = 0 term is rewritten through
     a*psi(a) = a*psi(1+a) - 1 so a -> 0 is a smooth limit with U(0,1,z) = 1.
     """
+    from scipy import special
+
     a = complex(a)
     z = complex(z)
     if log_z is None:
         if z == 0 or (z.real < 0 and z.imag == 0):
             raise DomainError("kummer_u_b1 principal branch requires z off (-inf, 0]")
         log_z = complex(np.log(z))
-    inv_gamma_1pa = complex(_sp.rgamma(1.0 + a))  # 1/Gamma(1+a), entire
-    pref = -a * inv_gamma_1pa                     # -1/Gamma(a)
-    psi1 = complex(_sp.digamma(1.0 + a)) if not _is_nonpositive_integer(1.0 + a) else 0.0
+    inv_gamma_1pa = complex(special.rgamma(1.0 + a))  # 1/Gamma(1+a), entire
+    pref = -a * inv_gamma_1pa                         # -1/Gamma(a)
+    psi1 = complex(special.digamma(1.0 + a)) if not _is_nonpositive_integer(1.0 + a) else 0.0
     # k = 0 term, pole of psi(a) cancelled analytically
     total = pref * (log_z + psi1 + 2.0 * EULER_GAMMA) + inv_gamma_1pa
     poch = 1.0 + 0.0j
@@ -375,7 +394,7 @@ def kummer_u_b1(a, z, log_z=None) -> complex:
         poch *= a + k
         zk *= z / ((k + 1) * (k + 1))
         coeff = poch * zk
-        term = pref * coeff * (log_z + complex(_sp.digamma(a + k + 1.0)) - 2.0 * complex(_sp.digamma(k + 2.0)))
+        term = pref * coeff * (log_z + complex(special.digamma(a + k + 1.0)) - 2.0 * complex(special.digamma(k + 2.0)))
         total += term
         if abs(coeff) * (abs(log_z) + 10.0) < 1e-18 * (1.0 + abs(total)):
             return total
@@ -392,13 +411,15 @@ def kummer_m_b1_asym(a, z) -> complex:
     because the ascending series cancels like e^|z| once Re z < 0 and
     |(a)_k| grows like k!.
     """
+    from scipy import special
+
     a = complex(a)
     z = complex(z)
     sigma = 1.0 if z.imag >= 0.0 else -1.0
     u1 = kummer_u_b1_asym(a, z)
     u2 = kummer_u_b1_asym(1.0 - a, -z)
-    return (np.exp(1j * np.pi * sigma * a) * complex(_sp.rgamma(1.0 - a)) * u1
-            + np.exp(1j * np.pi * sigma * (a - 1.0) + z) * complex(_sp.rgamma(a)) * u2)
+    return (np.exp(1j * np.pi * sigma * a) * complex(special.rgamma(1.0 - a)) * u1
+            + np.exp(1j * np.pi * sigma * (a - 1.0) + z) * complex(special.rgamma(a)) * u2)
 
 
 def kummer_u_b1_asym(a, z, log_z=None) -> complex:

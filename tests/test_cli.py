@@ -1,9 +1,14 @@
 """Command-line interface: reports, exit codes, determinism, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import airy_gap
 from airy_gap import cli
 
 
@@ -55,6 +60,13 @@ def test_det_rejects_bad_ordering(tmp_path, capsys):
     code, _, err = run(["det", cfg], capsys)
     assert code == 2
     assert "endpoints must be strictly decreasing" in err
+
+
+def test_det_refuses_deep_gap_with_exit_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"x": [-13.0], "s": [0.0]})
+    code, out, err = run(["det", cfg], capsys)
+    assert code == 4 and out == ""
+    assert "Cholesky pivot" in err and "80-bit arithmetic cannot resolve" in err
 
 
 def test_det_missing_file(capsys):
@@ -348,3 +360,38 @@ def test_sweep_beta_field(tmp_path, capsys):
     cfg0 = write_config(tmp_path, {"x": [-2.0, -4.0], "s": [0.0, 0.5]}, "zero.json")
     assert run(["sweep", cfg0, "--vary", "beta_2", "--values=-0.1",
                 "--out", str(out_csv)], capsys)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+_IMPORT_GUARD = """
+import json, sys
+from pathlib import Path
+import airy_gap
+assert "scipy" not in sys.modules, "import airy_gap"
+from airy_gap import cli
+tmp = Path(sys.argv[1])
+(tmp / "x.json").write_text(json.dumps({"x": [-2.0, -3.0], "s": [0.5, 0.5]}))
+(tmp / "tau.json").write_text(json.dumps({"tau": [-1.0, -1.6], "s": [0.4, 0.7]}))
+for argv in (["det", str(tmp / "x.json"), "--nodes", "16", "--refine", "1"],
+             ["compare", str(tmp / "tau.json"), "--r-list", "2,3", "--nodes", "16"],
+             ["stats", "--x", "-2.5", "--nodes", "16"],
+             ["stats", "--interval", "-4", "-1", "--nodes", "16"],
+             ["sweep", str(tmp / "x.json"), "--vary", "s_2", "--values", "0.3,0.6",
+              "--nodes", "16", "--out", str(tmp / "sweep.csv")]):
+    assert cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert cli.main(["parametrix", "--model", "bessel"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scipy_loaded_only_by_complex_argument_commands(tmp_path):
+    # scipy.special is most of the import time; only parametrix needs it
+    src = str(Path(airy_gap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

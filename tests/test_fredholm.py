@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,15 @@ def test_ritz_logdet_rejects_eigenvalue_above_one():
     gaps[0] = -gaps[0]
     with pytest.raises(NumericalError, match="Cholesky"):
         fr._ritz_logdet(_exact_spectrum_matrix(gaps))
+
+
+def test_deep_gap_refusal_names_the_spectral_gap():
+    # at x = -13 the Ritz block of I - A loses positivity in 80-bit arithmetic
+    with pytest.raises(NumericalError) as info:
+        fr.log_det(GapConfig((-13.0,), (0.0,)))
+    msg = str(info.value)
+    assert re.search(r"Cholesky pivot .* \(N=336, k=\d+, double min\(1-lambda\)=\S+\)", msg)
+    assert "80-bit arithmetic cannot resolve" in msg and "s in [0,1]" not in msg
 
 
 def test_extended_matches_double_where_double_suffices(caplog):

@@ -61,6 +61,17 @@ def test_rule_rejects_bad_order(n):
         sf.gauss_legendre_rule(n)
 
 
+def test_rule_cached_read_only_and_still_validated():
+    r = sf.gauss_legendre_rule(48)
+    assert sf.gauss_legendre_rule(np.int64(48)) is r
+    assert sf.gauss_legendre_rule(48, np.longdouble) is not r
+    assert not r.nodes.flags.writeable and not r.weights.flags.writeable
+    with pytest.raises(ValueError):
+        r.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        sf.gauss_legendre_rule(48.0)
+
+
 # ---------------------------------------------------------------------------
 # Airy functions
 # ---------------------------------------------------------------------------
