@@ -180,6 +180,22 @@ class AsymptoticBreakdown:
         return self.drift_term + self.variance_term + self.cross_term + self.barnes_term
 
 
+def _pair_term(bs, xs) -> float:
+    """Pair prefactor -4 pi^2 sum_{k<j} beta_j beta_k Sigma(x_k, x_j), with beta = i b."""
+    return 4.0 * PI_SQ * float(
+        sum(bs[k] * bs[j] * sigma_cov(xs[k], xs[j])
+            for k in range(len(xs)) for j in range(k + 1, len(xs))))
+
+
+def _breakdown(bs, mus, sigma2s, pair_points) -> AsymptoticBreakdown:
+    """Drift -2 pi i sum beta_j mu_j, variance -2 pi^2 sum beta_j^2 sigma2_j,
+    the pair prefactor at pair_points and the Barnes G pair terms."""
+    drift = TWO_PI * float(sum(b * m for b, m in zip(bs, mus)))
+    variance = 2.0 * PI_SQ * float(sum(b * b * v for b, v in zip(bs, sigma2s)))
+    barnes = float(sum(barnes_pair(1j * b) for b in bs))
+    return AsymptoticBreakdown(drift, variance, _pair_term(bs, pair_points), barnes)
+
+
 def log_E_asym(x, beta) -> AsymptoticBreakdown:
     """Explicit multi-point expansion of log E(x; beta).
 
@@ -189,13 +205,7 @@ def log_E_asym(x, beta) -> AsymptoticBreakdown:
     Barnes G pair terms.
     """
     xs, bs = _expansion_args(x, beta)
-    drift = TWO_PI * float(sum(b * mu(v) for b, v in zip(bs, xs)))
-    variance = 2.0 * PI_SQ * float(sum(b * b * sigma2(v) for b, v in zip(bs, xs)))
-    cross = 4.0 * PI_SQ * float(
-        sum(bs[k] * bs[j] * sigma_cov(xs[k], xs[j])
-            for k in range(xs.size) for j in range(k + 1, xs.size)))
-    barnes = float(sum(barnes_pair(1j * b) for b in bs))
-    return AsymptoticBreakdown(drift, variance, cross, barnes)
+    return _breakdown(bs, [mu(v) for v in xs], [sigma2(v) for v in xs], xs)
 
 
 def log_E_product_form(x, beta) -> float:
@@ -207,10 +217,7 @@ def log_E_product_form(x, beta) -> float:
     """
     xs, bs = _expansion_args(x, beta)
     one_point = float(sum(log_E_m1(v, 1j * b) for v, b in zip(xs, bs)))
-    pair = 4.0 * PI_SQ * float(
-        sum(bs[k] * bs[j] * sigma_cov(xs[k], xs[j])
-            for k in range(xs.size) for j in range(k + 1, xs.size)))
-    return one_point + pair
+    return one_point + _pair_term(bs, xs)
 
 
 def mu0(x: float, x1: float) -> float:
@@ -236,13 +243,7 @@ def log_E0_asym(x, beta0) -> AsymptoticBreakdown:
     xs, bs = _expansion_args(x, beta0, conditioned=True)
     x1 = float(xs[0])
     rest = xs[1:]
-    drift = TWO_PI * float(sum(b * mu0(v, x1) for b, v in zip(bs, rest)))
-    variance = 2.0 * PI_SQ * float(sum(b * b * sigma2_0(v, x1) for b, v in zip(bs, rest)))
-    cross = 4.0 * PI_SQ * float(
-        sum(bs[k] * bs[j] * sigma_cov(rest[k] - x1, rest[j] - x1)
-            for k in range(rest.size) for j in range(k + 1, rest.size)))
-    barnes = float(sum(barnes_pair(1j * b) for b in bs))
-    return AsymptoticBreakdown(drift, variance, cross, barnes)
+    return _breakdown(bs, [mu0(v, x1) for v in rest], [sigma2_0(v, x1) for v in rest], rest - x1)
 
 
 def log_E0_product_form(x, beta0) -> float:

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,15 +55,7 @@ class RunReport:
         self.results.append({"label": label, "value": value})
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "config": self.config,
-            "results": self.results,
-            "convergence": self.convergence,
-            "timing_seconds": self.timing_seconds,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _fmt(value: float) -> str:
@@ -95,9 +87,9 @@ def parse_imag(text: str) -> complex:
         else:
             value = complex(0.0, float(s))
     except ValueError as exc:
-        raise ValidationError(f"cannot parse imaginary parameter {text!r}") from exc
+        raise ValidationError(f"cannot parse imaginary parameter beta = {text!r}") from exc
     if not _is_imaginary(value):
-        raise ValidationError(f"parameter {text!r} must be purely imaginary")
+        raise ValidationError(f"beta = {text!r} must be finite and purely imaginary")
     return complex(0.0, value.imag)
 
 
@@ -118,6 +110,17 @@ def thread_count() -> int:
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
+
+def _numbers(values, name: str) -> list[float]:
+    """A JSON list, or the entries of a flag, as finite floats; else a ValidationError."""
+    try:
+        out = [float(v) for v in values]
+        if isinstance(values, list) and all(map(math.isfinite, out)):
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name}: expected a list of finite numbers, got {values!r}")
+
 
 def load_config(path: str) -> dict:
     """Problem description: {x, s} and/or {tau, r, s|beta}.
@@ -142,30 +145,31 @@ def load_config(path: str) -> dict:
 
     out: dict = {}
     if "tau" in raw:
-        tau = [float(v) for v in raw["tau"]]
+        tau = _numbers(raw["tau"], "tau")
         if any(v >= 0 for v in tau) or any(b >= a for a, b in zip(tau, tau[1:])):
             raise ValidationError("tau must be negative and strictly decreasing")
         out["tau"] = tau
     if "x" in raw:
-        out["x"] = [float(v) for v in raw["x"]]
+        out["x"] = _numbers(raw["x"], "x")
     if "r" in raw:
-        r = float(raw["r"])
+        r = _numbers([raw["r"]], "r")[0]
         if r <= 0:
             raise ValidationError("r must be positive")
         out["r"] = r
-    if "x" not in out and "tau" in out and "r" in out:
-        out["x"] = [out["r"] * t for t in out["tau"]]
-    if "x" in out and "tau" in out:
-        if "r" not in out:
-            raise ValidationError("x next to tau needs r, since x must equal r*tau")
+    if "tau" in out and "r" in out:
         expect = [out["r"] * t for t in out["tau"]]
+        out.setdefault("x", expect)
         if any(abs(a - b) > 1e-9 * max(1.0, abs(b)) for a, b in zip(out["x"], expect)):
             raise ValidationError("x and r*tau disagree; drop one parametrization")
+    elif "x" in out and "tau" in out:
+        raise ValidationError("x next to tau needs r, since x must equal r*tau")
 
     if ("s" in raw) == ("beta" in raw):
         raise ValidationError("config needs exactly one of 's' or 'beta'")
     if "s" in raw:
-        out["s"] = [float(v) for v in raw["s"]]
+        out["s"] = _numbers(raw["s"], "s")
+    elif not isinstance(raw["beta"], list):
+        raise ValidationError(f"beta: expected a list of imaginary numbers, got {raw['beta']!r}")
     else:
         betas = [parse_imag(str(v)) for v in raw["beta"]]
         out["beta"] = [v.imag for v in betas]
@@ -175,7 +179,7 @@ def load_config(path: str) -> dict:
     for key in ("x", "tau"):
         if key in out and len(out[key]) != n:
             raise ValidationError(f"{key} and s must have equal length")
-    if "m" in raw and int(raw["m"]) != n:
+    if "m" in raw and _numbers([raw["m"]], "m")[0] != n:
         raise ValidationError(f"declared m = {raw['m']} does not match length {n}")
     out["m"] = n
     return out
@@ -207,12 +211,10 @@ def cmd_det(args) -> RunReport:
 def _compare_row(tau, s, r, nodes):
     x = tuple(r * t for t in tau)
     gap = GapConfig(x, s)
-    if s[0] == 0.0:
-        numeric = fredholm.log_E0(gap, nodes_per_panel=nodes)
-        total = asymptotics.log_E0_asym(x, asymptotics.beta_from_s(s)).total
-    else:
-        numeric = fredholm.log_E(gap, nodes_per_panel=nodes)
-        total = asymptotics.log_E_asym(x, asymptotics.beta_from_s(s)).total
+    conditioned = s[0] == 0.0
+    numeric = (fredholm.log_E0 if conditioned else fredholm.log_E)(gap, nodes_per_panel=nodes)
+    asym = asymptotics.log_E0_asym if conditioned else asymptotics.log_E_asym
+    total = asym(x, asymptotics.beta_from_s(s)).total
     diff = abs(numeric - total)
     scaled = diff * r ** 1.5 / math.log(r) if r > 1 else float("nan")
     return [r, numeric, total, diff, scaled]
@@ -222,7 +224,7 @@ def cmd_compare(args) -> RunReport:
     cfg = load_config(args.config)
     if "tau" not in cfg:
         raise ValidationError("compare needs a tau-parametrized config")
-    rs = [float(v) for v in args.r_list.split(",") if v.strip()]
+    rs = _numbers([v for v in args.r_list.split(",") if v.strip()], "--r-list")
     if not rs:
         raise ValidationError("empty r list")
     if any(b <= a for a, b in zip(rs, rs[1:])) or len(rs) != len(set(rs)):
@@ -369,16 +371,12 @@ def cmd_sweep(args) -> RunReport:
             raise ValidationError(f"malformed field {f!r}; use e.g. s_2") from exc
         if not 0 <= j < cfg["m"]:
             raise ValidationError(f"index in {f!r} out of range for m = {cfg['m']}")
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = _numbers([v for v in args.values.split(",") if v.strip()], "--values")
     if not values:
         raise ValidationError("empty values list")
 
-    workers = thread_count()
-    if workers > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_one(cfg, kind, j, v, args.nodes), values))
-    else:
-        rows = [_sweep_one(cfg, kind, j, v, args.nodes) for v in values]
+    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+        rows = list(pool.map(lambda v: _sweep_one(cfg, kind, j, v, args.nodes), values))
 
     header = {
         "nodes": ["nodes", "log_f", "est_error"],

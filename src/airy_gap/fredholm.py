@@ -25,12 +25,12 @@ from .specfun import NumericalError
 
 
 DEFAULT_NODES_PER_PANEL = 48
-DEFAULT_TAIL_LENGTH = 14.0
 PANEL_MAX_LENGTH = 4.0
 #: Ai(u)^2 < 1e-24 for u >= this; the half-line truncation point never sits
 #: below it because deep determinants amplify truncation error by the inverse
 #: spectral gap (measured: 8e-2 shift at x = -10 when truncating at x + 14).
 TRUNCATION_POINT_MIN = 12.5
+MIN_TAIL_LENGTH = 8.0
 #: escalate to the float128 pipeline when min eig(I - A) drops below this
 DEEP_GAP_THRESHOLD = 1e-6
 #: eigenvalues with 1 - lambda below this get the 80-bit Rayleigh-Ritz
@@ -67,8 +67,8 @@ class GapConfig:
         object.__setattr__(self, "s", tuple(float(v) for v in np.atleast_1d(s)))
         if len(self.x) != len(self.s) or not self.x:
             raise ValueError("x and s must be equal-length, non-empty sequences")
-        if any(b >= a for a, b in zip(self.x, self.x[1:])):
-            raise ValueError("endpoints must be strictly decreasing")
+        if any(b >= a for a, b in zip(self.x, self.x[1:])) or not all(map(math.isfinite, self.x)):
+            raise ValueError("endpoints must be strictly decreasing and finite")
         if any(not 0.0 <= v <= 1.0 for v in self.s):
             raise ValueError("weights must lie in [0, 1]")
         if any(v == 0.0 for v in self.s[1:]):
@@ -79,9 +79,9 @@ class GapConfig:
         return len(self.x)
 
 
-def default_tail_length(x1: float) -> float:
-    """Tail length putting the truncation point at >= TRUNCATION_POINT_MIN."""
-    return max(DEFAULT_TAIL_LENGTH, TRUNCATION_POINT_MIN - x1)
+def default_tail_length(a: float) -> float:
+    """Length T kept of (a, inf): T >= MIN_TAIL_LENGTH, a + T >= TRUNCATION_POINT_MIN."""
+    return max(MIN_TAIL_LENGTH, TRUNCATION_POINT_MIN - a)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +143,8 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
         raise ValueError("nodes_per_panel must be at least 4")
     if tail_length is None:
         tail_length = default_tail_length(config.x[0])
-    if tail_length < 8.0:
-        raise ValueError("tail_length must be at least 8")
+    if not MIN_TAIL_LENGTH <= tail_length < math.inf:
+        raise ValueError(f"tail_length must be finite and at least {MIN_TAIL_LENGTH:g}")
     ends = config.x[::-1] + (config.x[0] + tail_length,)  # x_m < ... < x_1 < x_0
     panels, xi, w, pos = _panelize(zip(ends, ends[1:]), nodes_per_panel, dtype)
     interval_index = np.int32(config.m) - pos
@@ -316,6 +316,8 @@ def log_det(config: GapConfig, *,
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
+    if nodes_per_panel > specfun.MAX_RULE_ORDER >> refine:  # i.e. nodes_per_panel * 2**refine
+        raise ValueError(f"refine={refine} needs rule orders above {specfun.MAX_RULE_ORDER}")
     trivial = all(v == 1.0 for v in config.s)  # zero operator: log F = 0 exactly
     resolutions = []
     for k in range(refine + 1):
@@ -442,8 +444,8 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
 
 
 def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights; a half-line (a, inf) is cut at max(a + 4, TRUNCATION_POINT_MIN)."""
-    cut = [(a, max(a + 4.0, TRUNCATION_POINT_MIN) if math.isinf(b) else b)
+    """Nodes and weights; a half-line (a, inf) is cut at a + default_tail_length(a)."""
+    cut = [(a, a + default_tail_length(a) if math.isinf(b) else b)
            for a, b in _normalize_intervals(intervals)]
     return _panelize(cut, nodes_per_panel)[1:3]
 

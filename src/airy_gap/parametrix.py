@@ -245,11 +245,9 @@ def _phi_hg_at(z_abs: float, theta: float, beta: complex, sector: str) -> np.nda
 
 
 def _strip_chg(phi: np.ndarray, z: complex, theta: float, beta: complex) -> np.ndarray:
+    """Large-z prefactors for pi/2 < arg z < 3 pi/2, the half-plane the CHG fit samples."""
     log_z = math.log(abs(z)) + 1j * theta
-    if -0.5 * math.pi < theta < 0.5 * math.pi:
-        sect = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    else:
-        sect = np.diag([cmath.exp(1j * math.pi * beta), cmath.exp(-1j * math.pi * beta)])
+    sect = np.diag([cmath.exp(1j * math.pi * beta), cmath.exp(-1j * math.pi * beta)])
     zb = cmath.exp(beta * log_z)
     right = np.diag([cmath.exp(0.5 * z) * zb, cmath.exp(-0.5 * z) / zb])
     return phi @ _inv2(sect) @ right

@@ -40,8 +40,8 @@ class NumericalError(RuntimeError):
 
 
 def _is_imaginary(z: complex) -> bool:
-    """Whether z is purely imaginary up to rounding: |Re z| <= 1e-12 max(1, |Im z|)."""
-    return abs(z.real) <= 1e-12 * max(1.0, abs(z.imag))
+    """Whether z is finite and purely imaginary up to rounding: |Re z| <= 1e-12 max(1, |Im z|)."""
+    return math.isfinite(z.imag) and abs(z.real) <= 1e-12 * max(1.0, abs(z.imag))
 
 
 # ---------------------------------------------------------------------------

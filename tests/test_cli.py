@@ -93,6 +93,34 @@ def test_config_validation_rules(tmp_path, capsys):
     assert run(["det", str(path)], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv, config, field", [
+    (["det"], {"x": -2, "s": [0.5]}, "x"),
+    (["det"], {"x": [-2], "s": 0.5}, "s"),
+    (["det"], {"tau": -1, "r": 2, "s": [0.5]}, "tau"),
+    (["det"], {"x": [None], "s": [0.5]}, "x"),
+    (["det"], {"x": [-2], "s": [0.5], "r": [1]}, "r"),
+    (["det"], {"x": [float("nan")], "s": [0.5]}, "x"),
+    (["det"], {"x": [-2], "beta": 0.3}, "beta"),
+    (["det"], {"x": [-2], "beta": "0.1i"}, "beta"),
+    (["det"], {"m": None, "x": [-2], "s": [0.5]}, "m"),
+    (["det", "--tail", "inf"], {"x": [-2], "s": [0.5]}, "tail"),
+    (["det", "--tail", "nan"], {"x": [-2], "s": [0.5]}, "tail"),
+    (["det", "--refine", "9"], {"x": [-2], "s": [0.5]}, "refine"),
+    (["compare", "--r-list", "nan"], {"tau": [-1.0], "s": [0.5]}, "r-list"),
+    (["compare", "--r-list", "2,inf"], {"tau": [-1.0], "s": [0.5]}, "r-list"),
+    (["parametrix", "--model", "chg", "--beta", "nani"], None, "beta"),
+    (["parametrix", "--model", "chg", "--beta", "infi"], None, "beta"),
+], ids=["x-scalar", "s-scalar", "tau-scalar", "x-null", "r-as-list", "x-nan", "beta-scalar",
+        "beta-string", "m-null", "tail-inf", "tail-nan", "refine-9", "r-list-nan", "r-list-inf",
+        "beta-nan", "beta-inf"])
+def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, field):
+    if config is not None:
+        argv = argv[:1] + [write_config(tmp_path, config)] + argv[1:]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
+
+
 def test_tau_r_parametrization(tmp_path, capsys):
     cfg = write_config(tmp_path, {"tau": [-1.0], "r": 2.0, "s": [0.0]})
     code, out, _ = run(["det", cfg, "--nodes", "24", "--refine", "1"], capsys)

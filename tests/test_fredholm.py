@@ -20,6 +20,12 @@ LOGF_MINUS2_S0 = -0.8837651153091381
 # configuration type
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("x", ((math.nan,), (-1.0, -math.inf), (math.inf, -1.0)))
+def test_config_rejects_nonfinite_endpoints(x):
+    with pytest.raises(ValueError, match="finite"):
+        GapConfig(x, (0.5,) * len(x))
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="strictly decreasing"):
         GapConfig((-3.0, -1.0), (0.5, 0.5))
@@ -141,6 +147,20 @@ def test_scheme_validation():
         fr.build_scheme(cfg, tail_length=4.0)
 
 
+@pytest.mark.parametrize("a", (-3.0, -1.0, 0.0, 6.0))
+def test_one_halfline_cut_for_determinants_and_traces(a):
+    _, w = fr._set_nodes([(a, math.inf)], 8)
+    scheme = fr.build_scheme(GapConfig((a,), (0.5,)), 8)
+    assert w.sum() == pytest.approx(scheme.w_plain.sum(), abs=1e-12)
+    assert scheme.tail_length == fr.default_tail_length(a)
+
+
+@pytest.mark.parametrize("tail", (math.inf, math.nan))
+def test_scheme_rejects_nonfinite_tail(tail):
+    with pytest.raises(ValueError, match="tail_length must be finite"):
+        fr.build_scheme(GapConfig((-2.0,), (0.5,)), tail_length=tail)
+
+
 # ---------------------------------------------------------------------------
 # log determinant
 # ---------------------------------------------------------------------------
@@ -149,6 +169,15 @@ def test_logdet_trivial_weights():
     report = fr.log_det(GapConfig((-2.0, -4.0), (1.0, 1.0)))
     assert report.log_f == 0.0
     assert report.converged
+
+
+def test_impossible_refinement_fails_before_any_scheme(monkeypatch):
+    def no_scheme(*args, **kwargs):
+        raise AssertionError("build_scheme called")
+
+    monkeypatch.setattr(fr, "build_scheme", no_scheme)
+    with pytest.raises(ValueError, match="rule orders above 4096"):
+        fr.log_det(GapConfig((-2.0,), (0.5,)), refine=7)
 
 
 def test_logdet_self_convergence_and_regression():
