@@ -374,6 +374,8 @@ def cmd_sweep(args) -> RunReport:
     values = _numbers([v for v in args.values.split(",") if v.strip()], "--values")
     if not values:
         raise ValidationError("empty values list")
+    if f == "nodes" and any(v != int(v) for v in values):
+        raise ValidationError(f"--values: node counts must be integers, got {args.values!r}")
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
         rows = list(pool.map(lambda v: _sweep_one(cfg, kind, j, v, args.nodes), values))

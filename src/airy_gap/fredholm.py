@@ -26,6 +26,8 @@ from .specfun import NumericalError
 
 DEFAULT_NODES_PER_PANEL = 48
 PANEL_MAX_LENGTH = 4.0
+#: largest discretization built; one double N x N matrix at the cap is 512 MiB
+MAX_NODES = 8192
 #: Ai(u)^2 < 1e-24 for u >= this; the half-line truncation point never sits
 #: below it because deep determinants amplify truncation error by the inverse
 #: spectral gap (measured: 8e-2 shift at x = -10 when truncating at x + 14).
@@ -113,12 +115,17 @@ def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
     """Gauss-Legendre panels of length <= PANEL_MAX_LENGTH over each interval.
 
     Returns the panels, the nodes, their weights and, per node, the position
-    of its interval in `intervals`.
+    of its interval in `intervals`.  Raises ValueError, before building
+    anything, when the node count N would exceed MAX_NODES.
     """
+    intervals = list(intervals)
+    counts = [max(1, math.ceil((b - a) / PANEL_MAX_LENGTH - 1e-12)) for a, b in intervals]
+    size = sum(counts) * nodes_per_panel
+    if size > MAX_NODES:
+        raise ValueError(f"the discretization needs N = {size} nodes, above MAX_NODES = {MAX_NODES}")
     rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
     panels, xs, ws, pos = [], [], [], []
-    for p, (a, b) in enumerate(intervals):
-        count = max(1, math.ceil((b - a) / PANEL_MAX_LENGTH - 1e-12))
+    for p, ((a, b), count) in enumerate(zip(intervals, counts)):
         edges = np.linspace(a, b, count + 1)
         for pa, pb in zip(edges[:-1], edges[1:]):
             nodes, weights = rule.mapped(dtype(pa), dtype(pb))
@@ -312,18 +319,18 @@ def log_det(config: GapConfig, *,
     """log F(x; s) with `refine` node-doubling refinements.
 
     The report keeps every resolution; est_error is the last refinement gap
-    and the run is flagged converged when it drops below 1e-8.
+    and the run is flagged converged when it drops below 1e-8.  Every scheme
+    is built before any determinant, so a finest resolution above MAX_NODES
+    fails at once.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
     if nodes_per_panel > specfun.MAX_RULE_ORDER >> refine:  # i.e. nodes_per_panel * 2**refine
         raise ValueError(f"refine={refine} needs rule orders above {specfun.MAX_RULE_ORDER}")
     trivial = all(v == 1.0 for v in config.s)  # zero operator: log F = 0 exactly
-    resolutions = []
-    for k in range(refine + 1):
-        scheme = build_scheme(config, nodes_per_panel * 2 ** k, tail_length)
-        value = 0.0 if trivial else logdet_single(config, scheme)
-        resolutions.append((scheme.nodes_per_panel, value))
+    schemes = [build_scheme(config, nodes_per_panel * 2 ** k, tail_length) for k in range(refine + 1)]
+    resolutions = [(scheme.nodes_per_panel, 0.0 if trivial else logdet_single(config, scheme))
+                   for scheme in schemes]
     est_error = abs(resolutions[-1][1] - resolutions[-2][1])
     return DeterminantReport(
         log_f=resolutions[-1][1],

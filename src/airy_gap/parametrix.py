@@ -218,10 +218,10 @@ def _phi_hat_hg(z: complex, log_z: complex, beta: complex) -> np.ndarray:
     # -Gamma(1-beta)/Gamma(beta) = -beta Gamma(1-beta)/Gamma(1+beta), finite at beta = 0
     c12 = -beta * g1m / g1p
     return np.array([
-        [g1m * exp_m * specfun._kummer_m_auto(beta, z),
-         c12 * exp_p * specfun._kummer_u_auto(1.0 - beta, -z, log_w)],
-        [g1p * exp_m * specfun._kummer_m_auto(1.0 + beta, z),
-         exp_p * specfun._kummer_u_auto(-beta, -z, log_w)],
+        [g1m * exp_m * specfun.kummer_m(beta, z),
+         c12 * exp_p * specfun.kummer_u(1.0 - beta, -z, log_w)],
+        [g1p * exp_m * specfun.kummer_m(1.0 + beta, z),
+         exp_p * specfun.kummer_u(-beta, -z, log_w)],
     ])
 
 

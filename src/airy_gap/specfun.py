@@ -365,8 +365,8 @@ def kummer_m_b1(a, z) -> complex:
     raise DomainError(f"Kummer M series did not converge for |z| = {abs(z):.3g}")
 
 
-def kummer_u_b1(a, z, log_z=None) -> complex:
-    """Second Kummer solution U(a, 1, z), logarithmic case.
+def kummer_u_b1(a, z, log_z) -> complex:
+    """Second Kummer solution U(a, 1, z), logarithmic case, by its ascending series.
 
     U(a,1,z) = -(1/Gamma(a)) sum_k (a)_k/(k!)^2 z^k [log z + psi(a+k) - 2 psi(k+1)].
 
@@ -379,10 +379,6 @@ def kummer_u_b1(a, z, log_z=None) -> complex:
 
     a = complex(a)
     z = complex(z)
-    if log_z is None:
-        if z == 0 or (z.real < 0 and z.imag == 0):
-            raise DomainError("kummer_u_b1 principal branch requires z off (-inf, 0]")
-        log_z = complex(np.log(z))
     inv_gamma_1pa = complex(special.rgamma(1.0 + a))  # 1/Gamma(1+a), entire
     pref = -a * inv_gamma_1pa                         # -1/Gamma(a)
     psi1 = complex(special.digamma(1.0 + a)) if not _is_nonpositive_integer(1.0 + a) else 0.0
@@ -416,23 +412,20 @@ def kummer_m_b1_asym(a, z) -> complex:
     a = complex(a)
     z = complex(z)
     sigma = 1.0 if z.imag >= 0.0 else -1.0
-    u1 = kummer_u_b1_asym(a, z)
-    u2 = kummer_u_b1_asym(1.0 - a, -z)
+    u1 = kummer_u_b1_asym(a, z, complex(np.log(z)))
+    u2 = kummer_u_b1_asym(1.0 - a, -z, complex(np.log(-z)))
     return (np.exp(1j * np.pi * sigma * a) * complex(special.rgamma(1.0 - a)) * u1
             + np.exp(1j * np.pi * sigma * (a - 1.0) + z) * complex(special.rgamma(a)) * u2)
 
 
-def kummer_u_b1_asym(a, z, log_z=None) -> complex:
+def kummer_u_b1_asym(a, z, log_z) -> complex:
     """U(a, 1, z) by the large-argument expansion z^(-a) sum (a)_k^2 / (k! (-z)^k).
 
-    Truncated at the smallest term, so the error is ~e^(-|z|); intended for
-    |z| >= ~18 where the ascending series starts losing digits to the
-    e^(Re z) cancellation.  `log_z` selects the branch of z^(-a).
+    Truncated at the smallest term, so the error is ~e^(-|z|); `log_z`
+    selects the branch of z^(-a).
     """
     a = complex(a)
     z = complex(z)
-    if log_z is None:
-        log_z = complex(np.log(z))
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     prev = 1.0
@@ -447,21 +440,30 @@ def kummer_u_b1_asym(a, z, log_z=None) -> complex:
     return np.exp(-a * log_z) * total
 
 
-_ASYM_SWITCH_ABS = 18.0
+#: the ascending series lose about e^(|z| - max(Re z, 0)) (M) and e^|z| (U)
+#: of their accuracy to cancellation; they run while that exponent is below
+#: this, and the large-|z| routes beyond it
+_KUMMER_SERIES_MAX_LOSS = 19.0
 
 
-def _kummer_u_auto(a, z, log_z) -> complex:
-    """U(a,1,z) choosing ascending vs large-z series by |z|."""
-    if abs(z) >= _ASYM_SWITCH_ABS:
-        return kummer_u_b1_asym(a, z, log_z)
-    return kummer_u_b1(a, z, log_z)
+def kummer_m(a, z) -> complex:
+    """M(a, 1, z) by the ascending series or, past its cancellation limit, the U connection."""
+    z = complex(z)
+    if abs(z) - max(z.real, 0.0) < _KUMMER_SERIES_MAX_LOSS:
+        return kummer_m_b1(a, z)
+    return kummer_m_b1_asym(a, z)
 
 
-def _kummer_m_auto(a, z) -> complex:
-    """M(a,1,z) choosing ascending vs large-z evaluation by |z|."""
-    if abs(z) >= _ASYM_SWITCH_ABS:
-        return kummer_m_b1_asym(a, z)
-    return kummer_m_b1(a, z)
+def kummer_u(a, z, log_z=None) -> complex:
+    """U(a, 1, z) on the branch of `log_z`, the principal one (z off (-inf, 0]) by default."""
+    z = complex(z)
+    if log_z is None:
+        if z == 0 or (z.real < 0 and z.imag == 0):
+            raise DomainError("kummer_u principal branch requires z off (-inf, 0]")
+        log_z = complex(np.log(z))
+    if abs(z) < _KUMMER_SERIES_MAX_LOSS:
+        return kummer_u_b1(a, z, log_z)
+    return kummer_u_b1_asym(a, z, log_z)
 
 
 def whittaker_pair_mu0(kappa, z):
@@ -470,11 +472,9 @@ def whittaker_pair_mu0(kappa, z):
     Both are e^(-z/2) sqrt(z) times M(a,1,z) resp. U(a,1,z) with a = 1/2 - kappa.
     """
     zc = complex(z)
-    if zc == 0 or (zc.real < 0 and zc.imag == 0):
-        raise DomainError("whittaker_pair_mu0 requires z off the branch cut (-inf, 0]")
     if abs(zc) > WHITTAKER_MAX_ABS:
         raise DomainError(f"whittaker_pair_mu0 supports |z| <= {WHITTAKER_MAX_ABS}")
     a = 0.5 - complex(kappa)
+    u_val = kummer_u(a, zc)  # raises on the branch cut (-inf, 0]
     pref = np.exp(-0.5 * zc) * np.sqrt(zc)
-    m_val = kummer_m_b1(a, zc) if abs(zc) <= 20.0 else kummer_m_b1_asym(a, zc)
-    return pref * m_val, pref * _kummer_u_auto(a, zc, complex(np.log(zc)))
+    return pref * kummer_m(a, zc), pref * u_val

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism, file formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,15 +111,44 @@ def test_config_validation_rules(tmp_path, capsys):
     (["compare", "--r-list", "2,inf"], {"tau": [-1.0], "s": [0.5]}, "r-list"),
     (["parametrix", "--model", "chg", "--beta", "nani"], None, "beta"),
     (["parametrix", "--model", "chg", "--beta", "infi"], None, "beta"),
+    (["sweep", "--vary", "nodes", "--values", "16.9,24", "--out", os.devnull],
+     {"x": [-2], "s": [0.5]}, "--values"),
+    (["sweep", "--vary", "s_x", "--values", "0.5", "--out", os.devnull],
+     {"x": [-2], "s": [0.5]}, "malformed field 's_x'"),
+    (["sweep", "--vary", "r", "--values", "3", "--out", os.devnull],
+     {"x": [-2], "s": [0.5]}, "tau"),
 ], ids=["x-scalar", "s-scalar", "tau-scalar", "x-null", "r-as-list", "x-nan", "beta-scalar",
         "beta-string", "m-null", "tail-inf", "tail-nan", "refine-9", "r-list-nan", "r-list-inf",
-        "beta-nan", "beta-inf"])
+        "beta-nan", "beta-inf", "sweep-nodes-fraction", "sweep-index-malformed",
+        "sweep-r-without-tau"])
 def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, field):
     if config is not None:
         argv = argv[:1] + [write_config(tmp_path, config)] + argv[1:]
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("flags, size", [(["--nodes", "64", "--refine", "6"], 16384),
+                                         (["--tail", "5000"], 60000)])
+def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, flags, size):
+    # N is checked before any matrix exists: reaching one fails the test at once
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a determinant matrix was built")
+
+    monkeypatch.setattr(cli.fredholm, "logdet_single", no_matrix)
+    monkeypatch.setattr(cli.fredholm, "_kernel_matrix", no_matrix)
+    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
+    code, out, err = run(["det", cfg, *flags], capsys)
+    assert code == 2 and out == ""
+    assert f"N = {size}" in err
+
+
+def test_json_report_unwritable_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
+    code, _, err = run(["det", cfg, "--nodes", "16", "--refine", "1",
+                        "--json", str(tmp_path / "missing-dir" / "r.json")], capsys)
+    assert code == 3 and err.startswith("i/o error: ")
 
 
 def test_tau_r_parametrization(tmp_path, capsys):
@@ -277,6 +307,20 @@ def test_sweep_weight_field(tmp_path, capsys):
     rows = out_csv.read_text().splitlines()
     assert rows[0] == "s_2,log_f,log_asymptotic,gap"
     assert len(rows) == 3
+
+
+def test_sweep_weight_field_of_conditioned_config(tmp_path, capsys):
+    # s_1 = 0 has no unconditioned expansion: its columns are left nan
+    cfg = write_config(tmp_path, {"x": [-2.0, -4.0], "s": [0.0, 0.5]})
+    out_csv = tmp_path / "s2.csv"
+    code, _, _ = run(["sweep", cfg, "--vary", "s_2", "--values", "0.4",
+                      "--nodes", "16", "--out", str(out_csv)], capsys)
+    assert code == 0
+    header, row = out_csv.read_text().splitlines()
+    assert header == "s_2,log_f,log_asymptotic,gap"
+    value, log_f, log_asym, gap = row.split(",")
+    assert float(value) == 0.4 and math.isfinite(float(log_f))
+    assert log_asym == gap == "nan"
 
 
 def test_sweep_r_field(tmp_path, capsys):

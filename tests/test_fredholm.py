@@ -180,6 +180,16 @@ def test_impossible_refinement_fails_before_any_scheme(monkeypatch):
         fr.log_det(GapConfig((-2.0,), (0.5,)), refine=7)
 
 
+def test_traces_refuse_oversized_discretization(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a kernel matrix was built")
+
+    monkeypatch.setattr(fr, "_kernel_matrix", no_matrix)
+    # 13 panels of 4096 nodes
+    with pytest.raises(ValueError, match=f"N = 53248 nodes, above MAX_NODES = {fr.MAX_NODES}"):
+        fr.var_count([(-50.0, -1.0)], nodes_per_panel=4096)
+
+
 def test_logdet_self_convergence_and_regression():
     cfg = GapConfig((-2.0,), (0.0,))
     report = fr.log_det(cfg, nodes_per_panel=40, refine=2)

@@ -383,6 +383,7 @@ def test_whittaker_kappa_half_closed_form():
     (-0.5 - 0.1j, 9.0 + 2.0j),
     (0.5 - 0.3j, 16.0 * np.exp(2.2j)),
     (1.5 - 0.25j, 30.0 * np.exp(-0.8j)),
+    (1.5 + 0.25j, 20.5),
 ])
 def test_whittaker_against_mpmath(mp40, kappa, z):
     m, w = sf.whittaker_pair_mu0(kappa, z)
@@ -407,9 +408,9 @@ def test_whittaker_m_reproduces_series(mp40):
 
 
 def test_kummer_u_smooth_at_zero_parameter():
-    assert abs(sf.kummer_u_b1(0.0, 3.0 + 1.0j) - 1.0) < 1e-15
+    assert abs(sf.kummer_u(0.0, 3.0 + 1.0j) - 1.0) < 1e-15
     # continuity of the a -> 0 limit
-    assert abs(sf.kummer_u_b1(1e-9j, 3.0 + 1.0j) - 1.0) < 1e-7
+    assert abs(sf.kummer_u(1e-9j, 3.0 + 1.0j) - 1.0) < 1e-7
 
 
 def test_kummer_asymptotic_routes(mp40):
@@ -417,8 +418,29 @@ def test_kummer_asymptotic_routes(mp40):
         ref_u = complex(mp.hyperu(mp.mpc(a), 1, mp.mpc(z)))
         ref_m = complex(mp.hyp1f1(mp.mpc(a), 1, mp.mpc(z)))
         # the large-argument series floor is ~e^(-|z|) of the value scale
-        assert abs(sf.kummer_u_b1_asym(a, z) - ref_u) < 5e-8 * max(abs(ref_u), 1e-3)
+        assert abs(sf.kummer_u(a, z) - ref_u) < 5e-8 * max(abs(ref_u), 1e-3)
         assert abs(sf.kummer_m_b1_asym(a, z) - ref_m) < 5e-8 * max(abs(ref_m), 1e-3)
+
+
+def test_kummer_routes_against_mpmath(mp40):
+    # both sides of the switch, in both half-planes: the ascending series
+    # where it cancels less than e^19, the large-|z| routes beyond
+    for r in (18.0, 20.0, 25.0, 40.0):
+        for k in range(8):
+            z = r * np.exp(1j * k * math.pi / 4)
+            for a in (-0.5j, 1 + 0.35j, -1 - 0.25j):
+                ref_m = complex(mp.hyp1f1(mp.mpc(a), 1, mp.mpc(z)))
+                assert abs(sf.kummer_m(a, z) - ref_m) < 2e-8 * max(abs(ref_m), 1.0), (a, z)
+                if k != 4:  # U off its branch cut
+                    ref_u = complex(mp.hyperu(mp.mpc(a), 1, mp.mpc(z)))
+                    assert abs(sf.kummer_u(a, z) - ref_u) < 5e-8 * max(abs(ref_u), 1.0), (a, z)
+
+
+@pytest.mark.parametrize("z", [-3.0, -30.0, 0.0])
+def test_kummer_u_principal_branch_rejects_the_cut(z):
+    # one cut rule for the ascending and the large-|z| series alike
+    with pytest.raises(sf.DomainError, match="principal branch"):
+        sf.kummer_u(0.3j, z)
 
 
 def test_whittaker_branch_cut_rejected():
