@@ -325,11 +325,11 @@ def cmd_parametrix(args) -> RunReport:
 _SWEEP_FIELDS = ("r", "nodes")  # plus beta_<j> and s_<j>
 
 
-def _sweep_one(cfg: dict, kind: str, j: int | None, value: float, nodes: int):
+def _sweep_one(cfg: dict, kind: str, j: int | None, value: float, nodes: int | None):
     """One sweep row; kind is r, nodes, s or beta, and j the 0-based index of s_j or beta_j."""
     if kind == "nodes":
         gap = _gap_config(cfg)
-        det = fredholm.log_det(gap, nodes_per_panel=int(value), refine=1)
+        det = fredholm.log_det(gap, nodes_per_panel=int(value))
         return [int(value), det.log_f, det.est_error]
     if kind == "r":
         if "tau" not in cfg:
@@ -347,7 +347,7 @@ def _sweep_one(cfg: dict, kind: str, j: int | None, value: float, nodes: int):
     sub = dict(cfg)
     sub["s"] = s
     gap = _gap_config(sub)
-    det = fredholm.log_det(gap, nodes_per_panel=nodes, refine=1)
+    det = fredholm.log_det(gap, nodes_per_panel=nodes)
     row = [float(value), det.log_f]
     if all(v > 0 for v in s):
         row.append(asymptotics.log_E_asym(sub["x"], asymptotics.beta_from_s(s)).total)
@@ -409,16 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det", help="log Fredholm determinant with refinement report",
                        parents=[common])
     p.add_argument("config")
-    p.add_argument("--nodes", type=int, default=fredholm.DEFAULT_NODES_PER_PANEL)
+    p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--tail", type=float, default=None)
-    p.add_argument("--refine", type=int, default=2)
+    p.add_argument("--refine", type=int, default=None)
     p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("compare", help="numeric vs asymptotic log determinant over r",
                        parents=[common])
     p.add_argument("config")
     p.add_argument("--r-list", required=True)
-    p.add_argument("--nodes", type=int, default=fredholm.DEFAULT_NODES_PER_PANEL)
+    p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--out", default=None, help="optional CSV path")
     p.set_defaults(func=cmd_compare)
 
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vary", required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nodes", type=int, default=fredholm.DEFAULT_NODES_PER_PANEL)
+    p.add_argument("--nodes", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -25,6 +25,9 @@ from .specfun import NumericalError
 
 
 DEFAULT_NODES_PER_PANEL = 48
+#: rule orders log_det walks when given no resolution (x1.5, rounded up); it
+#: stops at the first refinement gap below CONVERGENCE_TOL
+DEFAULT_LADDER = (16, 24, 36, 54, 81)
 PANEL_MAX_LENGTH = 4.0
 #: largest discretization built; one double N x N matrix at the cap is 512 MiB
 MAX_NODES = 8192
@@ -313,25 +316,38 @@ class DeterminantReport:
 
 
 def log_det(config: GapConfig, *,
-            nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
+            nodes_per_panel: int | None = None,
             tail_length: float | None = None,
-            refine: int = 1) -> DeterminantReport:
-    """log F(x; s) with `refine` node-doubling refinements.
+            refine: int | None = None) -> DeterminantReport:
+    """log F(x; s), refined until converged or for a fixed number of doublings.
 
-    The report keeps every resolution; est_error is the last refinement gap
-    and the run is flagged converged when it drops below 1e-8.  Every scheme
-    is built before any determinant, so a finest resolution above MAX_NODES
-    fails at once.
+    Given neither nodes_per_panel nor refine, it walks DEFAULT_LADDER and
+    stops at the first refinement gap below CONVERGENCE_TOL.  Given either,
+    it runs `refine` node doublings from `nodes_per_panel` (defaults 1 and
+    DEFAULT_NODES_PER_PANEL).  The report keeps every resolution; est_error
+    is the last refinement gap and the run is flagged converged when it drops
+    below CONVERGENCE_TOL.  Every scheme is built before any determinant, so a
+    resolution above MAX_NODES fails at once.
     """
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
-    if nodes_per_panel > specfun.MAX_RULE_ORDER >> refine:  # i.e. nodes_per_panel * 2**refine
-        raise ValueError(f"refine={refine} needs rule orders above {specfun.MAX_RULE_ORDER}")
+    adaptive = nodes_per_panel is None and refine is None
+    if adaptive:
+        orders = DEFAULT_LADDER
+    else:
+        nodes_per_panel = DEFAULT_NODES_PER_PANEL if nodes_per_panel is None else nodes_per_panel
+        refine = 1 if refine is None else refine
+        if refine < 1:
+            raise ValueError("refine must be >= 1")
+        if nodes_per_panel > specfun.MAX_RULE_ORDER >> refine:  # i.e. nodes_per_panel * 2**refine
+            raise ValueError(f"refine={refine} needs rule orders above {specfun.MAX_RULE_ORDER}")
+        orders = [nodes_per_panel * 2 ** k for k in range(refine + 1)]
     trivial = all(v == 1.0 for v in config.s)  # zero operator: log F = 0 exactly
-    schemes = [build_scheme(config, nodes_per_panel * 2 ** k, tail_length) for k in range(refine + 1)]
-    resolutions = [(scheme.nodes_per_panel, 0.0 if trivial else logdet_single(config, scheme))
-                   for scheme in schemes]
-    est_error = abs(resolutions[-1][1] - resolutions[-2][1])
+    schemes = [build_scheme(config, n, tail_length) for n in orders]
+    resolutions = []
+    for scheme in schemes:
+        resolutions.append((scheme.nodes_per_panel, 0.0 if trivial else logdet_single(config, scheme)))
+        est_error = abs(resolutions[-1][1] - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
+        if adaptive and est_error < CONVERGENCE_TOL:
+            break
     return DeterminantReport(
         log_f=resolutions[-1][1],
         resolutions=tuple(resolutions),
@@ -350,7 +366,9 @@ def log_E(config: GapConfig, **kwargs) -> float:
 def log_E0(config: GapConfig, **kwargs) -> float:
     """log of the generating functional conditioned on an empty (x_1, inf).
 
-    Equals log F(x; s) - log F(x_1; 0), both at matched resolution.
+    Equals log F(x; s) - log F(x_1; 0).  Given nodes_per_panel or refine,
+    both determinants run at that matched resolution; otherwise each walks
+    the default ladder of log_det and stops where it converges on its own.
     """
     if config.s[0] != 0.0:
         raise ValueError("log_E0 requires s_1 = 0")

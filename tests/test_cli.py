@@ -49,6 +49,15 @@ def test_det_basic_report(tmp_path, capsys):
     assert [n for n, _ in payload["convergence"]] == [24, 48, 96]
 
 
+@pytest.mark.parametrize("flags, orders", [([], [16, 24]), (["--nodes", "24"], [24, 48]),
+                                           (["--refine", "1"], [48, 96])])
+def test_det_resolution_defaults_come_from_the_library(tmp_path, capsys, flags, orders):
+    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.0]})
+    code, out, _ = run(["det", cfg, *flags], capsys)
+    assert code == 0
+    assert [n for n, _ in json.loads(out)["convergence"]] == orders
+
+
 def test_det_trivial_weights(tmp_path, capsys):
     cfg = write_config(tmp_path, {"x": [-2.0, -3.0], "s": [1.0, 1.0]})
     code, out, _ = run(["det", cfg], capsys)
@@ -130,7 +139,8 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, config
 
 
 @pytest.mark.parametrize("flags, size", [(["--nodes", "64", "--refine", "6"], 16384),
-                                         (["--tail", "5000"], 60000)])
+                                         (["--tail", "5000", "--nodes", "48"], 60000),
+                                         (["--tail", "5000"], 20000)])
 def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, flags, size):
     # N is checked before any matrix exists: reaching one fails the test at once
     def no_matrix(*args, **kwargs):

@@ -199,6 +199,59 @@ def test_logdet_self_convergence_and_regression():
     assert abs(report.log_f - LOGF_MINUS2_S0) < 1e-9
 
 
+@pytest.mark.parametrize("x, s", [((-6.0,), (0.0,)), ((-4.0, -8.0, -12.0), (0.5, 0.3, 0.2))])
+def test_default_ladder_stops_at_the_tolerance(x, s):
+    cfg = GapConfig(x, s)
+    report = fr.log_det(cfg)
+    assert [n for n, _ in report.resolutions] == [16, 24]
+    assert report.converged
+    fine = fr.log_det(cfg, nodes_per_panel=96, refine=1)
+    assert abs(report.log_f - fine.log_f) <= report.est_error + fine.est_error
+
+
+def test_explicit_resolution_keeps_the_doubling_ladder():
+    cfg = GapConfig((-2.0,), (0.5,))
+    assert [n for n, _ in fr.log_det(cfg, refine=1).resolutions] == [48, 96]
+    assert [n for n, _ in fr.log_det(cfg, nodes_per_panel=24).resolutions] == [24, 48]
+
+
+def test_default_ladder_reports_its_last_gap_when_unconverged():
+    # at x = -11 the 80-bit floor keeps every refinement gap above 1e-8
+    report = fr.log_det(GapConfig((-11.0,), (0.0,)))
+    assert [n for n, _ in report.resolutions] == list(fr.DEFAULT_LADDER)
+    assert not report.converged
+    (_, coarse), (_, fine) = report.resolutions[-2:]
+    assert report.est_error == abs(fine - coarse) and report.log_f == fine
+
+
+@pytest.mark.parametrize("x, s", [((-2.0,), (0.5,)), ((-11.0,), (0.0,))])
+def test_default_ladder_costs_no_more_than_the_explicit_default(monkeypatch, x, s):
+    sizes = []
+    original = fr.logdet_single
+
+    def recording(config, scheme):
+        sizes.append(scheme.size)
+        return original(config, scheme)
+
+    monkeypatch.setattr(fr, "logdet_single", recording)
+    cfg = GapConfig(x, s)
+    fr.log_det(cfg)
+    default_cost = sum(n ** 3 for n in sizes)
+    sizes.clear()
+    fr.log_det(cfg, nodes_per_panel=48, refine=1)
+    assert default_cost <= sum(n ** 3 for n in sizes)
+
+
+def test_default_ladder_refuses_an_oversized_rung_before_any_determinant(monkeypatch):
+    def no_determinant(*args, **kwargs):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(fr, "logdet_single", no_determinant)
+    # 125 panels: the 16-node rung fits, the 81-node one (N = 10125) does not
+    with pytest.raises(ValueError, match=f"N = 10125 nodes, above MAX_NODES = {fr.MAX_NODES}"):
+        fr.log_det(GapConfig((-2.0,), (0.5,)), tail_length=500.0)
+
+
 def test_logdet_merge_invariance():
     merged = fr.log_det(GapConfig((-3.0,), (0.6,))).log_f
     split = fr.log_det(GapConfig((-1.0, -3.0), (0.6, 0.6))).log_f
@@ -306,10 +359,11 @@ def test_ritz_logdet_rejects_eigenvalue_above_one():
 
 def test_deep_gap_refusal_names_the_spectral_gap():
     # at x = -13 the Ritz block of I - A loses positivity in 80-bit arithmetic
+    # on the first rung of the default ladder (16 nodes per panel, N = 112)
     with pytest.raises(NumericalError) as info:
         fr.log_det(GapConfig((-13.0,), (0.0,)))
     msg = str(info.value)
-    assert re.search(r"Cholesky pivot .* \(N=336, k=\d+, double min\(1-lambda\)=\S+\)", msg)
+    assert re.search(r"Cholesky pivot .* \(N=112, k=\d+, double min\(1-lambda\)=\S+\)", msg)
     assert "80-bit arithmetic cannot resolve" in msg and "s in [0,1]" not in msg
 
 
