@@ -199,8 +199,7 @@ def cmd_det(args) -> RunReport:
     cfg = load_config(args.config)
     gap = _gap_config(cfg)
     report = RunReport("det", cfg)
-    det = fredholm.log_det(gap, nodes_per_panel=args.nodes,
-                           tail_length=args.tail, refine=args.refine)
+    det = fredholm.log_det(gap, nodes_per_panel=args.nodes)
     report.add("log_f", det.log_f)
     report.add("est_error", det.est_error)
     report.add("converged", 1.0 if det.converged else 0.0)
@@ -410,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common])
     p.add_argument("config")
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--tail", type=float, default=None)
-    p.add_argument("--refine", type=int, default=None)
     p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("compare", help="numeric vs asymptotic log determinant over r",

@@ -25,8 +25,8 @@ from .specfun import NumericalError
 
 
 DEFAULT_NODES_PER_PANEL = 48
-#: rule orders log_det walks when given no resolution (x1.5, rounded up); it
-#: stops at the first refinement gap below CONVERGENCE_TOL
+#: rule orders log_det walks when given no nodes_per_panel, each ceil(1.5 n)
+#: of the last; it stops at the first refinement gap below CONVERGENCE_TOL
 DEFAULT_LADDER = (16, 24, 36, 54, 81)
 PANEL_MAX_LENGTH = 4.0
 #: largest discretization built; one double N x N matrix at the cap is 512 MiB
@@ -114,18 +114,24 @@ class QuadratureScheme:
         return self.xi.size
 
 
-def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
-    """Gauss-Legendre panels of length <= PANEL_MAX_LENGTH over each interval.
-
-    Returns the panels, the nodes, their weights and, per node, the position
-    of its interval in `intervals`.  Raises ValueError, before building
-    anything, when the node count N would exceed MAX_NODES.
-    """
-    intervals = list(intervals)
+def _panel_counts(intervals, nodes_per_panel: int) -> list[int]:
+    """Panels per interval; ValueError above MAX_RULE_ORDER or MAX_NODES."""
+    if nodes_per_panel > specfun.MAX_RULE_ORDER:
+        raise ValueError(f"rule order {nodes_per_panel} is above MAX_RULE_ORDER = {specfun.MAX_RULE_ORDER}")
     counts = [max(1, math.ceil((b - a) / PANEL_MAX_LENGTH - 1e-12)) for a, b in intervals]
     size = sum(counts) * nodes_per_panel
     if size > MAX_NODES:
         raise ValueError(f"the discretization needs N = {size} nodes, above MAX_NODES = {MAX_NODES}")
+    return counts
+
+
+def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
+    """Gauss-Legendre panels of length <= PANEL_MAX_LENGTH over each interval.
+
+    Returns the panels, the nodes, their weights and, per node, the position
+    of its interval in `intervals`.  _panel_counts checks the size first.
+    """
+    counts = _panel_counts(intervals, nodes_per_panel)
     rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
     panels, xs, ws, pos = [], [], [], []
     for p, ((a, b), count) in enumerate(zip(intervals, counts)):
@@ -139,6 +145,16 @@ def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
     return tuple(panels), np.concatenate(xs), np.concatenate(ws), np.concatenate(pos)
 
 
+def _scheme_intervals(config: GapConfig, tail_length: float | None):
+    """The intervals (x_m, x_{m-1}), ..., (x_1, x_0) with x_0 = x_1 + T, and T."""
+    if tail_length is None:
+        tail_length = default_tail_length(config.x[0])
+    if not MIN_TAIL_LENGTH <= tail_length < math.inf:
+        raise ValueError(f"tail_length must be finite and at least {MIN_TAIL_LENGTH:g}")
+    ends = config.x[::-1] + (config.x[0] + tail_length,)  # x_m < ... < x_1 < x_0
+    return list(zip(ends, ends[1:])), tail_length
+
+
 def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
                  tail_length: float | None = None, dtype=np.float64) -> QuadratureScheme:
     """Panelized Gauss-Legendre scheme for the operator of `config`.
@@ -147,16 +163,14 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
     ceil(T / 4) tail panels on (x_1, x_1 + T).  Panels never exceed length 4
     so the Airy oscillation (wavelength ~ pi/sqrt|x|) stays resolved.  When
     tail_length is omitted it is chosen so the truncation point clears
-    TRUNCATION_POINT_MIN.
+    TRUNCATION_POINT_MIN.  A tail_length that puts the cut x_1 + T below
+    TRUNCATION_POINT_MIN discretizes the truncated operator, whose
+    determinant is not F(x; s); it is meant only for truncation studies.
     """
     if nodes_per_panel < 4:
         raise ValueError("nodes_per_panel must be at least 4")
-    if tail_length is None:
-        tail_length = default_tail_length(config.x[0])
-    if not MIN_TAIL_LENGTH <= tail_length < math.inf:
-        raise ValueError(f"tail_length must be finite and at least {MIN_TAIL_LENGTH:g}")
-    ends = config.x[::-1] + (config.x[0] + tail_length,)  # x_m < ... < x_1 < x_0
-    panels, xi, w, pos = _panelize(zip(ends, ends[1:]), nodes_per_panel, dtype)
+    intervals, tail_length = _scheme_intervals(config, tail_length)
+    panels, xi, w, pos = _panelize(intervals, nodes_per_panel, dtype)
     interval_index = np.int32(config.m) - pos
     thinning = np.array([1.0 - v for v in config.s], dtype=dtype)
     return QuadratureScheme(
@@ -317,36 +331,27 @@ class DeterminantReport:
 
 def log_det(config: GapConfig, *,
             nodes_per_panel: int | None = None,
-            tail_length: float | None = None,
-            refine: int | None = None) -> DeterminantReport:
-    """log F(x; s), refined until converged or for a fixed number of doublings.
+            tail_length: float | None = None) -> DeterminantReport:
+    """log F(x; s) on a ladder of rule orders, each ceil(1.5 n) of the one before.
 
-    Given neither nodes_per_panel nor refine, it walks DEFAULT_LADDER and
-    stops at the first refinement gap below CONVERGENCE_TOL.  Given either,
-    it runs `refine` node doublings from `nodes_per_panel` (defaults 1 and
-    DEFAULT_NODES_PER_PANEL).  The report keeps every resolution; est_error
-    is the last refinement gap and the run is flagged converged when it drops
-    below CONVERGENCE_TOL.  Every scheme is built before any determinant, so a
-    resolution above MAX_NODES fails at once.
+    The ladder is DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel
+    = n; it stops at the first refinement gap below CONVERGENCE_TOL.  The
+    report keeps every resolution that ran; est_error is the last refinement
+    gap and the run is flagged converged when it is below CONVERGENCE_TOL.
+    The top rung is checked against MAX_RULE_ORDER and MAX_NODES before any
+    scheme is built, and each rung's scheme is built only when it runs.
+    tail_length goes to build_scheme.
     """
-    adaptive = nodes_per_panel is None and refine is None
-    if adaptive:
-        orders = DEFAULT_LADDER
-    else:
-        nodes_per_panel = DEFAULT_NODES_PER_PANEL if nodes_per_panel is None else nodes_per_panel
-        refine = 1 if refine is None else refine
-        if refine < 1:
-            raise ValueError("refine must be >= 1")
-        if nodes_per_panel > specfun.MAX_RULE_ORDER >> refine:  # i.e. nodes_per_panel * 2**refine
-            raise ValueError(f"refine={refine} needs rule orders above {specfun.MAX_RULE_ORDER}")
-        orders = [nodes_per_panel * 2 ** k for k in range(refine + 1)]
+    n = nodes_per_panel
+    orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
+    _panel_counts(_scheme_intervals(config, tail_length)[0], orders[-1])
     trivial = all(v == 1.0 for v in config.s)  # zero operator: log F = 0 exactly
-    schemes = [build_scheme(config, n, tail_length) for n in orders]
     resolutions = []
-    for scheme in schemes:
+    for order in orders:
+        scheme = build_scheme(config, order, tail_length)
         resolutions.append((scheme.nodes_per_panel, 0.0 if trivial else logdet_single(config, scheme)))
         est_error = abs(resolutions[-1][1] - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
-        if adaptive and est_error < CONVERGENCE_TOL:
+        if est_error < CONVERGENCE_TOL:
             break
     return DeterminantReport(
         log_f=resolutions[-1][1],
@@ -366,9 +371,9 @@ def log_E(config: GapConfig, **kwargs) -> float:
 def log_E0(config: GapConfig, **kwargs) -> float:
     """log of the generating functional conditioned on an empty (x_1, inf).
 
-    Equals log F(x; s) - log F(x_1; 0).  Given nodes_per_panel or refine,
-    both determinants run at that matched resolution; otherwise each walks
-    the default ladder of log_det and stops where it converges on its own.
+    Equals log F(x; s) - log F(x_1; 0).  Given nodes_per_panel = n, both
+    determinants run the same rungs (n, ceil(1.5 n)); otherwise each walks
+    DEFAULT_LADDER and stops where it converges on its own.
     """
     if config.s[0] != 0.0:
         raise ValueError("log_E0 requires s_1 = 0")
@@ -395,12 +400,6 @@ class ResolventDiag:
         return float(self.weights @ self.values)
 
 
-def _last_interval(config: GapConfig, scheme: QuadratureScheme) -> tuple[float, float]:
-    """(x_m, x_{m-1}), with x_0 = x_1 + T the truncation point of the scheme."""
-    ends = (config.x[0] + scheme.tail_length,) + config.x
-    return ends[-1], ends[-2]
-
-
 def resolvent_diag(config: GapConfig, scheme: QuadratureScheme,
                    window: tuple[float, float]) -> ResolventDiag:
     """Diagonal of the resolvent (I - K)^(-1) K over a window in (x_m, x_{m-1}).
@@ -409,7 +408,7 @@ def resolvent_diag(config: GapConfig, scheme: QuadratureScheme,
     samples through R(xi_i, xi_i) = B_ii / w_plain_i.
     """
     a, b = float(window[0]), float(window[1])
-    lower, upper = _last_interval(config, scheme)
+    lower, upper = _scheme_intervals(config, scheme.tail_length)[0][0]  # (x_m, x_{m-1})
     if not (lower <= a < b <= upper):
         raise ValueError(f"window must sit inside ({lower}, {upper})")
     A = _symmetrized_matrix(scheme)
@@ -435,7 +434,7 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
         raise ValueError("identity check needs s_m in (0, 1)")
     step = 1e-5 * max(s_m, 0.1)
     scheme = build_scheme(config, nodes_per_panel)
-    res = resolvent_diag(config, scheme, _last_interval(config, scheme))
+    res = resolvent_diag(config, scheme, _scheme_intervals(config, scheme.tail_length)[0][0])
     resolvent_value = res.integral() / (1.0 - s_m)
 
     def at(sm: float) -> float:

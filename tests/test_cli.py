@@ -37,7 +37,7 @@ def strip_timing(report_text):
 
 def test_det_basic_report(tmp_path, capsys):
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.0]})
-    code, out, _ = run(["det", cfg, "--nodes", "24", "--refine", "2"], capsys)
+    code, out, _ = run(["det", cfg, "--nodes", "24"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["schema_version"] == cli.SCHEMA_VERSION
@@ -45,12 +45,11 @@ def test_det_basic_report(tmp_path, capsys):
     labels = {r["label"]: r["value"] for r in payload["results"]}
     assert abs(labels["log_f"] + 0.8837651153091381) < 1e-8
     assert labels["converged"] == 1.0
-    assert len(payload["convergence"]) == 3
-    assert [n for n, _ in payload["convergence"]] == [24, 48, 96]
+    assert [n for n, _ in payload["convergence"]] == [24, 36]
 
 
-@pytest.mark.parametrize("flags, orders", [([], [16, 24]), (["--nodes", "24"], [24, 48]),
-                                           (["--refine", "1"], [48, 96])])
+@pytest.mark.parametrize("flags, orders", [([], [16, 24]), (["--nodes", "24"], [24, 36]),
+                                           (["--nodes", "17"], [17, 26])])
 def test_det_resolution_defaults_come_from_the_library(tmp_path, capsys, flags, orders):
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.0]})
     code, out, _ = run(["det", cfg, *flags], capsys)
@@ -113,9 +112,6 @@ def test_config_validation_rules(tmp_path, capsys):
     (["det"], {"x": [-2], "beta": 0.3}, "beta"),
     (["det"], {"x": [-2], "beta": "0.1i"}, "beta"),
     (["det"], {"m": None, "x": [-2], "s": [0.5]}, "m"),
-    (["det", "--tail", "inf"], {"x": [-2], "s": [0.5]}, "tail"),
-    (["det", "--tail", "nan"], {"x": [-2], "s": [0.5]}, "tail"),
-    (["det", "--refine", "9"], {"x": [-2], "s": [0.5]}, "refine"),
     (["compare", "--r-list", "nan"], {"tau": [-1.0], "s": [0.5]}, "r-list"),
     (["compare", "--r-list", "2,inf"], {"tau": [-1.0], "s": [0.5]}, "r-list"),
     (["parametrix", "--model", "chg", "--beta", "nani"], None, "beta"),
@@ -127,7 +123,7 @@ def test_config_validation_rules(tmp_path, capsys):
     (["sweep", "--vary", "r", "--values", "3", "--out", os.devnull],
      {"x": [-2], "s": [0.5]}, "tau"),
 ], ids=["x-scalar", "s-scalar", "tau-scalar", "x-null", "r-as-list", "x-nan", "beta-scalar",
-        "beta-string", "m-null", "tail-inf", "tail-nan", "refine-9", "r-list-nan", "r-list-inf",
+        "beta-string", "m-null", "r-list-nan", "r-list-inf",
         "beta-nan", "beta-inf", "sweep-nodes-fraction", "sweep-index-malformed",
         "sweep-r-without-tau"])
 def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, field):
@@ -138,16 +134,26 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, config
     assert err.startswith("error: ") and field in err
 
 
-@pytest.mark.parametrize("flags, size", [(["--nodes", "64", "--refine", "6"], 16384),
-                                         (["--tail", "5000", "--nodes", "48"], 60000),
-                                         (["--tail", "5000"], 20000)])
-def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, flags, size):
-    # N is checked before any matrix exists: reaching one fails the test at once
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("a determinant matrix was built")
+@pytest.mark.parametrize("flag", ["--tail", "--refine"])
+def test_det_resolution_flags_removed(tmp_path, capsys, flag):
+    # --nodes alone sets the resolution; the tail follows from x_1
+    cfg = write_config(tmp_path, {"x": [-10.0], "s": [0.0]})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["det", cfg, flag, "8"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    monkeypatch.setattr(cli.fredholm, "logdet_single", no_matrix)
-    monkeypatch.setattr(cli.fredholm, "_kernel_matrix", no_matrix)
+
+# 4 panels at x = -2: the top rung ceil(1.5 n) sets N; at 1400 the first rung
+# (N = 5600) fits and only the second (N = 8400) does not
+@pytest.mark.parametrize("flags, size", [(["--nodes", "2048"], 12288), (["--nodes", "1400"], 8400)])
+def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, flags, size):
+    # N is checked before any scheme exists: building one fails the test at once
+    def no_scheme(*args, **kwargs):
+        raise AssertionError("a scheme or determinant matrix was built")
+
+    for name in ("build_scheme", "logdet_single", "_kernel_matrix"):
+        monkeypatch.setattr(cli.fredholm, name, no_scheme)
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
     code, out, err = run(["det", cfg, *flags], capsys)
     assert code == 2 and out == ""
@@ -156,14 +162,14 @@ def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, fla
 
 def test_json_report_unwritable_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
-    code, _, err = run(["det", cfg, "--nodes", "16", "--refine", "1",
+    code, _, err = run(["det", cfg, "--nodes", "16",
                         "--json", str(tmp_path / "missing-dir" / "r.json")], capsys)
     assert code == 3 and err.startswith("i/o error: ")
 
 
 def test_tau_r_parametrization(tmp_path, capsys):
     cfg = write_config(tmp_path, {"tau": [-1.0], "r": 2.0, "s": [0.0]})
-    code, out, _ = run(["det", cfg, "--nodes", "24", "--refine", "1"], capsys)
+    code, out, _ = run(["det", cfg, "--nodes", "32"], capsys)
     labels = {r["label"]: r["value"] for r in json.loads(out)["results"]}
     assert code == 0
     assert abs(labels["log_f"] + 0.8837651153091381) < 1e-8
@@ -420,11 +426,11 @@ def test_json_file_output(tmp_path, capsys):
 def test_csv_seventeen_digit_roundtrip(tmp_path, capsys):
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.0]})
     out_csv = tmp_path / "x.csv"
-    run(["sweep", cfg, "--vary", "nodes", "--values", "24", "--out", str(out_csv)], capsys)
+    run(["sweep", cfg, "--vary", "nodes", "--values", "32", "--out", str(out_csv)], capsys)
     header, row = out_csv.read_text().splitlines()[:2]
     log_f = float(row.split(",")[1])
     from airy_gap import fredholm as fr
-    ref = fr.log_det(fr.GapConfig((-2.0,), (0.0,)), nodes_per_panel=24, refine=1).log_f
+    ref = fr.log_det(fr.GapConfig((-2.0,), (0.0,)), nodes_per_panel=32).log_f
     assert log_f == ref  # 17 significant digits round-trip doubles exactly
 
 
@@ -457,7 +463,7 @@ from airy_gap import cli
 tmp = Path(sys.argv[1])
 (tmp / "x.json").write_text(json.dumps({"x": [-2.0, -3.0], "s": [0.5, 0.5]}))
 (tmp / "tau.json").write_text(json.dumps({"tau": [-1.0, -1.6], "s": [0.4, 0.7]}))
-for argv in (["det", str(tmp / "x.json"), "--nodes", "16", "--refine", "1"],
+for argv in (["det", str(tmp / "x.json"), "--nodes", "16"],
              ["compare", str(tmp / "tau.json"), "--r-list", "2,3", "--nodes", "16"],
              ["stats", "--x", "-2.5", "--nodes", "16"],
              ["stats", "--interval", "-4", "-1", "--nodes", "16"],

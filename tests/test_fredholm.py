@@ -176,8 +176,9 @@ def test_impossible_refinement_fails_before_any_scheme(monkeypatch):
         raise AssertionError("build_scheme called")
 
     monkeypatch.setattr(fr, "build_scheme", no_scheme)
-    with pytest.raises(ValueError, match="rule orders above 4096"):
-        fr.log_det(GapConfig((-2.0,), (0.5,)), refine=7)
+    # the first rung fits, its refinement ceil(1.5 * 3000) = 4500 does not
+    with pytest.raises(ValueError, match="rule order 4500 is above MAX_RULE_ORDER = 4096"):
+        fr.log_det(GapConfig((-2.0,), (0.5,)), nodes_per_panel=3000)
 
 
 def test_traces_refuse_oversized_discretization(monkeypatch):
@@ -192,11 +193,9 @@ def test_traces_refuse_oversized_discretization(monkeypatch):
 
 def test_logdet_self_convergence_and_regression():
     cfg = GapConfig((-2.0,), (0.0,))
-    report = fr.log_det(cfg, nodes_per_panel=40, refine=2)
-    values = [v for _, v in report.resolutions]
+    values = [fr.logdet_single(cfg, fr.build_scheme(cfg, n)) for n in (40, 80, 160)]
     assert max(values) - min(values) < 1e-8
-    assert report.converged
-    assert abs(report.log_f - LOGF_MINUS2_S0) < 1e-9
+    assert abs(values[-1] - LOGF_MINUS2_S0) < 1e-9
 
 
 @pytest.mark.parametrize("x, s", [((-6.0,), (0.0,)), ((-4.0, -8.0, -12.0), (0.5, 0.3, 0.2))])
@@ -205,14 +204,34 @@ def test_default_ladder_stops_at_the_tolerance(x, s):
     report = fr.log_det(cfg)
     assert [n for n, _ in report.resolutions] == [16, 24]
     assert report.converged
-    fine = fr.log_det(cfg, nodes_per_panel=96, refine=1)
+    fine = fr.log_det(cfg, nodes_per_panel=128)
     assert abs(report.log_f - fine.log_f) <= report.est_error + fine.est_error
 
 
-def test_explicit_resolution_keeps_the_doubling_ladder():
+def test_default_ladder_refines_by_half():
+    rungs = fr.DEFAULT_LADDER
+    assert all(b == math.ceil(1.5 * a) for a, b in zip(rungs, rungs[1:]))
+
+
+def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
+    built = []
+    original = fr.build_scheme
+
+    def recording(config, nodes_per_panel, *args, **kwargs):
+        built.append(nodes_per_panel)
+        return original(config, nodes_per_panel, *args, **kwargs)
+
+    monkeypatch.setattr(fr, "build_scheme", recording)
+    report = fr.log_det(GapConfig((-6.0,), (0.0,)))
+    assert [n for n, _ in report.resolutions] == built == [16, 24]
+
+
+@pytest.mark.parametrize("n, rungs", [(24, [24, 36]), (48, [48, 72]), (17, [17, 26])])
+def test_explicit_resolution_runs_two_rungs(n, rungs):
     cfg = GapConfig((-2.0,), (0.5,))
-    assert [n for n, _ in fr.log_det(cfg, refine=1).resolutions] == [48, 96]
-    assert [n for n, _ in fr.log_det(cfg, nodes_per_panel=24).resolutions] == [24, 48]
+    report = fr.log_det(cfg, nodes_per_panel=n)
+    assert [k for k, _ in report.resolutions] == rungs
+    assert report.est_error == abs(report.resolutions[1][1] - report.resolutions[0][1])
 
 
 def test_default_ladder_reports_its_last_gap_when_unconverged():
@@ -236,10 +255,9 @@ def test_default_ladder_costs_no_more_than_the_explicit_default(monkeypatch, x, 
     monkeypatch.setattr(fr, "logdet_single", recording)
     cfg = GapConfig(x, s)
     fr.log_det(cfg)
-    default_cost = sum(n ** 3 for n in sizes)
-    sizes.clear()
-    fr.log_det(cfg, nodes_per_panel=48, refine=1)
-    assert default_cost <= sum(n ** 3 for n in sizes)
+    # the fixed (48, 96) pair the ladder replaced as the library default
+    fixed_cost = sum(fr.build_scheme(cfg, n).size ** 3 for n in (48, 96))
+    assert sum(n ** 3 for n in sizes) <= fixed_cost
 
 
 def test_default_ladder_refuses_an_oversized_rung_before_any_determinant(monkeypatch):
@@ -271,11 +289,11 @@ def test_logdet_monotone_in_each_weight(rng):
         if np.any(np.diff(x) > -0.2):
             continue
         s = rng.uniform(0.1, 0.95, size=m)
-        base = fr.log_det(GapConfig(x, s), nodes_per_panel=24, refine=1).log_f
+        base = fr.log_det(GapConfig(x, s), nodes_per_panel=32).log_f
         j = int(rng.integers(0, m))
         bumped = s.copy()
         bumped[j] = min(1.0, bumped[j] + 1e-4)
-        shifted = fr.log_det(GapConfig(x, bumped), nodes_per_panel=24, refine=1).log_f
+        shifted = fr.log_det(GapConfig(x, bumped), nodes_per_panel=32).log_f
         assert shifted >= base - 1e-12
 
 
@@ -311,7 +329,7 @@ def test_logdet_deep_gap_uses_extended_path():
     # at x = -10 the spectral gap of I - A is ~5e-12; the auto escalation
     # keeps the value within the known tail expansion to ~4e-5
     cfg = GapConfig((-10.0,), (0.0,))
-    report = fr.log_det(cfg, refine=1)
+    report = fr.log_det(cfg, nodes_per_panel=64)
     expected = math.log(2.0) / 24.0 - 0.1654211437004509 - math.log(10.0) / 8.0 - 1000.0 / 12.0
     assert abs(report.log_f - expected) < 2e-4
     # confirm this configuration actually crosses the escalation threshold
