@@ -9,7 +9,10 @@ determinant.  Deep gaps, where the top eigenvalue of A comes within ~1e-6 of
 1 and double assembly noise would dominate, escalate automatically: A is
 assembled in 80-bit floats, LAPACK eigh of its double rounding gives the
 eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
-Rayleigh-Ritz step on that subspace.
+Rayleigh-Ritz step on that subspace.  That path loses accuracy with depth
+and refuses near x = -13, so log_det sends the one-point hard gap F(x; 0)
+at its default resolution to the Painleve II solve of the painleve module
+instead, which holds to ~1e-13 relative down to x = -100.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import painleve, specfun
 from .specfun import NumericalError
 
 
@@ -321,27 +324,60 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
 
 @dataclass(frozen=True)
 class DeterminantReport:
-    """log F plus the refinement history that produced it."""
+    """log F plus the refinement history that produced it.
+
+    route is "nystrom" (resolutions hold nodes per panel) or "painleve"
+    (resolutions hold Chebyshev orders of the Painleve II solve).
+    """
 
     log_f: float
     resolutions: tuple[tuple[int, float], ...]
     converged: bool
     est_error: float
+    route: str
+
+
+def _report(resolutions, route: str) -> DeterminantReport:
+    est_error = abs(resolutions[-1][1] - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
+    return DeterminantReport(
+        log_f=resolutions[-1][1],
+        resolutions=tuple(resolutions),
+        converged=bool(est_error < CONVERGENCE_TOL),
+        est_error=float(est_error),
+        route=route,
+    )
 
 
 def log_det(config: GapConfig, *,
             nodes_per_panel: int | None = None,
             tail_length: float | None = None) -> DeterminantReport:
-    """log F(x; s) on a ladder of rule orders, each ceil(1.5 n) of the one before.
+    """log F(x; s), by Painleve II for a default one-point hard gap, else by Nystrom.
 
-    The ladder is DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel
-    = n; it stops at the first refinement gap below CONVERGENCE_TOL.  The
-    report keeps every resolution that ran; est_error is the last refinement
-    gap and the run is flagged converged when it is below CONVERGENCE_TOL.
-    The top rung is checked against MAX_RULE_ORDER and MAX_NODES before any
-    scheme is built, and each rung's scheme is built only when it runs.
-    tail_length goes to build_scheme.
+    A one-point hard gap (m = 1, s = (0,)) with x below painleve.RIGHT and
+    neither argument given takes the Hastings-McLeod route: the Chebyshev
+    orders painleve.RUNGS, est_error their difference.  It has no 1 - lambda
+    cancellation, so it stays accurate down to x = specfun.AIRY_REAL_MIN.
+    Every other call runs the Nystrom ladder of rule orders, each
+    ceil(1.5 n) of the one before: DEFAULT_LADDER, or (n, ceil(1.5 n)) given
+    nodes_per_panel = n.  It stops at the first refinement gap below
+    CONVERGENCE_TOL; est_error is the last gap.  The top rung is checked
+    against MAX_RULE_ORDER and MAX_NODES before any scheme is built, and each
+    rung's scheme is built only when it runs.  tail_length goes to
+    build_scheme.  Either way converged means est_error < CONVERGENCE_TOL.
     """
+    if (config.m == 1 and config.s == (0.0,) and nodes_per_panel is None
+            and tail_length is None and config.x[0] < painleve.RIGHT):
+        x = config.x[0]
+        report = _report([(n, painleve.log_hard_gap(x, n)) for n in painleve.RUNGS], "painleve")
+        _log.info("Painleve II hard gap: x=%g, Chebyshev orders %s, est_error=%.3g",
+                  x, painleve.RUNGS, report.est_error)
+        return report
+    return _nystrom_log_det(config, nodes_per_panel, tail_length)
+
+
+def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
+                     tail_length: float | None = None) -> DeterminantReport:
+    """log_det's Nystrom ladder, whatever the configuration."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
     _panel_counts(_scheme_intervals(config, tail_length)[0], orders[-1])
@@ -350,15 +386,9 @@ def log_det(config: GapConfig, *,
     for order in orders:
         scheme = build_scheme(config, order, tail_length)
         resolutions.append((scheme.nodes_per_panel, 0.0 if trivial else logdet_single(config, scheme)))
-        est_error = abs(resolutions[-1][1] - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
-        if est_error < CONVERGENCE_TOL:
+        if len(resolutions) > 1 and abs(resolutions[-1][1] - resolutions[-2][1]) < CONVERGENCE_TOL:
             break
-    return DeterminantReport(
-        log_f=resolutions[-1][1],
-        resolutions=tuple(resolutions),
-        converged=bool(est_error < CONVERGENCE_TOL),
-        est_error=float(est_error),
-    )
+    return _report(resolutions, "nystrom")
 
 
 def log_E(config: GapConfig, **kwargs) -> float:
@@ -371,16 +401,20 @@ def log_E(config: GapConfig, **kwargs) -> float:
 def log_E0(config: GapConfig, **kwargs) -> float:
     """log of the generating functional conditioned on an empty (x_1, inf).
 
-    Equals log F(x; s) - log F(x_1; 0).  Given nodes_per_panel = n, both
-    determinants run the same rungs (n, ceil(1.5 n)); otherwise each walks
-    DEFAULT_LADDER and stops where it converges on its own.
+    Equals log F(x; s) - log F(x_1; 0), both determinants by the Nystrom
+    ladder even when F(x_1; 0) alone would take the Painleve II route.  The
+    double-rounded pi in the 80-bit Airy anchor biases both Nystrom values,
+    partly alike; pairing one of them with the unbiased Painleve value
+    would move deep conditioned values by up to ~1e-8.  Given
+    nodes_per_panel = n, both run the same rungs (n, ceil(1.5 n)); otherwise
+    each walks DEFAULT_LADDER and stops where it converges on its own.
     """
     if config.s[0] != 0.0:
         raise ValueError("log_E0 requires s_1 = 0")
     if config.m < 2:
         raise ValueError("log_E0 requires m >= 2")
-    full = log_det(config, **kwargs)
-    ref = log_det(GapConfig((config.x[0],), (0.0,)), **kwargs)
+    full = _nystrom_log_det(config, **kwargs)
+    ref = _nystrom_log_det(GapConfig((config.x[0],), (0.0,)), **kwargs)
     return full.log_f - ref.log_f
 
 

@@ -1,0 +1,118 @@
+"""The one-point hard gap F(x; 0) from the Hastings-McLeod solution of Painleve II.
+
+F(x; 0) = exp(-integral_x^inf (t - x) q(t)^2 dt), where q solves
+q'' = t q + 2 q^3 with q(t) ~ Ai(t) as t -> +inf (Tracy-Widom 1994).  q is
+computed as a boundary-value problem on [LEFT, RIGHT] by Chebyshev
+collocation and Newton's method.  Its linearization -d^2/dt^2 + t + 6 q^2 is
+positive on the whole line, so errors in the boundary data decay into the
+interior; the initial-value route from Ai at the right end is unstable
+(Bornemann 2010).  Nothing is subtracted from 1, so deep gaps lose no
+accuracy to the spectral gap of I - K the Nystrom route suffers from.
+
+One solve per Chebyshev order serves every x; it runs on the first call and
+is cached for the process.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+from . import specfun
+from .specfun import DomainError, NumericalError
+
+#: collocation interval: 20 below the Airy domain edge, so the left boundary
+#: data sit far from every x served; the tail beyond RIGHT adds under 1e-13
+LEFT = -120.0
+RIGHT = 8.0
+#: Chebyshev orders log_det runs, the second ceil(1.5 n) of the first.  250
+#: resolves q to ~1e-11 and 375 to rounding, so their gap bounds the error:
+#: below 3e-11 on [-100, 8), at most 4e-16 relative.  Rounding in the
+#: second-derivative matrix grows like n^4; Newton stalls near n = 600
+RUNGS = (250, 375)
+#: Newton stops after a step below this; convergence is quadratic, so the
+#: iterate is then at the rounding level (~1e-14)
+NEWTON_TOL = 1e-11
+NEWTON_MAX_STEPS = 20
+
+
+def _left_value(t: float) -> float:
+    """q(t) for t -> -inf: sqrt(-t/2) (1 + 1/(8t^3) - 73/(128t^6) + 10657/(1024t^9))."""
+    return math.sqrt(-t / 2.0) * (1.0 + 1.0 / (8.0 * t ** 3) - 73.0 / (128.0 * t ** 6)
+                                  + 10657.0 / (1024.0 * t ** 9))
+
+
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Chebyshev-Lobatto points on [-1, 1], ascending, and their
+    differentiation matrix (Trefethen, Spectral Methods in MATLAB, cheb)."""
+    k = np.arange(n)
+    x = -np.cos(np.pi * k / (n - 1))
+    c = np.where((k == 0) | (k == n - 1), 2.0, 1.0) * (-1.0) ** k
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n))
+    D -= np.diag(D.sum(axis=1))
+    return x, D
+
+
+@functools.lru_cache(maxsize=8)
+def hastings_mcleod(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points t on [LEFT, RIGHT] and the Hastings-McLeod q(t) there.
+
+    Dirichlet data q(RIGHT) = Ai(RIGHT) and q(LEFT) from the four-term
+    expansion; Newton starts from sqrt(max(-t, 0)/2) smoothed at 0 and raises
+    NumericalError when its step does not fall below NEWTON_TOL.  The arrays
+    are read-only: every caller shares them.
+    """
+    x, D = _chebyshev(n)
+    t = 0.5 * (RIGHT - LEFT) * (x + 1.0) + LEFT
+    D2 = (D @ D) * (2.0 / (RIGHT - LEFT)) ** 2
+    q = np.sqrt((np.sqrt(t * t + 1.0) - t) / 4.0)
+    q[0] = _left_value(LEFT)
+    q[-1] = float(specfun.airy_real(RIGHT)[0])
+    for _ in range(NEWTON_MAX_STEPS):
+        residual = D2 @ q - t * q - 2.0 * q ** 3
+        jacobian = D2 - np.diag(t + 6.0 * q * q)
+        residual[[0, -1]] = 0.0  # the boundary rows keep q(LEFT), q(RIGHT)
+        jacobian[[0, -1]] = 0.0
+        jacobian[0, 0] = jacobian[-1, -1] = 1.0
+        step = np.linalg.solve(jacobian, residual)
+        q -= step
+        if np.max(np.abs(step)) < NEWTON_TOL:
+            break
+    else:
+        raise NumericalError(f"Painleve II Newton iteration at n={n} did not converge: "
+                             f"last step {np.max(np.abs(step)):.3g}")
+    t.flags.writeable = False
+    q.flags.writeable = False
+    return t, q
+
+
+def _interpolate(t: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation from Chebyshev-Lobatto points t to s."""
+    w = (-1.0) ** np.arange(t.size)
+    w[[0, -1]] *= 0.5
+    diff = s[:, None] - t[None, :]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    c = w / diff
+    p = (c @ q) / c.sum(axis=1)
+    rows, cols = np.nonzero(hit)
+    p[rows] = q[cols]
+    return p
+
+
+def log_hard_gap(x: float, n: int) -> float:
+    """log F(x; 0) for specfun.AIRY_REAL_MIN <= x < RIGHT from the order-n solve.
+
+    The integral over [x, RIGHT] takes the n-point Gauss-Legendre rule, which
+    is exact for (t - x) p(t)^2 with p the degree n - 1 interpolant of q.  The
+    domain is the Nystrom route's, so every hard gap has one edge.
+    """
+    x = float(x)
+    if not specfun.AIRY_REAL_MIN <= x < RIGHT:
+        raise DomainError(f"the hard gap supports {specfun.AIRY_REAL_MIN} <= x < {RIGHT}, got {x}")
+    t, q = hastings_mcleod(n)
+    nodes, weights = specfun.gauss_legendre_rule(n).mapped(x, RIGHT)
+    p = _interpolate(t, q, nodes)
+    return -float(weights @ ((nodes - x) * p * p))

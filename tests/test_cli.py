@@ -48,13 +48,21 @@ def test_det_basic_report(tmp_path, capsys):
     assert [n for n, _ in payload["convergence"]] == [24, 36]
 
 
-@pytest.mark.parametrize("flags, orders", [([], [16, 24]), (["--nodes", "24"], [24, 36]),
+@pytest.mark.parametrize("flags, orders", [([], [250, 375]), (["--nodes", "24"], [24, 36]),
                                            (["--nodes", "17"], [17, 26])])
 def test_det_resolution_defaults_come_from_the_library(tmp_path, capsys, flags, orders):
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.0]})
     code, out, _ = run(["det", cfg, *flags], capsys)
     assert code == 0
     assert [n for n, _ in json.loads(out)["convergence"]] == orders
+
+
+def test_det_default_walks_the_nystrom_ladder_off_the_hard_gap(tmp_path, capsys):
+    # the hard gap at x = -2 takes the Painleve II rungs (test above)
+    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
+    code, out, _ = run(["det", cfg], capsys)
+    assert code == 0
+    assert [n for n, _ in json.loads(out)["convergence"]] == [16, 24]
 
 
 def test_det_trivial_weights(tmp_path, capsys):
@@ -72,7 +80,9 @@ def test_det_rejects_bad_ordering(tmp_path, capsys):
 
 
 def test_det_refuses_deep_gap_with_exit_4(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"x": [-13.0], "s": [0.0]})
+    # a one-point hard gap takes the Painleve II route at any depth; this
+    # two-point gap stays on the Nystrom route and its 80-bit refusal
+    cfg = write_config(tmp_path, {"x": [-13.0, -14.0], "s": [0.0, 0.5]})
     code, out, err = run(["det", cfg], capsys)
     assert code == 4 and out == ""
     assert "Cholesky pivot" in err and "80-bit arithmetic cannot resolve" in err
@@ -462,8 +472,10 @@ assert "scipy" not in sys.modules, "import airy_gap"
 from airy_gap import cli
 tmp = Path(sys.argv[1])
 (tmp / "x.json").write_text(json.dumps({"x": [-2.0, -3.0], "s": [0.5, 0.5]}))
+(tmp / "hard.json").write_text(json.dumps({"x": [-9.0], "s": [0.0]}))
 (tmp / "tau.json").write_text(json.dumps({"tau": [-1.0, -1.6], "s": [0.4, 0.7]}))
 for argv in (["det", str(tmp / "x.json"), "--nodes", "16"],
+             ["det", str(tmp / "hard.json")],
              ["compare", str(tmp / "tau.json"), "--r-list", "2,3", "--nodes", "16"],
              ["stats", "--x", "-2.5", "--nodes", "16"],
              ["stats", "--interval", "-4", "-1", "--nodes", "16"],
