@@ -337,8 +337,9 @@ class DeterminantReport:
     route: str
 
 
-def _report(resolutions, route: str) -> DeterminantReport:
-    est_error = abs(resolutions[-1][1] - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
+def _report(resolutions, route: str, floor: float = 0.0) -> DeterminantReport:
+    gap = abs(resolutions[-1][1] - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
+    est_error = max(gap, floor)
     return DeterminantReport(
         log_f=resolutions[-1][1],
         resolutions=tuple(resolutions),
@@ -355,7 +356,8 @@ def log_det(config: GapConfig, *,
 
     A one-point hard gap (m = 1, s = (0,)) with x below painleve.RIGHT and
     neither argument given takes the Hastings-McLeod route: the Chebyshev
-    orders painleve.RUNGS, est_error their difference.  It has no 1 - lambda
+    orders painleve.RUNGS, est_error their difference but at least
+    painleve.ROUNDING_FLOOR |log F|.  It has no 1 - lambda
     cancellation, so it stays accurate down to x = specfun.AIRY_REAL_MIN.
     Every other call runs the Nystrom ladder of rule orders, each
     ceil(1.5 n) of the one before: DEFAULT_LADDER, or (n, ceil(1.5 n)) given
@@ -368,7 +370,8 @@ def log_det(config: GapConfig, *,
     if (config.m == 1 and config.s == (0.0,) and nodes_per_panel is None
             and tail_length is None and config.x[0] < painleve.RIGHT):
         x = config.x[0]
-        report = _report([(n, painleve.log_hard_gap(x, n)) for n in painleve.RUNGS], "painleve")
+        resolutions = [(n, painleve.log_hard_gap(x, n)) for n in painleve.RUNGS]
+        report = _report(resolutions, "painleve", painleve.ROUNDING_FLOOR * abs(resolutions[-1][1]))
         _log.info("Painleve II hard gap: x=%g, Chebyshev orders %s, est_error=%.3g",
                   x, painleve.RUNGS, report.est_error)
         return report

@@ -10,7 +10,9 @@ interior; the initial-value route from Ai at the right end is unstable
 accuracy to the spectral gap of I - K the Nystrom route suffers from.
 
 One solve per Chebyshev order serves every x; it runs on the first call and
-is cached for the process.
+is cached for the process, together with the tail integrals of q^2 and
+(t - t_k) q^2 from each Chebyshev point t_k to RIGHT.  A value then adds the
+integral from x to the next point: a GAP_NODES-point rule, O(n) per value.
 """
 
 from __future__ import annotations
@@ -32,10 +34,22 @@ RIGHT = 8.0
 #: below 3e-11 on [-100, 8), at most 4e-16 relative.  Rounding in the
 #: second-derivative matrix grows like n^4; Newton stalls near n = 600
 RUNGS = (250, 375)
+#: est_error of this route is at least ROUNDING_FLOOR |log F|, since the two
+#: orders can round alike to a gap of 0.  32 ulps is 3.5x the 2e-15 relative
+#: the cached sums keep to the n-point rule on [x, RIGHT] for x <= -2, and
+#: 2.7x the 12 ulps the value sits from the four-term tail at x = -16
+ROUNDING_FLOOR = 32 * math.ulp(1.0)
 #: Newton stops after a step below this; convergence is quadratic, so the
 #: iterate is then at the rounding level (~1e-14)
 NEWTON_TOL = 1e-11
 NEWTON_MAX_STEPS = 20
+#: Gauss-Legendre points per gap between neighbouring Chebyshev points in the
+#: tail integrals; 12 match 24 to 4.4e-16 relative on [-100, -2]
+GAP_NODES = 12
+#: target points per interpolation in tail_integrals: one matrix for all
+#: (n - 1) GAP_NODES points would take 13.5 MB at n = 375, blocks of 128
+#: take 0.4 MB and run faster
+INTERPOLATION_BLOCK = 128
 
 
 def _left_value(t: float) -> float:
@@ -89,30 +103,63 @@ def hastings_mcleod(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interpolate(t: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation from Chebyshev-Lobatto points t to s."""
-    w = (-1.0) ** np.arange(t.size)
+    """Barycentric interpolation from Chebyshev-Lobatto points t to s; a
+    point of s on a node takes the node value."""
+    w = np.ones(t.size)
+    w[1::2] = -1.0
     w[[0, -1]] *= 0.5
-    diff = s[:, None] - t[None, :]
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    c = w / diff
-    p = (c @ q) / c.sum(axis=1)
-    rows, cols = np.nonzero(hit)
-    p[rows] = q[cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = w / (s[:, None] - t)
+        p = (c @ q) / c.sum(axis=1)
+    k = np.minimum(np.searchsorted(t, s), t.size - 1)
+    hit = t[k] == s
+    p[hit] = q[k[hit]]
     return p
+
+
+@functools.lru_cache(maxsize=8)
+def tail_integrals(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """J(t_k) = integral_{t_k}^RIGHT q^2 and G(t_k) = integral_{t_k}^RIGHT
+    (t - t_k) q^2 at the order-n Chebyshev points t_k, q the interpolant.
+
+    Each gap [t_k, t_k+1] takes the GAP_NODES-point Gauss-Legendre rule, and
+    the sums run from the right: J(t_k) = J(t_k+1) + integral q^2 and
+    G(t_k) = G(t_k+1) + (t_k+1 - t_k) J(t_k+1) + integral (t - t_k) q^2 over
+    the gap.  Every term is positive, so both keep their relative accuracy.
+    Cached like the solve; the arrays are read-only.
+    """
+    t, q = hastings_mcleod(n)
+    rule = specfun.gauss_legendre_rule(GAP_NODES)
+    h = np.diff(t)
+    offsets = 0.5 * h[:, None] * (rule.nodes + 1.0)  # t - t_k at the rule points of gap k
+    points = (t[:-1, None] + offsets).ravel()
+    p = np.concatenate([_interpolate(t, q, points[i:i + INTERPOLATION_BLOCK])
+                        for i in range(0, points.size, INTERPOLATION_BLOCK)])
+    q2 = 0.5 * h[:, None] * rule.weights * p.reshape(offsets.shape) ** 2
+    J = np.zeros(n)
+    G = np.zeros(n)
+    J[:-1] = np.cumsum(q2.sum(axis=1)[::-1])[::-1]
+    G[:-1] = np.cumsum(((q2 * offsets).sum(axis=1) + h * J[1:])[::-1])[::-1]
+    J.flags.writeable = False
+    G.flags.writeable = False
+    return J, G
 
 
 def log_hard_gap(x: float, n: int) -> float:
     """log F(x; 0) for specfun.AIRY_REAL_MIN <= x < RIGHT from the order-n solve.
 
-    The integral over [x, RIGHT] takes the n-point Gauss-Legendre rule, which
-    is exact for (t - x) p(t)^2 with p the degree n - 1 interpolant of q.  The
-    domain is the Nystrom route's, so every hard gap has one edge.
+    With t_k the first Chebyshev point at or above x, log F = -(G(t_k) +
+    (t_k - x) J(t_k) + integral_x^t_k (t - x) q^2) from tail_integrals; the
+    last term takes the GAP_NODES-point rule, so a cached order costs O(n)
+    per value.  The domain is the Nystrom route's, so every hard gap has one
+    edge.
     """
     x = float(x)
     if not specfun.AIRY_REAL_MIN <= x < RIGHT:
         raise DomainError(f"the hard gap supports {specfun.AIRY_REAL_MIN} <= x < {RIGHT}, got {x}")
     t, q = hastings_mcleod(n)
-    nodes, weights = specfun.gauss_legendre_rule(n).mapped(x, RIGHT)
+    J, G = tail_integrals(n)
+    k = int(np.searchsorted(t, x))
+    nodes, weights = specfun.gauss_legendre_rule(GAP_NODES).mapped(x, t[k])
     p = _interpolate(t, q, nodes)
-    return -float(weights @ ((nodes - x) * p * p))
+    return -float(G[k] + (t[k] - x) * J[k] + weights @ ((nodes - x) * p * p))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import airy_gap
-from airy_gap import cli
+from airy_gap import cli, fredholm
 
 
 def run(argv, capsys):
@@ -63,6 +63,22 @@ def test_det_default_walks_the_nystrom_ladder_off_the_hard_gap(tmp_path, capsys)
     code, out, _ = run(["det", cfg], capsys)
     assert code == 0
     assert [n for n, _ in json.loads(out)["convergence"]] == [16, 24]
+
+
+def test_det_on_a_hard_gap_prints_the_library_floats(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"x": [-30.0], "s": [0.0]})
+    code, out, _ = run(["det", cfg], capsys)
+    assert code == 0
+    report = fredholm.log_det(fredholm.GapConfig((-30.0,), (0.0,)))
+    payload = strip_timing(out)
+    assert payload["convergence"] == [[n, v] for n, v in report.resolutions]
+    assert payload["results"] == [{"label": "log_f", "value": report.log_f},
+                                  {"label": "est_error", "value": report.est_error},
+                                  {"label": "converged", "value": 1.0}]
+    # shortest round-trip digits, as json prints a plain float
+    assert f'"value": {report.log_f!r}' in out and f'"value": {report.est_error!r}' in out
+    # the value printed before the tail integrals were cached
+    assert abs(report.log_f + 2250.5616879474346) <= 2e-15 * 2250.5616879474346
 
 
 def test_det_trivial_weights(tmp_path, capsys):

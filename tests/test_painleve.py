@@ -1,6 +1,7 @@
 """The Painleve II route for the one-point hard gap F(x; 0)."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,15 @@ def four_term_tail(x):
     """log F(x; 0) up to O(|x|^-12): good to 2e-10 at x = -10, 1e-14 at -16."""
     r = -x
     return log_F_m1_s0(x) + 3 / (64 * r ** 3) + 63 / (256 * r ** 6) + 7221 / (1536 * r ** 9)
+
+
+def reference_log_hard_gap(x, n):
+    """The n-point Gauss-Legendre rule on [x, RIGHT], exact for (t - x) p^2
+    with p the degree n - 1 interpolant of q: O(n^2) per value."""
+    t, q = pii.hastings_mcleod(n)
+    nodes, weights = sf.gauss_legendre_rule(n).mapped(x, pii.RIGHT)
+    p = pii._interpolate(t, q, nodes)
+    return -float(weights @ ((nodes - x) * p * p))
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +54,71 @@ def test_newton_failure_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the cached tail integrals
+# ---------------------------------------------------------------------------
+
+# Toward the right end both evaluators carry the rounding of barycentric
+# interpolation from nodes where q reaches 7.7: each is ~3e-15 relative off
+# an 80-bit interpolation at x = 2.  1e-14 there is still 1000x under the
+# gap between the two orders.
+@pytest.mark.parametrize("n", pii.RUNGS)
+@pytest.mark.parametrize("x", [-100.0, -99.0, -60.0, -30.0, -16.0, -13.0, -10.9554, -9.0,
+                               -6.0, -4.0, -2.0, 0.0, 2.0])
+def test_cached_sums_match_the_n_point_rule(x, n):
+    value = pii.log_hard_gap(x, n)
+    assert abs(value - reference_log_hard_gap(x, n)) <= (2e-15 if x <= -2 else 1e-14) * abs(value)
+
+
+@pytest.mark.parametrize("n", pii.RUNGS)
+def test_cached_sums_are_continuous_across_a_node(n):
+    t, _ = pii.hastings_mcleod(n)
+    J, _ = pii.tail_integrals(n)
+    k = int(np.searchsorted(t, -10.0))
+    at, below, above = (pii.log_hard_gap(t[k] + d, n) for d in (0.0, -1e-9, 1e-9))
+    for x, value in ((t[k], at), (t[k] - 1e-9, below), (t[k] + 1e-9, above)):
+        assert abs(value - reference_log_hard_gap(x, n)) <= 2e-15 * abs(value)
+    # d/dx log F = integral_x^inf q^2 = J(t_k) at the node, from either side
+    for quotient in ((at - below) / 1e-9, (above - at) / 1e-9):
+        assert abs(quotient - J[k]) < 1e-5 * J[k]
+
+
+def test_a_cached_value_interpolates_only_its_last_gap(monkeypatch):
+    for n in pii.RUNGS:
+        pii.log_hard_gap(-10.0, n)  # warm-up: the solve and the table
+    solves, tables = pii.hastings_mcleod.cache_info().misses, pii.tail_integrals.cache_info().misses
+    sizes = []
+    interpolate = pii._interpolate
+
+    def counting(t, q, s):
+        sizes.append(s.size)
+        return interpolate(t, q, s)
+
+    monkeypatch.setattr(pii, "_interpolate", counting)
+    for x in np.linspace(-99.0, 7.0, 100):
+        fr.log_det(GapConfig((float(x),), (0.0,)))
+    assert len(sizes) == 100 * len(pii.RUNGS) and max(sizes) <= pii.GAP_NODES
+    assert pii.hastings_mcleod.cache_info().misses == solves
+    assert pii.tail_integrals.cache_info().misses == tables
+    for n in pii.RUNGS:
+        assert not any(a.flags.writeable for a in pii.hastings_mcleod(n) + pii.tail_integrals(n))
+
+
+def test_table_build_interpolates_in_blocks():
+    # one interpolation matrix for all (n - 1) GAP_NODES points would take
+    # 13.5 MB at n = 375; the blocked build peaks at 0.95 MB
+    n = pii.RUNGS[-1]
+    pii.hastings_mcleod(n)
+    sf.gauss_legendre_rule(pii.GAP_NODES)
+    tracemalloc.start()
+    try:
+        pii.tail_integrals.__wrapped__(n)  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+# ---------------------------------------------------------------------------
 # log_det on the Painleve II route
 # ---------------------------------------------------------------------------
 
@@ -53,6 +128,27 @@ def test_deep_hard_gap_matches_the_four_term_tail(x):
     assert report.route == "painleve" and report.converged
     assert [n for n, _ in report.resolutions] == list(pii.RUNGS)
     assert abs(report.log_f - four_term_tail(x)) < 1e-13 * abs(report.log_f)
+
+
+@pytest.mark.parametrize("x", [-16.0, -30.0, -100.0])
+def test_est_error_has_a_rounding_floor(x):
+    # the two orders can round alike: at x = -16 their gap was once 0 while
+    # the value sat 1.1e-12 from the four-term tail
+    report = fr.log_det(GapConfig((x,), (0.0,)))
+    gap = abs(report.resolutions[-1][1] - report.resolutions[-2][1])
+    assert report.est_error == max(gap, pii.ROUNDING_FLOOR * abs(report.log_f))
+    assert abs(report.log_f - four_term_tail(x)) <= report.est_error
+    assert report.converged
+
+
+@pytest.mark.parametrize("x, s, kwargs", [((-10.0,), (0.0,), {}), ((-2.0,), (0.5,), {}),
+                                          ((-2.0,), (0.0,), {"nodes_per_panel": 24})],
+                         ids=["painleve", "nystrom", "nystrom-hard-gap"])
+def test_reports_hold_plain_floats(x, s, kwargs):
+    # on the Painleve route the resolutions are log_hard_gap's own values
+    report = fr.log_det(GapConfig(x, s), **kwargs)
+    assert type(report.log_f) is float and type(report.est_error) is float
+    assert all(type(v) is float for _, v in report.resolutions)
 
 
 def test_hard_gap_where_the_nystrom_route_refuses():
