@@ -4,15 +4,17 @@ The operator acts on (x_m, +infinity) with piecewise weight 1 - s_j on each
 interval (x_j, x_{j-1}); its determinant is the generating function of the
 counting statistics of the Airy point process.  Discretization is panel-wise
 Gauss-Legendre (Nystrom) with the symmetrized weighting
-A_ik = sqrt(w_i w_k) K(xi_i, xi_k) and a symmetric-eigenvalue log
-determinant.  Deep gaps, where the top eigenvalue of A comes within ~1e-6 of
-1 and double assembly noise would dominate, escalate automatically: A is
-assembled in 80-bit floats, LAPACK eigh of its double rounding gives the
-eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
-Rayleigh-Ritz step on that subspace.  That path loses accuracy with depth
-and refuses near x = -13, so log_det sends the one-point hard gap F(x; 0)
-at its default resolution to the Painleve II solve of the painleve module
-instead, which holds to ~1e-13 relative down to x = -100.
+A_ik = sqrt(w_i w_k) K(xi_i, xi_k).  When every s_j is at least NEAR_ONE_GAP
+the weights keep the spectrum of A that far below 1, and the log determinant
+is one Cholesky factorization of I - A; otherwise it is a sum over the
+symmetric eigenvalues of A.  Deep gaps, where the top eigenvalue comes
+within ~1e-6 of 1 and double assembly noise would dominate, escalate
+automatically: A is assembled in 80-bit floats, LAPACK eigh of its double
+rounding gives the eigenvectors, and the eigenvalues near 1 are recomputed
+by an 80-bit Rayleigh-Ritz step on that subspace.  That path loses accuracy
+with depth and refuses near x = -13, so log_det sends the one-point hard
+gap F(x; 0) at its default resolution to the Painleve II solve of the
+painleve module instead, which holds to ~1e-13 relative down to x = -100.
 """
 
 from __future__ import annotations
@@ -303,13 +305,29 @@ def _logdet_extended(config: GapConfig, scheme: QuadratureScheme) -> float:
 def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     """log det(I - A) at one resolution.
 
-    LAPACK symmetric eigenvalues in double, escalating to the 80-bit path
-    (float128 assembly, double eigh, float128 Rayleigh-Ritz correction of the
-    eigenvalues within NEAR_ONE_GAP of 1) when the spectral gap of I - A
-    falls under DEEP_GAP_THRESHOLD.  Raises NumericalError instead of
-    escalating where np.longdouble is no wider than double.
+    With every s_j >= NEAR_ONE_GAP, 2 sum log diag L of one double Cholesky
+    factorization I - A = L L^T: A = S^(1/2) A_0 S^(1/2), A_0 the unthinned
+    matrix of a projection kernel and S = diag(1 - s_j), so the eigenvalues
+    of A stay at most (1 - min s) lambda_max(A_0), 1 - min s on a resolved
+    grid.  A failed factorization (a grid too coarse for the configuration)
+    raises NumericalError.  Otherwise LAPACK symmetric eigenvalues in
+    double, escalating to the 80-bit path (float128 assembly, double eigh,
+    float128 Rayleigh-Ritz correction of the eigenvalues within NEAR_ONE_GAP
+    of 1) when the spectral gap of I - A falls under DEEP_GAP_THRESHOLD.
+    Raises NumericalError instead of escalating where np.longdouble is no
+    wider than double.
     """
     A = _symmetrized_matrix(scheme)
+    if min(config.s) >= NEAR_ONE_GAP:
+        np.negative(A, out=A)  # I - A in place
+        A.flat[::A.shape[0] + 1] += 1.0
+        try:
+            return float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A)))))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"I - A is not positive definite (N={scheme.size}, {scheme.nodes_per_panel} "
+                f"nodes per panel, min s={min(config.s):g}): the grid does not resolve "
+                "this configuration") from exc
     evals = np.linalg.eigvalsh(A)
     del A
     gap = 1.0 - evals[-1]
@@ -337,11 +355,12 @@ class DeterminantReport:
     route: str
 
 
-def _report(resolutions, route: str, floor: float = 0.0) -> DeterminantReport:
-    gap = abs(resolutions[-1][1] - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
-    est_error = max(gap, floor)
+def _report(resolutions, route: str) -> DeterminantReport:
+    log_f = resolutions[-1][1]
+    gap = abs(log_f - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
+    est_error = max(gap, painleve.ROUNDING_FLOOR * abs(log_f))
     return DeterminantReport(
-        log_f=resolutions[-1][1],
+        log_f=log_f,
         resolutions=tuple(resolutions),
         converged=bool(est_error < CONVERGENCE_TOL),
         est_error=float(est_error),
@@ -356,13 +375,13 @@ def log_det(config: GapConfig, *,
 
     A one-point hard gap (m = 1, s = (0,)) with x below painleve.RIGHT and
     neither argument given takes the Hastings-McLeod route: the Chebyshev
-    orders painleve.RUNGS, est_error their difference but at least
-    painleve.ROUNDING_FLOOR |log F|.  It has no 1 - lambda
-    cancellation, so it stays accurate down to x = specfun.AIRY_REAL_MIN.
-    Every other call runs the Nystrom ladder of rule orders, each
-    ceil(1.5 n) of the one before: DEFAULT_LADDER, or (n, ceil(1.5 n)) given
-    nodes_per_panel = n.  It stops at the first refinement gap below
-    CONVERGENCE_TOL; est_error is the last gap.  The top rung is checked
+    orders painleve.RUNGS.  It has no 1 - lambda cancellation, so it stays
+    accurate down to x = specfun.AIRY_REAL_MIN.  Every other call runs the
+    Nystrom ladder of rule orders, each ceil(1.5 n) of the one before:
+    DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n.  It stops
+    at the first refinement gap below CONVERGENCE_TOL.  On both routes
+    est_error is the last gap between rungs, but at least
+    painleve.ROUNDING_FLOOR |log F|.  The top rung is checked
     against MAX_RULE_ORDER and MAX_NODES before any scheme is built, and each
     rung's scheme is built only when it runs.  tail_length goes to
     build_scheme.  Either way converged means est_error < CONVERGENCE_TOL.
@@ -371,7 +390,7 @@ def log_det(config: GapConfig, *,
             and tail_length is None and config.x[0] < painleve.RIGHT):
         x = config.x[0]
         resolutions = [(n, painleve.log_hard_gap(x, n)) for n in painleve.RUNGS]
-        report = _report(resolutions, "painleve", painleve.ROUNDING_FLOOR * abs(resolutions[-1][1]))
+        report = _report(resolutions, "painleve")
         _log.info("Painleve II hard gap: x=%g, Chebyshev orders %s, est_error=%.3g",
                   x, painleve.RUNGS, report.est_error)
         return report

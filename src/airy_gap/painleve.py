@@ -34,10 +34,12 @@ RIGHT = 8.0
 #: below 3e-11 on [-100, 8), at most 4e-16 relative.  Rounding in the
 #: second-derivative matrix grows like n^4; Newton stalls near n = 600
 RUNGS = (250, 375)
-#: est_error of this route is at least ROUNDING_FLOOR |log F|, since the two
-#: orders can round alike to a gap of 0.  32 ulps is 3.5x the 2e-15 relative
-#: the cached sums keep to the n-point rule on [x, RIGHT] for x <= -2, and
-#: 2.7x the 12 ulps the value sits from the four-term tail at x = -16
+#: est_error of fredholm.log_det, on this route and the Nystrom one, is at
+#: least ROUNDING_FLOOR |log F|, since two rungs can round alike to a gap of
+#: 0.  32 ulps is 3.5x the 2e-15 relative the cached sums keep to the
+#: n-point rule on [x, RIGHT] for x <= -2, 2.7x the 12 ulps the value sits
+#: from the four-term tail at x = -16, and 2.7x the 12 ulps between the
+#: Cholesky and eigenvalue log determinants of thinned configurations
 ROUNDING_FLOOR = 32 * math.ulp(1.0)
 #: Newton stops after a step below this; convergence is quadratic, so the
 #: iterate is then at the rounding level (~1e-14)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,19 +171,29 @@ def _airy_asymptotic_ld(t):
     return ai, aip
 
 
-def _taylor_sum(a, h):
-    """(Ai, Ai') at x0 + h from the Taylor coefficients a about x0, by Horner's rule."""
-    y = a[_MARCH_ORDER]
-    yp = y * _MARCH_ORDER
+def _taylor_step(pairs, h):
+    """(Ai, Ai') at x0 + h from the coefficient pairs [a_k, k a_k] of Ai about x0.
+
+    pairs is (31, 2, ...) and h broadcasts against its trailing axes; one
+    Horner recurrence runs Ai and Ai' together, rounding as two separate
+    ones would.
+    """
+    y = pairs[_MARCH_ORDER].copy()
     for k in range(_MARCH_ORDER - 1, 0, -1):
-        y = y * h + a[k]
-        yp = yp * h + a[k] * k
-    return y * h + a[0], yp
+        y *= h
+        y += pairs[k]
+    return y[0] * h + pairs[0, 0], y[1]
 
 
-@functools.lru_cache(maxsize=None)
-def _anchor(j: int) -> np.ndarray:
-    """Taylor coefficients a_0..a_30 of Ai about the anchor 12 - j/4, in 80-bit.
+#: coefficient pairs of the anchors 12 - j/4 built so far, (31, 2, depth),
+#: read-only; _anchor_table swaps in a deeper copy, under _ANCHORS_LOCK, when
+#: a call needs one
+_ANCHORS = np.empty((_MARCH_ORDER + 1, 2, 0), dtype=_LD)
+_ANCHORS_LOCK = threading.Lock()
+
+
+def _anchor_table(depth: int) -> np.ndarray:
+    """Coefficient pairs of at least the anchors 12 - j/4, j < depth, in 80-bit.
 
     Anchor 0 comes from the large-argument series and anchor j from one
     Taylor step of length 1/4 off anchor j - 1, so a value never depends on
@@ -190,17 +201,26 @@ def _anchor(j: int) -> np.ndarray:
     well-conditioned direction (the recessive solution grows relative to the
     dominant one).
     """
-    x0 = _LD(_ASYM_ANCHOR - _MARCH_STEP * j)
-    if j == 0:
-        y, yp = _airy_asymptotic_ld(x0)
-    else:
-        y, yp = _taylor_sum(_anchor(j - 1), _LD(-_MARCH_STEP))
-    a = [y, yp, x0 * y / _RECURRENCE_LD[0]]
-    for k in range(1, _MARCH_ORDER - 1):
-        a.append((x0 * a[k] + a[k - 1]) / _RECURRENCE_LD[k])
-    a = np.array(a)
-    a.flags.writeable = False  # shared by every caller of the cache
-    return a
+    global _ANCHORS
+    table = _ANCHORS
+    if table.shape[-1] >= depth:
+        return table
+    with _ANCHORS_LOCK:
+        table = _ANCHORS
+        cols = list(np.moveaxis(table, -1, 0))
+        for j in range(len(cols), depth):
+            x0 = _LD(_ASYM_ANCHOR - _MARCH_STEP * j)
+            y, yp = _airy_asymptotic_ld(x0) if j == 0 else _taylor_step(cols[-1], _LD(-_MARCH_STEP))
+            a = [y, yp, x0 * y / _RECURRENCE_LD[0]]
+            for k in range(1, _MARCH_ORDER - 1):
+                a.append((x0 * a[k] + a[k - 1]) / _RECURRENCE_LD[k])
+            a = np.array(a)
+            cols.append(np.stack([a, a * np.arange(_MARCH_ORDER + 1)], axis=1))
+        if len(cols) > table.shape[-1]:
+            table = np.stack(cols, axis=-1)
+            table.flags.writeable = False  # shared by every caller
+            _ANCHORS = table
+    return table
 
 
 def airy_real(x):
@@ -208,8 +228,8 @@ def airy_real(x):
 
     Computed in 80-bit floats and rounded once: points at or above 12 by the
     large-argument series, every other point by one Taylor step (|h| <= 1/8)
-    off its nearest anchor 12 - j/4.  The anchors are cached as deep as the
-    lowest point has needed so far.
+    off its nearest anchor 12 - j/4.  The anchor table is grown as deep as
+    the lowest point has needed so far.
     """
     x = np.asarray(x)
     dtype = np.promote_types(x.dtype, np.float64)
@@ -225,9 +245,8 @@ def airy_real(x):
     near = t[~far]
     if near.size:
         j = np.rint((_ASYM_ANCHOR - near) / _MARCH_STEP).astype(np.intp)
-        used, slot = np.unique(j, return_inverse=True)
-        table = np.stack([_anchor(i) for i in used], axis=1)
-        ai[~far], aip[~far] = _taylor_sum(table[:, slot], near - (_ASYM_ANCHOR - _MARCH_STEP * j))
+        pairs = np.take(_anchor_table(j.max() + 1), j, axis=-1)
+        ai[~far], aip[~far] = _taylor_step(pairs, near - (_ASYM_ANCHOR - _MARCH_STEP * j))
     return ai.astype(dtype, copy=False)[()], aip.astype(dtype, copy=False)[()]
 
 

@@ -104,6 +104,14 @@ def test_det_refuses_deep_gap_with_exit_4(tmp_path, capsys):
     assert "Cholesky pivot" in err and "80-bit arithmetic cannot resolve" in err
 
 
+def test_det_refuses_an_unresolved_thinned_grid_with_exit_4(tmp_path, capsys):
+    # every s_j >= NEAR_ONE_GAP: the Cholesky factorization of I - A fails
+    cfg = write_config(tmp_path, {"x": [-30.0, -60.0], "s": [0.5, 0.3]})
+    code, out, err = run(["det", cfg, "--nodes", "4"], capsys)
+    assert code == 4 and out == ""
+    assert "not positive definite (N=76, 4 nodes per panel, min s=0.3)" in err
+
+
 def test_det_missing_file(capsys):
     code, _, err = run(["det", "/nonexistent/config.json"], capsys)
     assert code == 3

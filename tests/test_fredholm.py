@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from airy_gap import fredholm as fr
+from airy_gap import painleve as pii
 from airy_gap import specfun as sf
 from airy_gap.asymptotics import beta_from_s
 from airy_gap.fredholm import GapConfig, NumericalError
@@ -231,7 +232,8 @@ def test_explicit_resolution_runs_two_rungs(n, rungs):
     cfg = GapConfig((-2.0,), (0.5,))
     report = fr.log_det(cfg, nodes_per_panel=n)
     assert [k for k, _ in report.resolutions] == rungs
-    assert report.est_error == abs(report.resolutions[1][1] - report.resolutions[0][1])
+    gap = abs(report.resolutions[1][1] - report.resolutions[0][1])
+    assert report.est_error == max(gap, pii.ROUNDING_FLOOR * abs(report.log_f))
 
 
 def test_default_ladder_reports_its_last_gap_when_unconverged():
@@ -240,7 +242,8 @@ def test_default_ladder_reports_its_last_gap_when_unconverged():
     assert [n for n, _ in report.resolutions] == list(fr.DEFAULT_LADDER)
     assert not report.converged
     (_, coarse), (_, fine) = report.resolutions[-2:]
-    assert report.est_error == abs(fine - coarse) and report.log_f == fine
+    assert report.est_error == max(abs(fine - coarse), pii.ROUNDING_FLOOR * abs(fine))
+    assert report.log_f == fine
 
 
 @pytest.mark.parametrize("x, s", [((-2.0,), (0.5,)), ((-11.0,), (0.0,))])
@@ -323,6 +326,84 @@ def test_logdet_tail_robustness():
     a = fr.log_det(GapConfig((-2.0,), (0.3,)), tail_length=12.0).log_f
     b = fr.log_det(GapConfig((-2.0,), (0.3,)), tail_length=16.0).log_f
     assert abs(a - b) < 1e-10
+
+
+#: thinned configurations (every s_j >= NEAR_ONE_GAP) for the Cholesky route
+THINNED = [
+    ((-2.0,), (0.5,)),
+    ((-1.0, -3.0), (0.3, 0.7)),
+    ((-1.5, -3.0, -5.0), (0.2, 0.5, 0.9)),
+    ((-4.0, -8.0, -12.0), (0.5, 0.3, 0.2)),
+    ((-99.0,), (0.5,)),
+    ((-60.0, -99.0), (0.3, 0.6)),
+]
+
+
+@pytest.mark.parametrize("x, s", THINNED)
+def test_cholesky_logdet_matches_the_spectrum(x, s):
+    cfg = GapConfig(x, s)
+    for n in (16, 24, 36):
+        scheme = fr.build_scheme(cfg, n)
+        twin = float(np.sum(np.log1p(-np.linalg.eigvalsh(fr._symmetrized_matrix(scheme)))))
+        value = fr.logdet_single(cfg, scheme)
+        assert abs(value - twin) <= pii.ROUNDING_FLOOR * abs(twin), (n, value, twin)
+
+
+@pytest.mark.parametrize("x, s", THINNED)
+def test_thinning_keeps_the_spectrum_off_one(monkeypatch, x, s):
+    # A = S^(1/2) A_0 S^(1/2) with S = diag(1 - s_j): lambda_max(A) is at most
+    # (1 - min s) lambda_max(A_0), and lambda_max(A_0) <= 1 once the grid
+    # resolves the projection kernel (the rungs the ladder converged on);
+    # coarser rungs of deep configs overshoot, but stay clear of 1
+    schemes = []
+    original = fr.logdet_single
+
+    def recording(config, scheme):
+        schemes.append(scheme)
+        return original(config, scheme)
+
+    monkeypatch.setattr(fr, "logdet_single", recording)
+    report = fr.log_det(GapConfig(x, s))
+    assert report.converged and len(schemes) == len(report.resolutions)
+    for k, scheme in enumerate(schemes):
+        top = np.linalg.eigvalsh(fr._symmetrized_matrix(scheme))[-1]
+        sw = np.sqrt(scheme.w_plain)
+        top0 = np.linalg.eigvalsh(sw[:, None] * fr._kernel_matrix(scheme.xi) * sw[None, :])[-1]
+        assert top <= (1.0 - min(s)) * max(top0, 1.0) + 1e-12
+        assert top < 1.0 - fr.NEAR_ONE_GAP
+        if k >= len(schemes) - 2:
+            assert top <= 1.0 - min(s) + 1e-9, scheme.nodes_per_panel
+
+
+def test_cholesky_refuses_an_unresolved_grid():
+    # 4 nodes per panel on (-60, 12.5) leave an eigenvalue of A above 1
+    with pytest.raises(NumericalError) as info:
+        fr.log_det(GapConfig((-30.0, -60.0), (0.5, 0.3)), nodes_per_panel=4)
+    msg = str(info.value)
+    assert "not positive definite" in msg
+    assert "N=76, 4 nodes per panel, min s=0.3" in msg
+
+
+@pytest.mark.parametrize("x, s, route", [
+    ((-2.0,), (0.5,), "cholesky"),
+    ((-2.0,), (fr.NEAR_ONE_GAP,), "cholesky"),
+    ((-2.0,), (1e-4,), "eigvalsh"),
+    ((-2.0,), (0.0,), "eigvalsh"),
+    ((-9.0, -11.0), (0.0, 0.5), "eigvalsh"),  # escalates after eigvalsh
+])
+def test_factorization_follows_the_smallest_weight(monkeypatch, x, s, route):
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(M, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    cfg = GapConfig(x, s)
+    fr.logdet_single(cfg, fr.build_scheme(cfg, 24))
+    assert calls == [route]
 
 
 def test_logdet_deep_gap_uses_extended_path():

@@ -1,6 +1,8 @@
 """Special-function layer tests, with mpmath-based independent oracles."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,15 +161,80 @@ def test_airy_double_nodes_within_4_ulp_of_mpmath(mp40):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_airy_real_independent_of_call_history(dtype):
+def test_airy_real_independent_of_call_history(monkeypatch, dtype):
     xs = np.linspace(-5.3, 14.2, 97).astype(dtype)
-    sf._anchor.cache_clear()
+    monkeypatch.setattr(sf, "_ANCHORS", sf._ANCHORS[..., :0])  # the only anchor cache
     before = sf.airy_real(xs)
+    assert sf._ANCHORS.shape[-1] == 70  # anchors 12 - j/4 down to -5.25
     sf.airy_real(np.linspace(-40.0, 0.0, 33).astype(dtype))  # builds deeper anchors
+    assert sf._ANCHORS.shape[-1] == 209 and not sf._ANCHORS.flags.writeable
     after = sf.airy_real(xs)
     for b, a in zip(before, after):
         assert b.dtype == dtype
         assert np.array_equal(b, a)
+
+
+def test_anchor_table_grows_to_the_deepest_request_under_threads(monkeypatch):
+    # deepest first: without the lock a shallower build started earlier can
+    # land after the deepest one (about half the rounds on a 2-CPU machine)
+    grids = [np.linspace(lo, 12.0, 64) for lo in np.tile(np.linspace(-99.0, -1.0, 16), 2)]
+    expected = [sf.airy_real(g) for g in grids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(sf, "_ANCHORS", sf._ANCHORS[..., :0])
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(sf.airy_real, grids, timeout=60))
+            assert sf._ANCHORS.shape[-1] == 445  # anchor 12 - 444/4 = -99
+            for (ai, aip), (ref, refp) in zip(results, expected):
+                assert np.array_equal(ai, ref) and np.array_equal(aip, refp)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _separate_taylor_sums(a, h):
+    """(Ai, Ai') at x0 + h from the Taylor coefficients a of Ai about x0 by one
+    Horner loop per function: the reference for airy_real's packed step."""
+    y = a[sf._MARCH_ORDER]
+    yp = y * sf._MARCH_ORDER
+    for k in range(sf._MARCH_ORDER - 1, 0, -1):
+        y = y * h + a[k]
+        yp = yp * h + a[k] * k
+    return y * h + a[0], yp
+
+
+def _separate_anchors(depth):
+    """Taylor coefficients of Ai about 12 - j/4, j < depth, marched by _separate_taylor_sums."""
+    anchors = []
+    for j in range(depth):
+        x0 = np.longdouble(sf._ASYM_ANCHOR - sf._MARCH_STEP * j)
+        y, yp = (sf._airy_asymptotic_ld(x0) if j == 0
+                 else _separate_taylor_sums(anchors[-1], np.longdouble(-sf._MARCH_STEP)))
+        a = [y, yp, x0 * y / sf._RECURRENCE_LD[0]]
+        for k in range(1, sf._MARCH_ORDER - 1):
+            a.append((x0 * a[k] + a[k - 1]) / sf._RECURRENCE_LD[k])
+        anchors.append(np.array(a))
+    return np.array(anchors)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_packed_taylor_step_is_bit_identical(dtype):
+    xs = np.linspace(dtype(-100.0), dtype(30.0), 24001)
+    ai, aip = sf.airy_real(xs)
+    t = xs.astype(np.longdouble)
+    ref, refp = np.empty_like(t), np.empty_like(t)
+    far = t >= sf._ASYM_ANCHOR
+    ref[far], refp[far] = sf._airy_asymptotic_ld(t[far])
+    near = t[~far]
+    j = np.rint((sf._ASYM_ANCHOR - near) / sf._MARCH_STEP).astype(np.intp)
+    anchors = _separate_anchors(j.max() + 1)
+    ref[~far], refp[~far] = _separate_taylor_sums(anchors[j].T, near - (sf._ASYM_ANCHOR - sf._MARCH_STEP * j))
+    assert ai.dtype == aip.dtype == dtype
+    assert np.array_equal(ai, ref.astype(dtype)) and np.array_equal(aip, refp.astype(dtype))
+    table = sf._anchor_table(len(anchors))[..., :len(anchors)]
+    assert np.array_equal(table[:, 0].T, anchors)
+    assert np.array_equal(table[:, 1].T, anchors * np.arange(sf._MARCH_ORDER + 1))
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.longdouble, 5e-17), (np.float64, 4 * np.finfo(np.float64).eps)])
