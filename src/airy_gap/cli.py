@@ -13,10 +13,8 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -91,20 +89,6 @@ def parse_imag(text: str) -> complex:
     if not _is_imaginary(value):
         raise ValidationError(f"beta = {text!r} must be finite and purely imaginary")
     return complex(0.0, value.imag)
-
-
-def thread_count() -> int:
-    """Worker count for sweeps; AIRY_GAP_THREADS overrides the machine default."""
-    env = os.environ.get("AIRY_GAP_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError as exc:
-        raise ValidationError(f"AIRY_GAP_THREADS must be an integer, got {env!r}") from exc
-    if n < 1:
-        raise ValidationError("AIRY_GAP_THREADS must be >= 1")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +360,7 @@ def cmd_sweep(args) -> RunReport:
     if f == "nodes" and any(v != int(v) for v in values):
         raise ValidationError(f"--values: node counts must be integers, got {args.values!r}")
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(lambda v: _sweep_one(cfg, kind, j, v, args.nodes), values))
+    rows = [_sweep_one(cfg, kind, j, v, args.nodes) for v in values]
 
     header = {
         "nodes": ["nodes", "log_f", "est_error"],
@@ -449,7 +432,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -403,11 +403,10 @@ def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
     _panel_counts(_scheme_intervals(config, tail_length)[0], orders[-1])
-    trivial = all(v == 1.0 for v in config.s)  # zero operator: log F = 0 exactly
     resolutions = []
     for order in orders:
         scheme = build_scheme(config, order, tail_length)
-        resolutions.append((scheme.nodes_per_panel, 0.0 if trivial else logdet_single(config, scheme)))
+        resolutions.append((scheme.nodes_per_panel, logdet_single(config, scheme)))
         if len(resolutions) > 1 and abs(resolutions[-1][1] - resolutions[-2][1]) < CONVERGENCE_TOL:
             break
     return _report(resolutions, "nystrom")

@@ -189,6 +189,9 @@ def _taylor_step(pairs, h):
 #: read-only; _anchor_table swaps in a deeper copy, under _ANCHORS_LOCK, when
 #: a call needs one
 _ANCHORS = np.empty((_MARCH_ORDER + 1, 2, 0), dtype=_LD)
+#: the CLI evaluates on one thread, but library callers may call airy_real
+#: from their own; unlocked, a shallower table built alongside could replace
+#: a deeper one
 _ANCHORS_LOCK = threading.Lock()
 
 

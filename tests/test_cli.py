@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -393,17 +394,22 @@ def test_sweep_validation(tmp_path, capsys):
     assert code == 3
 
 
-def test_sweep_respects_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AIRY_GAP_THREADS", "2")
+def test_sweep_rows_run_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    threads = []
+    log_det = fredholm.log_det
+
+    def recording_log_det(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return log_det(*args, **kwargs)
+
+    monkeypatch.setattr(fredholm, "log_det", recording_log_det)
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
     out_csv = tmp_path / "t.csv"
     code, _, _ = run(["sweep", cfg, "--vary", "nodes", "--values", "8,12,16",
                       "--out", str(out_csv)], capsys)
     assert code == 0
     assert len(out_csv.read_text().splitlines()) == 4
-    monkeypatch.setenv("AIRY_GAP_THREADS", "zero")
-    assert run(["sweep", cfg, "--vary", "nodes", "--values", "8",
-                "--out", str(out_csv)], capsys)[0] == 2
+    assert threads == [threading.get_ident()] * 3
 
 
 def test_sweep_rejects_index_with_underscore(tmp_path, capsys):
@@ -414,12 +420,11 @@ def test_sweep_rejects_index_with_underscore(tmp_path, capsys):
     assert code == 2 and "out of range" in err
 
 
-def test_sweep_csv_independent_of_thread_count(tmp_path, capsys, monkeypatch):
+def test_sweep_csv_identical_across_runs(tmp_path, capsys):
     cfg = write_config(tmp_path, {"x": [-2.0, -3.0, -4.5], "s": [0.5, 0.5, 0.3]})
     csvs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("AIRY_GAP_THREADS", threads)
-        out_csv = tmp_path / f"threads{threads}.csv"
+    for k in range(2):
+        out_csv = tmp_path / f"run{k}.csv"
         code, _, _ = run(["sweep", cfg, "--vary", "s_2", "--values", "0.1,0.3,0.5,0.7",
                           "--nodes", "24", "--out", str(out_csv)], capsys)
         assert code == 0
