@@ -4,17 +4,17 @@ The operator acts on (x_m, +infinity) with piecewise weight 1 - s_j on each
 interval (x_j, x_{j-1}); its determinant is the generating function of the
 counting statistics of the Airy point process.  Discretization is panel-wise
 Gauss-Legendre (Nystrom) with the symmetrized weighting
-A_ik = sqrt(w_i w_k) K(xi_i, xi_k).  When every s_j is at least NEAR_ONE_GAP
-the weights keep the spectrum of A that far below 1, and the log determinant
-is one Cholesky factorization of I - A; otherwise it is a sum over the
-symmetric eigenvalues of A.  Deep gaps, where the top eigenvalue comes
-within ~1e-6 of 1 and double assembly noise would dominate, escalate
-automatically: A is assembled in 80-bit floats, LAPACK eigh of its double
-rounding gives the eigenvectors, and the eigenvalues near 1 are recomputed
-by an 80-bit Rayleigh-Ritz step on that subspace.  That path loses accuracy
-with depth and refuses near x = -13, so log_det sends the one-point hard
-gap F(x; 0) at its default resolution to the Painleve II solve of the
-painleve module instead, which holds to ~1e-13 relative down to x = -100.
+A_ik = sqrt(w_i w_k) K(xi_i, xi_k).  One double Cholesky factorization of
+I - A gives log det(I - A) wherever it certifies itself: every s_j is at
+least NEAR_ONE_GAP (the weights keep the spectrum of A that far below 1), or
+det(I - A) >= DEEP_GAP_THRESHOLD, a lower bound on the spectral gap since A
+is positive semidefinite.  Every other configuration is a deep gap: A is
+assembled in 80-bit floats, LAPACK eigh of its double rounding gives the
+eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
+Rayleigh-Ritz step on that subspace.  That path loses accuracy with depth
+and refuses near x = -13, so log_det sends the one-point hard gap F(x; 0) at
+its default resolution to the Painleve II solve of the painleve module
+instead, which holds to ~1e-13 relative down to x = -100.
 """
 
 from __future__ import annotations
@@ -41,10 +41,12 @@ MAX_NODES = 8192
 #: spectral gap (measured: 8e-2 shift at x = -10 when truncating at x + 14).
 TRUNCATION_POINT_MIN = 12.5
 MIN_TAIL_LENGTH = 8.0
-#: escalate to the float128 pipeline when min eig(I - A) drops below this
+#: a double Cholesky det(I - A) at least this certifies min(1 - lambda) >= it;
+#: below it the float128 pipeline runs, refusing such gaps on plain double
 DEEP_GAP_THRESHOLD = 1e-6
-#: eigenvalues with 1 - lambda below this get the 80-bit Rayleigh-Ritz
-#: correction; the double log1p of the rest loses at most ~1e-13 each
+#: min s at least this keeps the spectrum of A at most 1 - min s; eigenvalues
+#: with 1 - lambda below this get the 80-bit Rayleigh-Ritz correction, the
+#: double log1p of the rest loses at most ~1e-13 each
 NEAR_ONE_GAP = 1e-3
 CONVERGENCE_TOL = 1e-8
 
@@ -277,8 +279,13 @@ def _ritz_logdet(A: np.ndarray) -> float:
     Rayleigh-Ritz ratio det(V^T (I - A) V) / det(V^T V).  Its error is
     second order in the double eigenvector error, and it does not depend on
     how eigh mixes eigenvectors inside a cluster of near-1 eigenvalues.
+    Where np.longdouble is plain double, a gap under DEEP_GAP_THRESHOLD raises.
     """
     evals, vecs = np.linalg.eigh(A.astype(np.float64))
+    gap = 1.0 - evals[-1]
+    if gap < DEEP_GAP_THRESHOLD and not EXTENDED_PRECISION:
+        raise NumericalError(f"spectral gap {gap:.3g} of I - A needs the 80-bit path, but "
+                             f"np.longdouble is plain double here (eps {np.finfo(_LD).eps:.3g})")
     near = 1.0 - evals < NEAR_ONE_GAP
     bulk = np.sum(np.log1p(-evals[~near]))
     V = vecs[:, near].astype(_LD)
@@ -286,58 +293,47 @@ def _ritz_logdet(A: np.ndarray) -> float:
     ritz = V.T @ (V - A @ V)
     gram = V.T @ V
     _log.info("80-bit log det: N=%d, k=%d eigenvalues within %g of 1, min(1-lambda)=%.3g",
-              A.shape[0], V.shape[1], NEAR_ONE_GAP, 1.0 - evals[-1])
+              A.shape[0], V.shape[1], NEAR_ONE_GAP, gap)
     try:
         ritz_logdet, gram_logdet = _cholesky_logdet_ld(ritz), _cholesky_logdet_ld(gram)
     except NumericalError as exc:
         raise NumericalError(
             f"{exc} in the 80-bit Rayleigh-Ritz step (N={A.shape[0]}, k={V.shape[1]}, "
-            f"double min(1-lambda)={1.0 - evals[-1]:.3g}): 80-bit arithmetic cannot "
+            f"double min(1-lambda)={gap:.3g}): 80-bit arithmetic cannot "
             "resolve a spectral gap of I - A this small") from exc
     return float(_LD(bulk) + ritz_logdet - gram_logdet)
-
-
-def _logdet_extended(config: GapConfig, scheme: QuadratureScheme) -> float:
-    xscheme = build_scheme(config, scheme.nodes_per_panel, scheme.tail_length, dtype=_LD)
-    return _ritz_logdet(_symmetrized_matrix(xscheme))
 
 
 def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     """log det(I - A) at one resolution.
 
-    With every s_j >= NEAR_ONE_GAP, 2 sum log diag L of one double Cholesky
-    factorization I - A = L L^T: A = S^(1/2) A_0 S^(1/2), A_0 the unthinned
-    matrix of a projection kernel and S = diag(1 - s_j), so the eigenvalues
-    of A stay at most (1 - min s) lambda_max(A_0), 1 - min s on a resolved
-    grid.  A failed factorization (a grid too coarse for the configuration)
-    raises NumericalError.  Otherwise LAPACK symmetric eigenvalues in
-    double, escalating to the 80-bit path (float128 assembly, double eigh,
-    float128 Rayleigh-Ritz correction of the eigenvalues within NEAR_ONE_GAP
-    of 1) when the spectral gap of I - A falls under DEEP_GAP_THRESHOLD.
-    Raises NumericalError instead of escalating where np.longdouble is no
-    wider than double.
+    2 sum log diag L of one double Cholesky I - A = L L^T, kept when it
+    certifies itself.  Every s_j >= NEAR_ONE_GAP keeps the eigenvalues of
+    A = S^(1/2) A_0 S^(1/2) (A_0 unthinned, a projection; S = diag(1 - s_j))
+    at most 1 - min s on a resolved grid, and a failed factorization (a grid
+    too coarse) raises NumericalError.  Else A is a positive semidefinite
+    Gram matrix, so det(I - A) <= min(1 - lambda) and a value of at least
+    DEEP_GAP_THRESHOLD is kept.  Every other configuration takes the 80-bit
+    path: float128 assembly, then _ritz_logdet.
     """
     A = _symmetrized_matrix(scheme)
-    if min(config.s) >= NEAR_ONE_GAP:
-        np.negative(A, out=A)  # I - A in place
-        A.flat[::A.shape[0] + 1] += 1.0
-        try:
-            return float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A)))))
-        except np.linalg.LinAlgError as exc:
+    np.negative(A, out=A)  # I - A in place
+    A.flat[::A.shape[0] + 1] += 1.0
+    thinned = min(config.s) >= NEAR_ONE_GAP
+    try:
+        value = float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A)))))
+    except np.linalg.LinAlgError as exc:
+        if thinned:
             raise NumericalError(
                 f"I - A is not positive definite (N={scheme.size}, {scheme.nodes_per_panel} "
                 f"nodes per panel, min s={min(config.s):g}): the grid does not resolve "
                 "this configuration") from exc
-    evals = np.linalg.eigvalsh(A)
+        value = -math.inf
+    if thinned or value >= math.log(DEEP_GAP_THRESHOLD):
+        return value
     del A
-    gap = 1.0 - evals[-1]
-    if gap < DEEP_GAP_THRESHOLD:
-        if not EXTENDED_PRECISION:
-            raise NumericalError(
-                f"spectral gap {gap:.3g} of I - A needs the 80-bit path, but "
-                f"np.longdouble is plain double here (eps {np.finfo(_LD).eps:.3g})")
-        return _logdet_extended(config, scheme)
-    return float(np.sum(np.log1p(-evals)))
+    xscheme = build_scheme(config, scheme.nodes_per_panel, scheme.tail_length, dtype=_LD)
+    return _ritz_logdet(_symmetrized_matrix(xscheme))
 
 
 @dataclass(frozen=True)
@@ -409,7 +405,11 @@ def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
         resolutions.append((scheme.nodes_per_panel, logdet_single(config, scheme)))
         if len(resolutions) > 1 and abs(resolutions[-1][1] - resolutions[-2][1]) < CONVERGENCE_TOL:
             break
-    return _report(resolutions, "nystrom")
+    report = _report(resolutions, "nystrom")
+    if not report.converged:
+        _log.warning("Nystrom ladder unconverged: x=%s, s=%s, top rung %d nodes per panel, est_error=%.3g",
+                     config.x, config.s, resolutions[-1][0], report.est_error)
+    return report
 
 
 def log_E(config: GapConfig, **kwargs) -> float:

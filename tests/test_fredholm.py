@@ -218,13 +218,17 @@ def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
     built = []
     original = fr.build_scheme
 
-    def recording(config, nodes_per_panel, *args, **kwargs):
-        built.append(nodes_per_panel)
-        return original(config, nodes_per_panel, *args, **kwargs)
+    def recording(config, nodes_per_panel, *args, dtype=np.float64, **kwargs):
+        built.append((nodes_per_panel, dtype))
+        return original(config, nodes_per_panel, *args, dtype=dtype, **kwargs)
 
     monkeypatch.setattr(fr, "build_scheme", recording)
+    # log F(-6; 0) is below log DEEP_GAP_THRESHOLD: each rung escalates
     report = fr._nystrom_log_det(GapConfig((-6.0,), (0.0,)))
-    assert [n for n, _ in report.resolutions] == built == [16, 24]
+    rungs = [n for n, _ in report.resolutions]
+    assert [n for n, dtype in built if dtype is np.float64] == rungs == [16, 24]
+    extended = [n for n, dtype in built if dtype is np.longdouble]
+    assert extended and all(n in rungs for n in extended)
 
 
 @pytest.mark.parametrize("n, rungs", [(24, [24, 36]), (48, [48, 72]), (17, [17, 26])])
@@ -387,13 +391,14 @@ def test_cholesky_refuses_an_unresolved_grid():
 @pytest.mark.parametrize("x, s, route", [
     ((-2.0,), (0.5,), "cholesky"),
     ((-2.0,), (fr.NEAR_ONE_GAP,), "cholesky"),
-    ((-2.0,), (1e-4,), "eigvalsh"),
-    ((-2.0,), (0.0,), "eigvalsh"),
-    ((-9.0, -11.0), (0.0, 0.5), "eigvalsh"),  # escalates after eigvalsh
+    ((-2.0,), (1e-4,), "cholesky"),  # det(I - A) >= DEEP_GAP_THRESHOLD
+    ((-2.0,), (0.0,), "cholesky"),
+    ((-9.0, -11.0), (0.0, 0.5), "cholesky-eigh"),  # det below it: the 80-bit eigh follows
+    ((-6.0,), (0.0,), "cholesky-eigh"),
 ])
 def test_factorization_follows_the_smallest_weight(monkeypatch, x, s, route):
     calls = []
-    for name in ("cholesky", "eigvalsh"):
+    for name in ("cholesky", "eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
 
         def recording(M, *args, _name=name, _original=original, **kwargs):
@@ -403,7 +408,21 @@ def test_factorization_follows_the_smallest_weight(monkeypatch, x, s, route):
         monkeypatch.setattr(np.linalg, name, recording)
     cfg = GapConfig(x, s)
     fr.logdet_single(cfg, fr.build_scheme(cfg, 24))
-    assert calls == [route]
+    assert calls == route.split("-")
+
+
+@pytest.mark.parametrize("x, s", [((-2.0,), (0.0,)), ((-5.0,), (0.0,)),
+                                  ((-2.0, -4.0), (0.0, 0.5)), ((-3.0,), (1e-4,))])
+def test_determinant_bounds_the_spectral_gap(x, s):
+    # K(x, y) = int_0^inf Ai(x + t) Ai(y + t) dt makes A a Gram matrix, so
+    # every 1 - lambda is at most 1 and det(I - A) <= min(1 - lambda): the
+    # premise of logdet_single's certificate
+    cfg = GapConfig(x, s)
+    for n in (16, 24, 48):
+        scheme = fr.build_scheme(cfg, n)
+        gap = 1.0 - np.linalg.eigvalsh(fr._symmetrized_matrix(scheme))[-1]
+        det = math.exp(fr.logdet_single(cfg, scheme))
+        assert gap >= det * (1.0 - 1e-9), (n, gap, det)
 
 
 def test_logdet_deep_gap_uses_extended_path():
@@ -470,9 +489,12 @@ def test_extended_matches_double_where_double_suffices(caplog):
     for x, s in ((-5.0,), (0.0,)), ((-1.0,), (0.5,)):
         cfg = GapConfig(x, s)
         scheme = fr.build_scheme(cfg)
+        xscheme = fr.build_scheme(cfg, scheme.nodes_per_panel, dtype=np.longdouble)
         with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
-            extended = fr._logdet_extended(cfg, scheme)
-        assert abs(extended - fr.logdet_single(cfg, scheme)) < 1e-11
+            extended = fr._ritz_logdet(fr._symmetrized_matrix(xscheme))
+        certified = fr.logdet_single(cfg, scheme)
+        assert certified >= math.log(fr.DEEP_GAP_THRESHOLD)  # the Cholesky value is kept
+        assert abs(extended - certified) < 1e-11
     # x = -1, s = 0.5 has no eigenvalue near 1: the Ritz block is empty
     assert f"N={scheme.size}, k=0 " in caplog.records[-1].getMessage()
 
@@ -506,6 +528,25 @@ def test_auto_refuses_deep_gap_without_wider_longdouble(monkeypatch):
         fr.logdet_single(deep, fr.build_scheme(deep))
     shallow = GapConfig((-2.0,), (0.0,))
     assert fr.logdet_single(shallow, fr.build_scheme(shallow)) < 0.0
+    # det(I - A) ~ 1e-8 fails the Cholesky certificate, but the gap 2.9e-5
+    # measured on the way to the 80-bit path is wide enough for double
+    uncertified = GapConfig((-6.0,), (0.0,))
+    assert fr.logdet_single(uncertified, fr.build_scheme(uncertified, 48)) < 0.0
+
+
+def test_unconverged_ladder_logs_a_warning(caplog):
+    # the compare config tau = (-1, -2), s = (0, 0.2846) at r = 12: neither
+    # determinant of log_E0 reaches CONVERGENCE_TOL on the default ladder
+    with caplog.at_level(logging.WARNING, logger="airy_gap.fredholm"):
+        fr.log_E0(GapConfig((-12.0, -24.0), (0.0, 0.2846)))
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(messages) == 2
+    assert "unconverged: x=(-12.0, -24.0), s=(0.0, 0.2846), top rung 81 nodes per panel" in messages[0]
+    assert "x=(-12.0,), s=(0.0,)" in messages[1] and all("est_error=" in m for m in messages)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="airy_gap.fredholm"):
+        assert fr.log_det(GapConfig((-2.0, -3.0), (0.0, 0.5))).converged
+    assert not caplog.records
 
 
 def test_log_E_and_E0_dispatch():

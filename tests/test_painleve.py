@@ -158,18 +158,25 @@ def test_hard_gap_where_the_nystrom_route_refuses():
     assert abs(report.log_f - four_term_tail(-13.0)) <= report.est_error + 1e-10
 
 
-# At x = -6 (min 1 - lambda = 2.9e-5) double assembly noise spreads
-# logdet_single over 3.4e-11 across 24-64 nodes per panel and BLAS thread
-# counts, so that point is held to the 80-bit assembly of the same scheme.
-@pytest.mark.parametrize("x, nystrom", [
-    (-6.0, fr._logdet_extended), (-4.0, fr.logdet_single), (-2.0, fr.logdet_single),
-    (0.0, fr.logdet_single), (2.0, fr.logdet_single),
-], ids=["-6-80bit", "-4", "-2", "0", "2"])
-def test_painleve_agrees_with_the_nystrom_determinant(x, nystrom):
+# Below x ~ -5.5, det(I - A) < DEEP_GAP_THRESHOLD and logdet_single takes the
+# 80-bit path; double assembly noise would spread the double value over
+# ~1e-10 there (min 1 - lambda = 2.9e-5 at x = -6).
+@pytest.mark.parametrize("x", [-6.25, -6.0, -4.0, -2.0, 0.0, 2.0],
+                         ids=["-6.25-80bit", "-6-80bit", "-4", "-2", "0", "2"])
+def test_painleve_agrees_with_the_nystrom_determinant(x):
     cfg = GapConfig((x,), (0.0,))
     report = fr.log_det(cfg)
     assert report.route == "painleve"
-    assert abs(report.log_f - nystrom(cfg, fr.build_scheme(cfg, 48))) < 1e-11
+    assert abs(report.log_f - fr.logdet_single(cfg, fr.build_scheme(cfg, 48))) < 1e-11
+
+
+@pytest.mark.parametrize("x", [-5.5, -6.0, -6.25, -6.5])
+def test_nystrom_ladders_agree_with_painleve_below_the_certificate(x):
+    # the default ladder and an explicit 48-node pair, both on the 80-bit path
+    cfg = GapConfig((x,), (0.0,))
+    ref = fr.log_det(cfg).log_f
+    for kwargs in ({}, {"nodes_per_panel": 48}):
+        assert abs(fr._nystrom_log_det(cfg, **kwargs).log_f - ref) < 1e-11, kwargs
 
 
 def test_hard_gap_below_the_airy_domain_raises():
