@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._constants import EULER_GAMMA, PI_SQ, TWO_PI, ZETA_PRIME_MINUS_ONE
-from .specfun import SingularityError, _is_imaginary, log_barnes_g
+from .specfun import (SingularityError, _is_imaginary, check_endpoints, check_negative,
+                      check_weights, log_barnes_g)
 
 LOG2 = math.log(2.0)
 
@@ -38,15 +39,11 @@ def _expansion_args(x, beta, conditioned: bool = False) -> tuple[np.ndarray, np.
     A conditioned expansion needs m >= 2 and takes beta_2, ..., beta_m.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs >= 0.0):
-        raise ValueError("endpoints must be negative")
-    if np.any(np.diff(xs) >= 0.0):
-        raise ValueError("endpoints must be strictly decreasing")
-    if conditioned and xs.size < 2:
-        raise ValueError("conditioned expansion needs m >= 2")
+    check_endpoints(xs)
     bs = _imag_vector(beta, "beta0" if conditioned else "beta")
-    if bs.size != xs.size - conditioned:
-        raise ValueError(f"need one jump parameter per endpoint, x_{1 + conditioned} to x_m")
+    if xs.size <= conditioned or bs.size != xs.size - conditioned:
+        raise ValueError(f"need m >= {1 + conditioned} and one beta per x_{1 + conditioned}, ..., x_m")
+    check_negative(xs[0], "x_1")
     return xs, bs
 
 
@@ -61,10 +58,7 @@ def beta_from_s(s) -> tuple[complex, ...]:
     first parameter is undefined and the returned tuple holds beta_2..beta_m.
     """
     svals = [float(v) for v in np.atleast_1d(s)]
-    if any(v < 0.0 or v > 1.0 for v in svals):
-        raise ValueError("weights must lie in [0, 1]")
-    if any(v == 0.0 for v in svals[1:]):
-        raise ValueError("only s_1 may vanish")
+    check_weights(svals)
     ext = svals + [1.0]
     start = 1 if svals[0] == 0.0 else 0
     return tuple(1j * math.log(ext[j] / ext[j + 1]) / TWO_PI
@@ -97,15 +91,13 @@ def s_from_beta(beta, s1_is_zero: bool = False) -> tuple[float, ...]:
 
 def mu(x: float) -> float:
     """Leading counting-function mean (2/(3 pi)) |x|^(3/2), x < 0."""
-    if x >= 0.0:
-        raise ValueError("mu requires x < 0")
+    check_negative(x)
     return 2.0 / (3.0 * math.pi) * abs(x) ** 1.5
 
 
 def sigma2(x: float) -> float:
     """Counting-function variance slope (3/(4 pi^2)) log|4x|, x < 0."""
-    if x >= 0.0:
-        raise ValueError("sigma2 requires x < 0")
+    check_negative(x)
     return 3.0 / (4.0 * PI_SQ) * math.log(abs(4.0 * x))
 
 
@@ -116,8 +108,8 @@ def sigma_cov(tau_k: float, tau_j: float) -> float:
     0 > tau_k > tau_j; scale-invariant, logarithmically divergent at
     coinciding arguments.
     """
-    if not 0.0 > tau_k > tau_j:
-        raise ValueError("requires 0 > tau_k > tau_j")
+    check_endpoints((tau_k, tau_j), "tau_k, tau_j")
+    check_negative(tau_k, "tau_k")
     if tau_k - tau_j < 1e-12:
         raise SingularityError("covariance diverges logarithmically as tau_k -> tau_j")
     num = (math.sqrt(abs(tau_k)) + math.sqrt(abs(tau_j))) ** 2
@@ -138,8 +130,7 @@ def barnes_pair(beta) -> float:
 
 def log_F_m1_s0(x: float) -> float:
     """Tail of the hard gap log F(x; 0) = log2/24 + zeta'(-1) - log|x|/8 - |x|^3/12."""
-    if x >= 0.0:
-        raise ValueError("log_F_m1_s0 requires x < 0")
+    check_negative(x)
     ax = abs(x)
     return LOG2 / 24.0 + ZETA_PRIME_MINUS_ONE - math.log(ax) / 8.0 - ax ** 3 / 12.0
 
@@ -150,8 +141,7 @@ def log_E_m1(x: float, beta) -> float:
     log[G(1+beta)G(1-beta)] - (3/2) beta^2 log|4x| - (4 i beta / 3) |x|^(3/2),
     real-valued for beta in i R.
     """
-    if x >= 0.0:
-        raise ValueError("log_E_m1 requires x < 0")
+    check_negative(x)
     b = _imag_part(beta)
     return (barnes_pair(beta)
             + 1.5 * b * b * math.log(abs(4.0 * x))
@@ -281,8 +271,8 @@ def var_interval_asym(r: float, tau1: float, tau2: float) -> float:
     (3/(2 pi^2)) log r + (3/(4 pi^2)) log|16 tau1 tau2|
     + (1 + gamma_E)/pi^2 - 2 Sigma(tau1, tau2).
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError("r must be finite and positive")
     if not 0.0 > tau1 > tau2:
         raise ValueError("requires 0 > tau1 > tau2")
     return (1.5 / PI_SQ * math.log(r)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, asymptotics, fredholm, parametrix
 from .fredholm import GapConfig
-from .specfun import NumericalError, _is_imaginary
+from .specfun import NumericalError, _is_imaginary, check_endpoints, check_negative
 
 SCHEMA_VERSION = "airy-gap-report/1"
 
@@ -96,14 +96,14 @@ def parse_imag(text: str) -> complex:
 # ---------------------------------------------------------------------------
 
 def _numbers(values, name: str) -> list[float]:
-    """A JSON list, or the entries of a flag, as finite floats; else a ValidationError."""
+    """A non-empty JSON list, or the entries of a flag, as finite floats; else a ValidationError."""
     try:
         out = [float(v) for v in values]
-        if isinstance(values, list) and all(map(math.isfinite, out)):
+        if isinstance(values, list) and out and all(map(math.isfinite, out)):
             return out
     except (TypeError, ValueError):
         pass
-    raise ValidationError(f"{name}: expected a list of finite numbers, got {values!r}")
+    raise ValidationError(f"{name}: expected a non-empty list of finite numbers, got {values!r}")
 
 
 def load_config(path: str) -> dict:
@@ -122,16 +122,15 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
 
-    known = {"m", "x", "s", "tau", "r", "beta"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"m", "x", "s", "tau", "r", "beta"}
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
 
     out: dict = {}
     if "tau" in raw:
         tau = _numbers(raw["tau"], "tau")
-        if any(v >= 0 for v in tau) or any(b >= a for a, b in zip(tau, tau[1:])):
-            raise ValidationError("tau must be negative and strictly decreasing")
+        check_endpoints(tau, "tau")
+        check_negative(tau[0], "tau_1")
         out["tau"] = tau
     if "x" in raw:
         out["x"] = _numbers(raw["x"], "x")
@@ -208,8 +207,6 @@ def cmd_compare(args) -> RunReport:
     if "tau" not in cfg:
         raise ValidationError("compare needs a tau-parametrized config")
     rs = _numbers([v for v in args.r_list.split(",") if v.strip()], "--r-list")
-    if not rs:
-        raise ValidationError("empty r list")
     if any(b <= a for a, b in zip(rs, rs[1:])) or len(rs) != len(set(rs)):
         raise ValidationError("r list must be strictly ascending")
     rows = [_compare_row(cfg["tau"], cfg["s"], r, args.nodes) for r in rs]
@@ -232,8 +229,7 @@ def cmd_stats(args) -> RunReport:
     nodes = args.nodes
     if args.x is not None:
         x = float(args.x)
-        if x >= 0:
-            raise ValidationError("--x must be negative")
+        check_negative(x, "--x")
         mean_n = fredholm.mean_count([(x, math.inf)], nodes)
         var_n = fredholm.var_count([(x, math.inf)], nodes)
         mean_a, var_a = asymptotics.moment_asym(x)
@@ -355,8 +351,6 @@ def cmd_sweep(args) -> RunReport:
         if not 0 <= j < cfg["m"]:
             raise ValidationError(f"index in {f!r} out of range for m = {cfg['m']}")
     values = _numbers([v for v in args.values.split(",") if v.strip()], "--values")
-    if not values:
-        raise ValidationError("empty values list")
     if f == "nodes" and any(v != int(v) for v in values):
         raise ValidationError(f"--values: node counts must be integers, got {args.values!r}")
 

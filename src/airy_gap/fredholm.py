@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import painleve, specfun
-from .specfun import NumericalError
+from .specfun import NumericalError, check_endpoints, check_weights
 
 
 DEFAULT_NODES_PER_PANEL = 48
@@ -48,6 +48,9 @@ DEEP_GAP_THRESHOLD = 1e-6
 #: with 1 - lambda below this get the 80-bit Rayleigh-Ritz correction, the
 #: double log1p of the rest loses at most ~1e-13 each
 NEAR_ONE_GAP = 1e-3
+#: the Cholesky's rounding noise grows like 1/min s: up to 728 ulps of |log F|
+#: at s = 1e-3 against an 80-bit Cholesky, x down to -40 (see _ladder)
+SMALL_WEIGHT_NOISE = 0.09
 CONVERGENCE_TOL = 1e-8
 
 _LD = np.longdouble
@@ -79,12 +82,8 @@ class GapConfig:
         object.__setattr__(self, "s", tuple(float(v) for v in np.atleast_1d(s)))
         if len(self.x) != len(self.s) or not self.x:
             raise ValueError("x and s must be equal-length, non-empty sequences")
-        if any(b >= a for a, b in zip(self.x, self.x[1:])) or not all(map(math.isfinite, self.x)):
-            raise ValueError("endpoints must be strictly decreasing and finite")
-        if any(not 0.0 <= v <= 1.0 for v in self.s):
-            raise ValueError("weights must lie in [0, 1]")
-        if any(v == 0.0 for v in self.s[1:]):
-            raise ValueError("only s_1 may be zero (interior vanishing weights unsupported)")
+        check_endpoints(self.x)
+        check_weights(self.s)
 
     @property
     def m(self) -> int:
@@ -137,19 +136,17 @@ def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
 
     Returns the panels, the nodes, their weights and, per node, the position
     of its interval in `intervals`.  _panel_counts checks the size first.
+    Every panel is mapped at once, with QuadRule.mapped's arithmetic.
     """
     counts = _panel_counts(intervals, nodes_per_panel)
     rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
-    panels, xs, ws, pos = [], [], [], []
-    for p, ((a, b), count) in enumerate(zip(intervals, counts)):
-        edges = np.linspace(a, b, count + 1)
-        for pa, pb in zip(edges[:-1], edges[1:]):
-            nodes, weights = rule.mapped(dtype(pa), dtype(pb))
-            panels.append((float(pa), float(pb)))
-            xs.append(nodes)
-            ws.append(weights)
-            pos.append(np.full(nodes.size, p, dtype=np.int32))
-    return tuple(panels), np.concatenate(xs), np.concatenate(ws), np.concatenate(pos)
+    edges = [np.linspace(a, b, count + 1) for (a, b), count in zip(intervals, counts)]
+    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    a, b = lo.astype(dtype)[:, None], hi.astype(dtype)[:, None]
+    half = 0.5 * (b - a)
+    pos = np.repeat(np.arange(len(counts), dtype=np.int32), np.multiply(counts, nodes_per_panel))
+    return (tuple(zip(lo.tolist(), hi.tolist())), (half * rule.nodes + 0.5 * (a + b)).ravel(),
+            (half * rule.weights).ravel(), pos)
 
 
 def _scheme_intervals(config: GapConfig, tail_length: float | None):
@@ -344,24 +341,36 @@ class DeterminantReport:
     (resolutions hold Chebyshev orders of the Painleve II solve).
     """
 
-    log_f: float
     resolutions: tuple[tuple[int, float], ...]
-    converged: bool
     est_error: float
     route: str
 
+    @property
+    def log_f(self) -> float:
+        return self.resolutions[-1][1]
 
-def _report(resolutions, route: str) -> DeterminantReport:
-    log_f = resolutions[-1][1]
-    gap = abs(log_f - resolutions[-2][1]) if len(resolutions) > 1 else math.inf
-    est_error = max(gap, painleve.ROUNDING_FLOOR * abs(log_f))
-    return DeterminantReport(
-        log_f=log_f,
-        resolutions=tuple(resolutions),
-        converged=bool(est_error < CONVERGENCE_TOL),
-        est_error=float(est_error),
-        route=route,
-    )
+    @property
+    def converged(self) -> bool:
+        return self.est_error < CONVERGENCE_TOL
+
+
+def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport:
+    """value_at(n) over the rungs, up to the first gap below CONVERGENCE_TOL.
+
+    est_error is the last gap, but at least the rounding noise of one rung:
+    painleve.ROUNDING_FLOOR |log F|, times max(1, SMALL_WEIGHT_NOISE / min s)
+    where min s >= NEAR_ONE_GAP certifies the Cholesky.
+    """
+    s = min(config.s)
+    floor = painleve.ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
+    resolutions = []
+    for n in rungs:
+        value = value_at(n)
+        gap = abs(value - resolutions[-1][1]) if resolutions else math.inf
+        resolutions.append((int(n), value))
+        if gap < CONVERGENCE_TOL:
+            break
+    return DeterminantReport(tuple(resolutions), float(max(gap, floor * abs(value))), route)
 
 
 def log_det(config: GapConfig, *,
@@ -373,20 +382,16 @@ def log_det(config: GapConfig, *,
     neither argument given takes the Hastings-McLeod route: the Chebyshev
     orders painleve.RUNGS.  It has no 1 - lambda cancellation, so it stays
     accurate down to x = specfun.AIRY_REAL_MIN.  Every other call runs the
-    Nystrom ladder of rule orders, each ceil(1.5 n) of the one before:
-    DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n.  It stops
-    at the first refinement gap below CONVERGENCE_TOL.  On both routes
-    est_error is the last gap between rungs, but at least
-    painleve.ROUNDING_FLOOR |log F|.  The top rung is checked
-    against MAX_RULE_ORDER and MAX_NODES before any scheme is built, and each
-    rung's scheme is built only when it runs.  tail_length goes to
-    build_scheme.  Either way converged means est_error < CONVERGENCE_TOL.
+    Nystrom rule orders, each ceil(1.5 n) of the one before: DEFAULT_LADDER,
+    or (n, ceil(1.5 n)) given nodes_per_panel = n.  Both routes walk _ladder.
+    The top rung is checked against MAX_RULE_ORDER and MAX_NODES before any
+    scheme is built, and each rung's scheme is built only when it runs.
+    tail_length goes to build_scheme.
     """
     if (config.m == 1 and config.s == (0.0,) and nodes_per_panel is None
             and tail_length is None and config.x[0] < painleve.RIGHT):
         x = config.x[0]
-        resolutions = [(n, painleve.log_hard_gap(x, n)) for n in painleve.RUNGS]
-        report = _report(resolutions, "painleve")
+        report = _ladder(config, painleve.RUNGS, lambda n: painleve.log_hard_gap(x, n), "painleve")
         _log.info("Painleve II hard gap: x=%g, Chebyshev orders %s, est_error=%.3g",
                   x, painleve.RUNGS, report.est_error)
         return report
@@ -399,16 +404,11 @@ def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
     _panel_counts(_scheme_intervals(config, tail_length)[0], orders[-1])
-    resolutions = []
-    for order in orders:
-        scheme = build_scheme(config, order, tail_length)
-        resolutions.append((scheme.nodes_per_panel, logdet_single(config, scheme)))
-        if len(resolutions) > 1 and abs(resolutions[-1][1] - resolutions[-2][1]) < CONVERGENCE_TOL:
-            break
-    report = _report(resolutions, "nystrom")
+    report = _ladder(config, orders, lambda k: logdet_single(config, build_scheme(config, k, tail_length)),
+                     "nystrom")
     if not report.converged:
         _log.warning("Nystrom ladder unconverged: x=%s, s=%s, top rung %d nodes per panel, est_error=%.3g",
-                     config.x, config.s, resolutions[-1][0], report.est_error)
+                     config.x, config.s, report.resolutions[-1][0], report.est_error)
     return report
 
 
@@ -494,8 +494,7 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
 
     def at(sm: float) -> float:
         cfg = GapConfig(config.x, config.s[:-1] + (sm,))
-        sch = build_scheme(cfg, nodes_per_panel, scheme.tail_length)
-        return logdet_single(cfg, sch)
+        return logdet_single(cfg, build_scheme(cfg, nodes_per_panel, scheme.tail_length))
 
     fd = (at(s_m + step) - at(s_m - step)) / (2.0 * step)
     return fd, resolvent_value, abs(fd - resolvent_value)
@@ -510,8 +509,7 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
         intervals = [intervals]
     out = []
     for a, b in intervals:
-        a = float(a)
-        b = float(b)
+        a, b = float(a), float(b)
         if not b > a:
             raise ValueError(f"empty interval ({a}, {b})")
         out.append((a, b))

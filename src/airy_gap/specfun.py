@@ -45,6 +45,24 @@ def _is_imaginary(z: complex) -> bool:
     return math.isfinite(z.imag) and abs(z.real) <= 1e-12 * max(1.0, abs(z.imag))
 
 
+def check_endpoints(x, name: str = "endpoints") -> None:
+    """ValueError unless x_1 > ... > x_m are all finite."""
+    if not all(map(math.isfinite, x)) or any(b >= a for a, b in zip(x, x[1:])):
+        raise ValueError(f"{name} must be strictly decreasing and finite")
+
+
+def check_weights(s) -> None:
+    """ValueError unless every s_j lies in [0, 1] and only s_1 may vanish."""
+    if not all(0.0 <= v <= 1.0 for v in s) or any(v == 0.0 for v in s[1:]):
+        raise ValueError("weights must lie in [0, 1], and only s_1 may vanish")
+
+
+def check_negative(x: float, name: str = "x") -> None:
+    """ValueError unless x is a finite negative number; NaN fails too."""
+    if not -math.inf < x < 0.0:
+        raise ValueError(f"{name} must be finite and negative, got {float(x)!r}")
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Legendre rules
 # ---------------------------------------------------------------------------

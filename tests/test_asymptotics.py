@@ -208,6 +208,32 @@ def test_ordering_enforced():
         asym.log_E0_asym([-1.0], [])
 
 
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("call", [
+    lambda v: asym.log_E_asym([v], [0.1j]),
+    lambda v: asym.log_E_asym([-1.0, v], [0.1j, 0.1j]),
+    lambda v: asym.log_E0_asym([-1.0, v], [0.1j]),
+    lambda v: asym.log_E0_asym([v, -3.0], [0.1j]),
+    lambda v: asym.log_E_product_form([v], [0.1j]),
+    lambda v: asym.beta_from_s([0.5, v]),
+    asym.mu, asym.sigma2, asym.log_F_m1_s0,
+    lambda v: asym.log_E_m1(v, 0.1j),
+    asym.moment_asym,
+], ids=["log_E_asym", "log_E_asym-x2", "log_E0_asym", "log_E0_asym-x1", "log_E_product_form",
+        "beta_from_s", "mu", "sigma2", "log_F_m1_s0", "log_E_m1", "moment_asym"])
+def test_nonfinite_inputs_raise(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+def test_var_interval_asym_rejects_nan_scale():
+    with pytest.raises(ValueError, match="r must be"):
+        asym.var_interval_asym(math.nan, -1.0, -2.0)
+
+
 def test_small_parameter_quadratic_scaling():
     # with the Barnes pair expanded to second order the exponent is an exact
     # quadratic in beta, so total(eps*beta)/eps^2 converges as eps -> 0

@@ -288,6 +288,13 @@ def test_stats_validation(capsys):
     assert run(["stats", "--x", "2.0"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["--x", "nan"], ["--x=-inf"]])
+def test_stats_rejects_nonfinite_x(capsys, argv):
+    code, out, err = run(["stats", *argv], capsys)
+    assert code == 2 and out == ""
+    assert "--x must be finite and negative" in err
+
+
 # ---------------------------------------------------------------------------
 # parametrix
 # ---------------------------------------------------------------------------

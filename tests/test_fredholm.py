@@ -27,6 +27,12 @@ def test_config_rejects_nonfinite_endpoints(x):
         GapConfig(x, (0.5,) * len(x))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_config_rejects_nonfinite_weights(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        GapConfig((-1.0, -2.0), (0.5, bad))
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="strictly decreasing"):
         GapConfig((-3.0, -1.0), (0.5, 0.5))
@@ -156,6 +162,34 @@ def test_one_halfline_cut_for_determinants_and_traces(a):
     assert scheme.tail_length == fr.default_tail_length(a)
 
 
+def _panelize_per_panel(intervals, nodes_per_panel, dtype):
+    """One QuadRule.mapped call per panel: the layout _panelize builds at once."""
+    rule = sf.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
+    panels, xs, ws, pos = [], [], [], []
+    for p, ((a, b), count) in enumerate(zip(intervals, fr._panel_counts(intervals, nodes_per_panel))):
+        edges = np.linspace(a, b, count + 1)
+        for pa, pb in zip(edges[:-1], edges[1:]):
+            nodes, weights = rule.mapped(dtype(pa), dtype(pb))
+            panels.append((float(pa), float(pb)))
+            xs.append(nodes)
+            ws.append(weights)
+            pos.append(np.full(nodes.size, p, dtype=np.int32))
+    return tuple(panels), np.concatenate(xs), np.concatenate(ws), np.concatenate(pos)
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+@pytest.mark.parametrize("n", (16, 24, 36))
+@pytest.mark.parametrize("x, s", [((-2.0,), (0.5,)), ((-1.0, -3.0, -5.5), (0.2, 0.5, 0.9)),
+                                  ((-99.0,), (0.5,)), ((-8.0, -12.0), (0.0, 0.3))])
+def test_panelize_maps_every_panel_like_quadrule_mapped(dtype, n, x, s):
+    intervals = fr._scheme_intervals(GapConfig(x, s), None)[0]
+    got = fr._panelize(intervals, n, dtype)
+    want = _panelize_per_panel(intervals, n, dtype)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("tail", (math.inf, math.nan))
 def test_scheme_rejects_nonfinite_tail(tail):
     with pytest.raises(ValueError, match="tail_length must be finite"):
@@ -248,6 +282,32 @@ def test_default_ladder_reports_its_last_gap_when_unconverged():
     (_, coarse), (_, fine) = report.resolutions[-2:]
     assert report.est_error == max(abs(fine - coarse), pii.ROUNDING_FLOOR * abs(fine))
     assert report.log_f == fine
+
+
+def test_report_derives_log_f_and_converged_from_its_fields():
+    report = fr.DeterminantReport(((16, -1.25), (24, -1.5)), 0.25, "nystrom")
+    assert report.log_f == -1.5 and not report.converged
+    assert fr.DeterminantReport(((16, -1.5),), 1e-9, "nystrom").converged
+
+
+def _logdet_80bit(config, n):
+    """log det(I - A) by one 80-bit Cholesky of the 80-bit assembly."""
+    A = fr._symmetrized_matrix(fr.build_scheme(config, n, dtype=np.longdouble))
+    np.negative(A, out=A)
+    A.flat[::A.shape[0] + 1] += 1.0
+    return float(fr._cholesky_logdet_ld(A))
+
+
+@pytest.mark.parametrize("x", (-8.0, -20.0))
+def test_small_weight_floor_covers_the_cholesky_rounding(x):
+    # lambda_max(A) is near 1 - 0.001: the double Cholesky rounds to 50-140
+    # ulps of |log F| here, beyond a 32-ulp floor
+    cfg = GapConfig((x,), (0.001,))
+    floor = pii.ROUNDING_FLOOR * max(1.0, fr.SMALL_WEIGHT_NOISE / 0.001)
+    report = fr.log_det(cfg)
+    assert report.converged and report.est_error >= floor * abs(report.log_f)
+    for n, value in report.resolutions:
+        assert abs(value - _logdet_80bit(cfg, n)) <= floor * abs(value), n
 
 
 @pytest.mark.parametrize("x, s", [((-2.0,), (0.5,)), ((-11.0,), (0.0,))])
