@@ -16,7 +16,7 @@ import numpy as np
 
 from ._constants import EULER_GAMMA, PI_SQ, TWO_PI, ZETA_PRIME_MINUS_ONE
 from .specfun import (SingularityError, _is_imaginary, check_endpoints, check_negative,
-                      check_weights, log_barnes_g)
+                      check_negative_pair, check_weights, log_barnes_g)
 
 LOG2 = math.log(2.0)
 
@@ -105,11 +105,10 @@ def sigma_cov(tau_k: float, tau_j: float) -> float:
     """Limiting covariance of half-line counts at scaled endpoints.
 
     (1/(2 pi^2)) log[(sqrt|tau_k| + sqrt|tau_j|)^2 / (tau_k - tau_j)] for
-    0 > tau_k > tau_j; scale-invariant, logarithmically divergent at
+    finite 0 > tau_k > tau_j; scale-invariant, logarithmically divergent at
     coinciding arguments.
     """
-    check_endpoints((tau_k, tau_j), "tau_k, tau_j")
-    check_negative(tau_k, "tau_k")
+    check_negative_pair(tau_k, tau_j, "tau_k", "tau_j")
     if tau_k - tau_j < 1e-12:
         raise SingularityError("covariance diverges logarithmically as tau_k -> tau_j")
     num = (math.sqrt(abs(tau_k)) + math.sqrt(abs(tau_j))) ** 2
@@ -211,16 +210,14 @@ def log_E_product_form(x, beta) -> float:
 
 
 def mu0(x: float, x1: float) -> float:
-    """Conditioned drift mu(x - x1) + (|x1|/pi) |x1 - x|^(1/2), for x < x1 < 0."""
-    if not x < x1 < 0.0:
-        raise ValueError("requires x < x1 < 0")
+    """Conditioned drift mu(x - x1) + (|x1|/pi) |x1 - x|^(1/2), for finite x1 < 0, x < x1."""
+    check_negative_pair(x1, x, "x1", "x")
     return mu(x - x1) + abs(x1) / math.pi * math.sqrt(x1 - x)
 
 
 def sigma2_0(x: float, x1: float) -> float:
-    """Conditioned variance sigma2(x - x1) - (1/(2 pi^2)) log[2(x1-x)/(x1-2x)]."""
-    if not x < x1 < 0.0:
-        raise ValueError("requires x < x1 < 0")
+    """Conditioned variance sigma2(x - x1) - (1/(2 pi^2)) log[2(x1-x)/(x1-2x)], finite x1 < 0, x < x1."""
+    check_negative_pair(x1, x, "x1", "x")
     return sigma2(x - x1) - math.log(2.0 * (x1 - x) / (x1 - 2.0 * x)) / (2.0 * PI_SQ)
 
 
@@ -266,15 +263,14 @@ def moment_asym(x: float) -> tuple[float, float]:
 
 
 def var_interval_asym(r: float, tau1: float, tau2: float) -> float:
-    """Variance of the count on (r tau2, r tau1), 0 > tau1 > tau2, r > 0.
+    """Variance of the count on (r tau2, r tau1), finite tau1 < 0, tau2 < tau1, r > 0.
 
     (3/(2 pi^2)) log r + (3/(4 pi^2)) log|16 tau1 tau2|
     + (1 + gamma_E)/pi^2 - 2 Sigma(tau1, tau2).
     """
     if not 0.0 < r < math.inf:
         raise ValueError("r must be finite and positive")
-    if not 0.0 > tau1 > tau2:
-        raise ValueError("requires 0 > tau1 > tau2")
+    check_negative_pair(tau1, tau2, "tau1", "tau2")
     return (1.5 / PI_SQ * math.log(r)
             + 0.75 / PI_SQ * math.log(abs(16.0 * tau1 * tau2))
             + (1.0 + EULER_GAMMA) / PI_SQ
@@ -282,13 +278,12 @@ def var_interval_asym(r: float, tau1: float, tau2: float) -> float:
 
 
 def thinned_joint_tail_asym(x1: float, x2: float, beta) -> float:
-    """log of the joint tail P(largest thinned particle < x2, largest < x1).
+    """log P(largest thinned particle < x2, largest < x1), finite x1 < 0, x2 < x1.
 
     log F(x1; 0) + log E(x2 - x1; beta)
     - beta^2 log[(x1 - 2 x2)/(2 (x1 - x2))] - 2 i beta |x1| |x1 - x2|^(1/2).
     """
-    if not 0.0 > x1 > x2:
-        raise ValueError("requires 0 > x1 > x2")
+    check_negative_pair(x1, x2, "x1", "x2")
     b = _imag_part(beta)
     return (log_F_m1_s0(x1)
             + log_E_m1(x2 - x1, beta)

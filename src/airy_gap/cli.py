@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, asymptotics, fredholm, parametrix
 from .fredholm import GapConfig
-from .specfun import NumericalError, _is_imaginary, check_endpoints, check_negative
+from .specfun import NumericalError, _is_imaginary, check_endpoints, check_negative, check_negative_pair
 
 SCHEMA_VERSION = "airy-gap-report/1"
 
@@ -241,13 +241,11 @@ def cmd_stats(args) -> RunReport:
         report.add("var_gap", abs(var_n - var_a))
         return report
     a, b = (float(v) for v in args.interval)
-    if not a < b < 0:
-        raise ValidationError("--interval expects a < b < 0")
+    check_negative_pair(b, a, "B", "A")  # --interval A B
     var_n = fredholm.var_count([(a, b)], nodes)
     report.add("interval_var_numeric", var_n)
     # interval (a, b) = (r*tau2, r*tau1) with r = |b| and tau1 = -1
-    r = abs(b)
-    var_a = asymptotics.var_interval_asym(r, b / r, a / r)
+    var_a = asymptotics.var_interval_asym(-b, -1.0, a / -b)
     report.add("interval_var_asymptotic", var_a)
     report.add("interval_var_gap", abs(var_n - var_a))
     mid = 0.5 * (a + b)

@@ -121,7 +121,9 @@ class QuadratureScheme:
 
 
 def _panel_counts(intervals, nodes_per_panel: int) -> list[int]:
-    """Panels per interval; ValueError above MAX_RULE_ORDER or MAX_NODES."""
+    """Panels per interval; ValueError below 4 or above MAX_RULE_ORDER nodes per panel, or N > MAX_NODES."""
+    if nodes_per_panel < 4:
+        raise ValueError(f"nodes_per_panel must be at least 4, got {nodes_per_panel}")
     if nodes_per_panel > specfun.MAX_RULE_ORDER:
         raise ValueError(f"rule order {nodes_per_panel} is above MAX_RULE_ORDER = {specfun.MAX_RULE_ORDER}")
     counts = [max(1, math.ceil((b - a) / PANEL_MAX_LENGTH - 1e-12)) for a, b in intervals]
@@ -149,13 +151,18 @@ def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
             (half * rule.weights).ravel(), pos)
 
 
+def _halfline_cut(a: float, tail_length: float | None = None) -> tuple[float, float]:
+    """(a + T, T): the one cut of a half-line (a, inf), T = default_tail_length(a) unless given."""
+    T = default_tail_length(a) if tail_length is None else tail_length
+    if not MIN_TAIL_LENGTH <= T < math.inf:
+        raise ValueError(f"tail_length must be finite and at least {MIN_TAIL_LENGTH:g}")
+    return a + T, T
+
+
 def _scheme_intervals(config: GapConfig, tail_length: float | None):
     """The intervals (x_m, x_{m-1}), ..., (x_1, x_0) with x_0 = x_1 + T, and T."""
-    if tail_length is None:
-        tail_length = default_tail_length(config.x[0])
-    if not MIN_TAIL_LENGTH <= tail_length < math.inf:
-        raise ValueError(f"tail_length must be finite and at least {MIN_TAIL_LENGTH:g}")
-    ends = config.x[::-1] + (config.x[0] + tail_length,)  # x_m < ... < x_1 < x_0
+    x0, tail_length = _halfline_cut(config.x[0], tail_length)
+    ends = config.x[::-1] + (x0,)  # x_m < ... < x_1 < x_0
     return list(zip(ends, ends[1:])), tail_length
 
 
@@ -171,8 +178,6 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
     TRUNCATION_POINT_MIN discretizes the truncated operator, whose
     determinant is not F(x; s); it is meant only for truncation studies.
     """
-    if nodes_per_panel < 4:
-        raise ValueError("nodes_per_panel must be at least 4")
     intervals, tail_length = _scheme_intervals(config, tail_length)
     panels, xi, w, pos = _panelize(intervals, nodes_per_panel, dtype)
     interval_index = np.int32(config.m) - pos
@@ -358,8 +363,9 @@ def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport
     """value_at(n) over the rungs, up to the first gap below CONVERGENCE_TOL.
 
     est_error is the last gap, but at least the rounding noise of one rung:
-    painleve.ROUNDING_FLOOR |log F|, times max(1, SMALL_WEIGHT_NOISE / min s)
-    where min s >= NEAR_ONE_GAP certifies the Cholesky.
+    painleve.ROUNDING_FLOOR max(|log F|, 1), since part of it does not shrink
+    with |log F|, times max(1, SMALL_WEIGHT_NOISE / min s) where
+    min s >= NEAR_ONE_GAP certifies the Cholesky.
     """
     s = min(config.s)
     floor = painleve.ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
@@ -370,7 +376,7 @@ def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport
         resolutions.append((int(n), value))
         if gap < CONVERGENCE_TOL:
             break
-    return DeterminantReport(tuple(resolutions), float(max(gap, floor * abs(value))), route)
+    return DeterminantReport(tuple(resolutions), float(max(gap, floor * max(abs(value), 1.0))), route)
 
 
 def log_det(config: GapConfig, *,
@@ -505,24 +511,21 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
 # ---------------------------------------------------------------------------
 
 def _normalize_intervals(intervals) -> list[tuple[float, float]]:
-    if np.isscalar(intervals[0]):
+    """One pair (a, b) or a non-empty list of them, finite a < b (b may be inf), no overlap."""
+    if len(intervals) and np.isscalar(intervals[0]):
         intervals = [intervals]
-    out = []
-    for a, b in intervals:
-        a, b = float(a), float(b)
-        if not b > a:
-            raise ValueError(f"empty interval ({a}, {b})")
-        out.append((a, b))
-    for i, (a, b) in enumerate(out):
-        for c, d in out[i + 1:]:
-            if max(a, c) < min(b, d):
-                raise ValueError("intervals overlap")
+    out = [(float(a), float(b)) for a, b in intervals]
+    if not out or not all(-math.inf < a < b for a, b in out):
+        raise ValueError(f"intervals need finite a < b, b = inf allowed; got {intervals!r}")
+    ordered = sorted(out)  # an overlap shows between neighbours in order of a
+    if any(c < b for (_, b), (c, _) in zip(ordered, ordered[1:])):
+        raise ValueError("intervals overlap")
     return out
 
 
 def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights; a half-line (a, inf) is cut at a + default_tail_length(a)."""
-    cut = [(a, a + default_tail_length(a) if math.isinf(b) else b)
+    """Nodes and weights; a half-line (a, inf) ends at _halfline_cut(a)."""
+    cut = [(a, _halfline_cut(a)[0] if math.isinf(b) else b)
            for a, b in _normalize_intervals(intervals)]
     return _panelize(cut, nodes_per_panel)[1:3]
 
@@ -550,8 +553,7 @@ def var_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> floa
 def cov_count(intervals_a, intervals_b,
               nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
     """Covariance of counts on disjoint sets: -tr(1_A K 1_B K)."""
-    sa = _normalize_intervals(intervals_a)
-    sb = _normalize_intervals(intervals_b)
+    sa, sb = _normalize_intervals(intervals_a), _normalize_intervals(intervals_b)
     _normalize_intervals(sa + sb)  # raises when the two sets overlap
     xa, wa = _set_nodes(sa, nodes_per_panel)
     xb, wb = _set_nodes(sb, nodes_per_panel)
@@ -561,12 +563,11 @@ def cov_count(intervals_a, intervals_b,
 
 def cov_halflines(x1: float, x2: float,
                   nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
-    """Covariance of N_(x1, inf) and N_(x2, inf) for x2 < x1.
+    """Covariance of N_(x1, inf) and N_(x2, inf) for finite x1 > x2.
 
     Splits the nested half-lines as Cov(N1, N1) + Cov(N1, N_(x2, x1)) so only
     disjoint-set traces are needed.
     """
-    if not x2 < x1:
-        raise ValueError("requires x2 < x1")
+    check_endpoints((x1, x2), "x1, x2")
     return (var_count([(x1, math.inf)], nodes_per_panel)
             + cov_count([(x1, math.inf)], [(x2, x1)], nodes_per_panel))

@@ -35,8 +35,8 @@ RIGHT = 8.0
 #: second-derivative matrix grows like n^4; Newton stalls near n = 600
 RUNGS = (250, 375)
 #: est_error of fredholm.log_det, on this route and the Nystrom one, is at
-#: least ROUNDING_FLOOR |log F|, since two rungs can round alike to a gap of
-#: 0.  32 ulps is 3.5x the 2e-15 relative the cached sums keep to the
+#: least ROUNDING_FLOOR max(|log F|, 1), since two rungs can round alike to a
+#: gap of 0.  32 ulps is 3.5x the 2e-15 relative the cached sums keep to the
 #: n-point rule on [x, RIGHT] for x <= -2, 2.7x the 12 ulps the value sits
 #: from the four-term tail at x = -16, and 2.7x the 12 ulps between the
 #: Cholesky and eigenvalue log determinants of thinned configurations

@@ -63,6 +63,12 @@ def check_negative(x: float, name: str = "x") -> None:
         raise ValueError(f"{name} must be finite and negative, got {float(x)!r}")
 
 
+def check_negative_pair(hi: float, lo: float, hi_name: str, lo_name: str) -> None:
+    """ValueError unless 0 > hi > lo, both finite; NaN fails too."""
+    if not -math.inf < lo < hi < 0.0:
+        raise ValueError(f"requires 0 > {hi_name} > {lo_name}, both finite; got {float(hi)!r}, {float(lo)!r}")
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Legendre rules
 # ---------------------------------------------------------------------------

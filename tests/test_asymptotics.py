@@ -212,20 +212,26 @@ NONFINITE = (math.nan, math.inf, -math.inf)
 
 
 @pytest.mark.parametrize("bad", NONFINITE)
-@pytest.mark.parametrize("call", [
-    lambda v: asym.log_E_asym([v], [0.1j]),
-    lambda v: asym.log_E_asym([-1.0, v], [0.1j, 0.1j]),
-    lambda v: asym.log_E0_asym([-1.0, v], [0.1j]),
-    lambda v: asym.log_E0_asym([v, -3.0], [0.1j]),
-    lambda v: asym.log_E_product_form([v], [0.1j]),
-    lambda v: asym.beta_from_s([0.5, v]),
-    asym.mu, asym.sigma2, asym.log_F_m1_s0,
-    lambda v: asym.log_E_m1(v, 0.1j),
-    asym.moment_asym,
+@pytest.mark.parametrize("call, message", [
+    (lambda v: asym.log_E_asym([v], [0.1j]), "endpoints must"),
+    (lambda v: asym.log_E_asym([-1.0, v], [0.1j, 0.1j]), "endpoints must"),
+    (lambda v: asym.log_E0_asym([-1.0, v], [0.1j]), "endpoints must"),
+    (lambda v: asym.log_E0_asym([v, -3.0], [0.1j]), "endpoints must"),
+    (lambda v: asym.log_E_product_form([v], [0.1j]), "endpoints must"),
+    (lambda v: asym.beta_from_s([0.5, v]), "weights must"),
+    (asym.mu, "x must"), (asym.sigma2, "x must"), (asym.log_F_m1_s0, "x must"),
+    (lambda v: asym.log_E_m1(v, 0.1j), "x must"),
+    (asym.moment_asym, "x must"),
+    # each names its own arguments, not those of the expansion it calls
+    (lambda v: asym.mu0(v, -1.0), "0 > x1 > x,"),
+    (lambda v: asym.sigma2_0(-3.0, v), "0 > x1 > x,"),
+    (lambda v: asym.var_interval_asym(10.0, -1.0, v), "0 > tau1 > tau2,"),
+    (lambda v: asym.thinned_joint_tail_asym(v, -2.0, 0.1j), "0 > x1 > x2,"),
 ], ids=["log_E_asym", "log_E_asym-x2", "log_E0_asym", "log_E0_asym-x1", "log_E_product_form",
-        "beta_from_s", "mu", "sigma2", "log_F_m1_s0", "log_E_m1", "moment_asym"])
-def test_nonfinite_inputs_raise(call, bad):
-    with pytest.raises(ValueError):
+        "beta_from_s", "mu", "sigma2", "log_F_m1_s0", "log_E_m1", "moment_asym",
+        "mu0", "sigma2_0", "var_interval_asym", "thinned_joint_tail_asym"])
+def test_nonfinite_inputs_raise(call, message, bad):
+    with pytest.raises(ValueError, match=message):
         call(bad)
 
 

@@ -295,6 +295,19 @@ def test_stats_rejects_nonfinite_x(capsys, argv):
     assert "--x must be finite and negative" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--interval", " -inf", " -1"], "requires 0 > B > A, both finite"),
+    (["--interval", "-1", " nan"], "requires 0 > B > A, both finite"),
+    # 1-3 nodes per panel once gave a variance (-0.70 at 1 node) and exit 0
+    (["--interval", "-4", "-1", "--nodes", "3"], "nodes_per_panel must be at least 4"),
+    (["--x", "-2", "--nodes", "1"], "nodes_per_panel must be at least 4"),
+])
+def test_stats_rejects_bad_interval_and_rule_order(capsys, argv, message):
+    code, out, err = run(["stats", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # parametrix
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def test_explicit_resolution_runs_two_rungs(n, rungs):
     report = fr.log_det(cfg, nodes_per_panel=n)
     assert [k for k, _ in report.resolutions] == rungs
     gap = abs(report.resolutions[1][1] - report.resolutions[0][1])
-    assert report.est_error == max(gap, pii.ROUNDING_FLOOR * abs(report.log_f))
+    assert report.est_error == max(gap, pii.ROUNDING_FLOOR * max(abs(report.log_f), 1.0))
 
 
 def test_default_ladder_reports_its_last_gap_when_unconverged():
@@ -308,6 +308,17 @@ def test_small_weight_floor_covers_the_cholesky_rounding(x):
     assert report.converged and report.est_error >= floor * abs(report.log_f)
     for n, value in report.resolutions:
         assert abs(value - _logdet_80bit(cfg, n)) <= floor * abs(value), n
+
+
+@pytest.mark.parametrize("x, s", [((-2.0,), (0.9,)), ((-4.0,), (0.9,)), ((-2.0,), (0.5,))])
+def test_rounding_floor_covers_small_log_f(x, s):
+    # |log F| < 1: the Cholesky rounds to 1-4e-15 however small |log F| is,
+    # up to 153 ulps of |log F| = 0.062 at (-2,)/(0.9,)
+    cfg = GapConfig(x, s)
+    report = fr.log_det(cfg, nodes_per_panel=36)
+    assert abs(report.log_f) < 1.0 and report.converged
+    for n, value in report.resolutions:
+        assert abs(value - _logdet_80bit(cfg, n)) <= report.est_error, n
 
 
 @pytest.mark.parametrize("x, s", [((-2.0,), (0.5,)), ((-11.0,), (0.0,))])
@@ -721,6 +732,32 @@ def test_overlap_checked_before_halfline_truncation():
         fr.cov_count([(-1.0, math.inf)], [(13.0, 14.0)])
     with pytest.raises(ValueError, match="intervals overlap"):
         fr.var_count([(-1.0, math.inf), (13.0, 14.0)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fr.mean_count([(-math.inf, -1.0)]),
+    lambda: fr.var_count([(-math.inf, math.inf)]),
+    lambda: fr.mean_count([]),
+    lambda: fr.var_count([(-1.0, math.nan)]),
+    lambda: fr.cov_count([(-3.0, -2.0)], [(-1.0, -math.inf)]),
+], ids=["lower-inf", "whole-line", "empty-set", "nan", "cov-reversed"])
+def test_traces_reject_bad_interval_sets(call):
+    with pytest.raises(ValueError, match="intervals need finite a < b"):
+        call()
+
+
+@pytest.mark.parametrize("x2", (-math.inf, math.nan, -1.0))
+def test_cov_halflines_needs_finite_ordered_endpoints(x2):
+    with pytest.raises(ValueError, match="x1, x2 must be strictly decreasing and finite"):
+        fr.cov_halflines(-1.0, x2)
+
+
+@pytest.mark.parametrize("n", (1, 3))
+def test_traces_refuse_the_rule_orders_determinants_refuse(n):
+    for call in (lambda: fr.mean_count([(-4.0, -1.0)], n), lambda: fr.var_count([(-4.0, -1.0)], n),
+                 lambda: fr.build_scheme(GapConfig((-2.0,), (0.5,)), n)):
+        with pytest.raises(ValueError, match=f"nodes_per_panel must be at least 4, got {n}"):
+            call()
 
 
 def test_cov_halflines_negative_of_disjoint_blocks():
