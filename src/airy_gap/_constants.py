@@ -71,10 +71,5 @@ def zeta_minus_one(k: int) -> float:
     return 2.0 ** -k * (1.0 + (2.0 / 3.0) ** k + 0.5 ** k + 0.4 ** k)
 
 
-def zeta_int(k: int) -> float:
-    """zeta(k) for integer k >= 2."""
-    return 1.0 + zeta_minus_one(k)
-
-
 TWO_PI = 2.0 * math.pi
 PI_SQ = math.pi * math.pi

@@ -65,12 +65,8 @@ def beta_from_s(s) -> tuple[complex, ...]:
                  for j in range(start, len(svals)))
 
 
-def s_from_beta(beta, s1_is_zero: bool = False) -> tuple[float, ...]:
-    """Thinning weights from jump parameters; inverse of beta_from_s.
-
-    With s1_is_zero the input is beta_2..beta_m and the output gains a
-    leading exact 0.
-    """
+def s_from_beta(beta) -> tuple[float, ...]:
+    """Thinning weights from jump parameters; inverse of beta_from_s where s_1 > 0."""
     bs = _imag_vector(beta)
     out = []
     acc = 0.0
@@ -78,8 +74,6 @@ def s_from_beta(beta, s1_is_zero: bool = False) -> tuple[float, ...]:
         acc += TWO_PI * b  # log s_j = log s_{j+1} + log ratio; ratio = e^{2 pi b}
         out.append(math.exp(acc))
     out.reverse()
-    if s1_is_zero:
-        out.insert(0, 0.0)
     if any(v > 1.0 + 1e-12 for v in out):
         raise ValueError("beta vector corresponds to weights above 1")
     return tuple(min(v, 1.0) for v in out)

@@ -96,14 +96,19 @@ def parse_imag(text: str) -> complex:
 # ---------------------------------------------------------------------------
 
 def _numbers(values, name: str) -> list[float]:
-    """A non-empty JSON list, or the entries of a flag, as finite floats; else a ValidationError."""
-    try:
-        out = [float(v) for v in values]
-        if isinstance(values, list) and out and all(map(math.isfinite, out)):
-            return out
-    except (TypeError, ValueError):
-        pass
+    """A non-empty list of finite floats; a bool, str or null entry is a ValidationError."""
+    if isinstance(values, list) and values and all(type(v) is float and math.isfinite(v) for v in values):
+        return values
     raise ValidationError(f"{name}: expected a non-empty list of finite numbers, got {values!r}")
+
+
+def _flag_numbers(text: str, name: str) -> list[float]:
+    """The comma-separated entries of a flag, checked by _numbers."""
+    try:
+        return _numbers([float(v) for v in text.split(",") if v.strip()], name)
+    except ValueError:
+        raise ValidationError(f"{name}: expected a comma-separated list of finite numbers, "
+                              f"got {text!r}") from None
 
 
 def load_config(path: str) -> dict:
@@ -114,7 +119,7 @@ def load_config(path: str) -> dict:
     """
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=float)  # an integer past the float range reads as inf
     except OSError as exc:
         raise IOError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -206,8 +211,8 @@ def cmd_compare(args) -> RunReport:
     cfg = load_config(args.config)
     if "tau" not in cfg:
         raise ValidationError("compare needs a tau-parametrized config")
-    rs = _numbers([v for v in args.r_list.split(",") if v.strip()], "--r-list")
-    if any(b <= a for a, b in zip(rs, rs[1:])) or len(rs) != len(set(rs)):
+    rs = _flag_numbers(args.r_list, "--r-list")
+    if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValidationError("r list must be strictly ascending")
     rows = [_compare_row(cfg["tau"], cfg["s"], r, args.nodes) for r in rs]
     report = RunReport("compare", cfg)
@@ -299,19 +304,12 @@ def cmd_parametrix(args) -> RunReport:
     return report
 
 
-_SWEEP_FIELDS = ("r", "nodes")  # plus beta_<j> and s_<j>
-
-
 def _sweep_one(cfg: dict, kind: str, j: int | None, value: float, nodes: int | None):
-    """One sweep row; kind is r, nodes, s or beta, and j the 0-based index of s_j or beta_j."""
+    """One sweep row; kind is nodes, s or beta, and j the 0-based index of s_j or beta_j."""
     if kind == "nodes":
         gap = _gap_config(cfg)
         det = fredholm.log_det(gap, nodes_per_panel=int(value))
         return [int(value), det.log_f, det.est_error]
-    if kind == "r":
-        if "tau" not in cfg:
-            raise ValidationError("sweeping r needs a tau-parametrized config")
-        return _compare_row(cfg["tau"], cfg["s"], float(value), nodes)
     s = list(cfg["s"])
     if kind == "s":
         s[j] = float(value)
@@ -339,8 +337,9 @@ def cmd_sweep(args) -> RunReport:
     f = args.vary
     kind, _, idx = f.partition("_")
     j = None
-    if f not in _SWEEP_FIELDS and kind not in ("beta", "s"):
-        raise ValidationError(f"--vary must be one of r, nodes, s_<j>, beta_<j>; got {f!r}")
+    if f != "nodes" and kind not in ("beta", "s"):
+        raise ValidationError(f"--vary must be one of nodes, s_<j>, beta_<j> "
+                              f"(compare --out writes the table over r); got {f!r}")
     if kind in ("beta", "s"):
         try:
             j = int(idx) - 1
@@ -348,16 +347,13 @@ def cmd_sweep(args) -> RunReport:
             raise ValidationError(f"malformed field {f!r}; use e.g. s_2") from exc
         if not 0 <= j < cfg["m"]:
             raise ValidationError(f"index in {f!r} out of range for m = {cfg['m']}")
-    values = _numbers([v for v in args.values.split(",") if v.strip()], "--values")
+    values = _flag_numbers(args.values, "--values")
     if f == "nodes" and any(v != int(v) for v in values):
         raise ValidationError(f"--values: node counts must be integers, got {args.values!r}")
 
     rows = [_sweep_one(cfg, kind, j, v, args.nodes) for v in values]
 
-    header = {
-        "nodes": ["nodes", "log_f", "est_error"],
-        "r": ["r", "log_numeric", "log_asymptotic", "gap", "gap_r32_over_logr"],
-    }.get(f, [f, "log_f", "log_asymptotic", "gap"])
+    header = ["nodes", "log_f", "est_error"] if f == "nodes" else [f, "log_f", "log_asymptotic", "gap"]
     write_csv(args.out, header, rows)
     report = RunReport("sweep", cfg)
     report.add("rows", float(len(rows)))

@@ -120,14 +120,16 @@ class QuadratureScheme:
         return self.xi.size
 
 
-def _panel_counts(intervals, nodes_per_panel: int) -> list[int]:
-    """Panels per interval; ValueError below 4 or above MAX_RULE_ORDER nodes per panel, or N > MAX_NODES."""
+def _panel_counts(intervals, nodes_per_panel: int, top: int | None = None) -> list[int]:
+    """Panels per interval; ValueError below 4 nodes per panel, or a top rung (by default
+    nodes_per_panel) above MAX_RULE_ORDER or needing N > MAX_NODES."""
+    top = nodes_per_panel if top is None else top
     if nodes_per_panel < 4:
         raise ValueError(f"nodes_per_panel must be at least 4, got {nodes_per_panel}")
-    if nodes_per_panel > specfun.MAX_RULE_ORDER:
-        raise ValueError(f"rule order {nodes_per_panel} is above MAX_RULE_ORDER = {specfun.MAX_RULE_ORDER}")
+    if top > specfun.MAX_RULE_ORDER:
+        raise ValueError(f"rule order {top} is above MAX_RULE_ORDER = {specfun.MAX_RULE_ORDER}")
     counts = [max(1, math.ceil((b - a) / PANEL_MAX_LENGTH - 1e-12)) for a, b in intervals]
-    size = sum(counts) * nodes_per_panel
+    size = sum(counts) * top
     if size > MAX_NODES:
         raise ValueError(f"the discretization needs N = {size} nodes, above MAX_NODES = {MAX_NODES}")
     return counts
@@ -223,20 +225,17 @@ def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (specfun.airy_ai_real_xp if x.dtype == _LD else specfun.airy_real)(x)
 
 
-def _kernel_matrix(xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
-    """Dense K(xa_i, xb_k) on nodes disjoint from each other.
+def _kernel_matrix(xi: np.ndarray) -> np.ndarray:
+    """Dense K(xi_i, xi_k) on distinct nodes, its diagonal by the confluent form.
 
-    Without xb it is the square block on the distinct nodes xa, its diagonal
-    by the confluent form.  The precision follows the dtype of the nodes.
+    The precision follows the dtype of the nodes.
     """
-    ai, aip = _airy_pair(xa)
-    bi, bip = (ai, aip) if xb is None else _airy_pair(xb)
-    K = np.outer(ai, bip)
-    K -= np.outer(aip, bi)
-    den = xa[:, None] - (xa if xb is None else xb)[None, :]
-    if xb is None:
-        np.fill_diagonal(den, 1.0)
-        np.fill_diagonal(K, aip * aip - xa * ai * ai)
+    ai, aip = _airy_pair(xi)
+    K = np.outer(ai, aip)
+    K -= np.outer(aip, ai)
+    den = xi[:, None] - xi[None, :]
+    np.fill_diagonal(den, 1.0)
+    np.fill_diagonal(K, aip * aip - xi * ai * ai)
     K /= den
     return K
 
@@ -390,8 +389,9 @@ def log_det(config: GapConfig, *,
     accurate down to x = specfun.AIRY_REAL_MIN.  Every other call runs the
     Nystrom rule orders, each ceil(1.5 n) of the one before: DEFAULT_LADDER,
     or (n, ceil(1.5 n)) given nodes_per_panel = n.  Both routes walk _ladder.
-    The top rung is checked against MAX_RULE_ORDER and MAX_NODES before any
-    scheme is built, and each rung's scheme is built only when it runs.
+    The first rung is checked against the lower bound and the top rung against
+    MAX_RULE_ORDER and MAX_NODES before any scheme is built, and each rung's
+    scheme is built only when it runs.
     tail_length goes to build_scheme.
     """
     if (config.m == 1 and config.s == (0.0,) and nodes_per_panel is None
@@ -409,7 +409,7 @@ def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
     """log_det's Nystrom ladder, whatever the configuration."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
-    _panel_counts(_scheme_intervals(config, tail_length)[0], orders[-1])
+    _panel_counts(_scheme_intervals(config, tail_length)[0], orders[0], orders[-1])
     report = _ladder(config, orders, lambda k: logdet_single(config, build_scheme(config, k, tail_length)),
                      "nystrom")
     if not report.converged:
@@ -511,9 +511,7 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
 # ---------------------------------------------------------------------------
 
 def _normalize_intervals(intervals) -> list[tuple[float, float]]:
-    """One pair (a, b) or a non-empty list of them, finite a < b (b may be inf), no overlap."""
-    if len(intervals) and np.isscalar(intervals[0]):
-        intervals = [intervals]
+    """A non-empty list of pairs (a, b), finite a < b (b may be inf), no overlap."""
     out = [(float(a), float(b)) for a, b in intervals]
     if not out or not all(-math.inf < a < b for a, b in out):
         raise ValueError(f"intervals need finite a < b, b = inf allowed; got {intervals!r}")
@@ -553,12 +551,12 @@ def var_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> floa
 def cov_count(intervals_a, intervals_b,
               nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
     """Covariance of counts on disjoint sets: -tr(1_A K 1_B K)."""
-    sa, sb = _normalize_intervals(intervals_a), _normalize_intervals(intervals_b)
-    _normalize_intervals(sa + sb)  # raises when the two sets overlap
-    xa, wa = _set_nodes(sa, nodes_per_panel)
-    xb, wb = _set_nodes(sb, nodes_per_panel)
-    K = _kernel_matrix(xa, xb)
-    return -float(wa @ (K * K) @ wb)
+    sa = _normalize_intervals(intervals_a)
+    # one node set for A then B: the overlap check and MAX_NODES apply to the union
+    xi, w = _set_nodes(sa + _normalize_intervals(intervals_b), nodes_per_panel)
+    na = _set_nodes(sa, nodes_per_panel)[0].size
+    K = _kernel_matrix(xi)[:na, na:]  # the block K(a_i, b_k)
+    return -float(w[:na] @ (K * K) @ w[na:])
 
 
 def cov_halflines(x1: float, x2: float,

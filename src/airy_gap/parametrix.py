@@ -34,10 +34,8 @@ class RayError(ValueError):
     """The requested point sits on a jump ray; pick a side."""
 
 
-# Pauli-type constants used throughout
+#: the Pauli matrix sigma_1
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 #: M = (I + i sigma_1)/sqrt(2), the unitary normalizer of the asymptotics
 M_NORMALIZER = (np.eye(2, dtype=complex) + 1j * SIGMA_1) / math.sqrt(2.0)
 

@@ -45,9 +45,9 @@ def test_beta_roundtrip(rng):
 def test_beta_s1_zero_conventions():
     beta0 = asym.beta_from_s([0.0, 0.5, 0.75])
     assert len(beta0) == 2
-    s = asym.s_from_beta(beta0, s1_is_zero=True)
-    assert s[0] == 0.0
-    assert abs(s[1] - 0.5) < 1e-14 and abs(s[2] - 0.75) < 1e-14
+    s = asym.s_from_beta(beta0)  # beta_2, beta_3 give back s_2, s_3
+    assert len(s) == 2
+    assert abs(s[0] - 0.5) < 1e-14 and abs(s[1] - 0.75) < 1e-14
 
 
 def test_beta_invalid_weights():

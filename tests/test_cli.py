@@ -155,12 +155,22 @@ def test_config_validation_rules(tmp_path, capsys):
      {"x": [-2], "s": [0.5]}, "--values"),
     (["sweep", "--vary", "s_x", "--values", "0.5", "--out", os.devnull],
      {"x": [-2], "s": [0.5]}, "malformed field 's_x'"),
-    (["sweep", "--vary", "r", "--values", "3", "--out", os.devnull],
-     {"x": [-2], "s": [0.5]}, "tau"),
+    # config values are JSON numbers: a string or a bool is not parsed as one
+    (["det"], {"x": [-2], "s": ["0.5"]}, "s"),
+    (["det"], {"x": [-2], "s": [True]}, "s"),
+    (["det"], {"tau": [-1], "r": "2", "s": [0.5]}, "r"),
+    (["det"], {"tau": [-1], "r": True, "s": [0.5]}, "r"),
+    (["det"], {"x": [-10 ** 400], "s": [0.5]}, "x"),  # past the float range
+    (["det"], [{"x": [-2], "s": [0.5]}], "config must be a JSON object"),
+    (["det"], {"tau": [-1], "r": 0, "s": [0.5]}, "r must be positive"),
+    (["det"], {"tau": [-1], "r": -1, "s": [0.5]}, "r must be positive"),
+    (["det"], {"tau": [-1, -2], "s": [0.5]}, "tau and s must have equal length"),
+    (["det"], {"tau": [-1], "s": [0.5]}, "config needs endpoints"),
 ], ids=["x-scalar", "s-scalar", "tau-scalar", "x-null", "r-as-list", "x-nan", "beta-scalar",
         "beta-string", "m-null", "r-list-nan", "r-list-inf",
         "beta-nan", "beta-inf", "sweep-nodes-fraction", "sweep-index-malformed",
-        "sweep-r-without-tau"])
+        "s-string", "s-bool", "r-string", "r-bool", "x-int-overflow", "config-list",
+        "r-zero", "r-negative", "tau-s-lengths", "tau-without-r"])
 def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, field):
     if config is not None:
         argv = argv[:1] + [write_config(tmp_path, config)] + argv[1:]
@@ -195,6 +205,15 @@ def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, fla
     assert f"N = {size}" in err
 
 
+@pytest.mark.parametrize("nodes", ("1", "2", "3"))
+def test_det_rule_order_refusal_names_the_given_nodes(tmp_path, capsys, nodes):
+    # not the second rung ceil(1.5 n), which the caller never gave
+    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
+    code, out, err = run(["det", cfg, "--nodes", nodes], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: nodes_per_panel must be at least 4, got {nodes}\n"
+
+
 def test_json_report_unwritable_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
     code, _, err = run(["det", cfg, "--nodes", "16",
@@ -225,6 +244,20 @@ def test_compare_thinned_route(tmp_path, capsys):
     lines = out_csv.read_bytes().decode().splitlines()
     assert lines[0] == "r,log_numeric,log_asymptotic,gap,gap_r32_over_logr"
     assert len(lines) == 3
+
+
+def test_compare_out_writes_one_row_per_r(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"tau": [-1.0], "s": [0.3]})
+    out_csv = tmp_path / "r.csv"
+    code, out, _ = run(["compare", cfg, "--r-list", "3,4", "--nodes", "24",
+                        "--out", str(out_csv)], capsys)
+    assert code == 0
+    labels = {r["label"]: r["value"] for r in json.loads(out)["results"]}
+    header, *rows = out_csv.read_text().splitlines()
+    assert header == "r,log_numeric,log_asymptotic,gap,gap_r32_over_logr"
+    rows = [[float(v) for v in row.split(",")] for row in rows]
+    assert [row[0] for row in rows] == [3.0, 4.0]
+    assert [row[3] for row in rows] == [labels["gap_r_3"], labels["gap_r_4"]]
 
 
 def test_compare_conditioned_route(tmp_path, capsys):
@@ -395,12 +428,14 @@ def test_sweep_weight_field_of_conditioned_config(tmp_path, capsys):
 
 
 def test_sweep_r_field(tmp_path, capsys):
+    # the table over r is compare --out's; sweep refuses r and says so
     cfg = write_config(tmp_path, {"tau": [-1.0], "s": [0.3]})
     out_csv = tmp_path / "r.csv"
-    code, _, _ = run(["sweep", cfg, "--vary", "r", "--values", "3,4",
-                      "--nodes", "24", "--out", str(out_csv)], capsys)
-    assert code == 0
-    assert len(out_csv.read_text().splitlines()) == 3
+    code, out, err = run(["sweep", cfg, "--vary", "r", "--values", "3,4",
+                          "--nodes", "24", "--out", str(out_csv)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "compare --out" in err
+    assert not out_csv.exists()
 
 
 def test_sweep_validation(tmp_path, capsys):

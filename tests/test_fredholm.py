@@ -72,7 +72,7 @@ def test_kernel_at_origin():
 def test_kernel_block_matches_scalar_kernel(rng):
     xa = np.sort(rng.uniform(-12.0, -1.0, size=17))
     xb = np.sort(rng.uniform(0.0, 6.0, size=11))
-    K = fr._kernel_matrix(xa, xb)
+    K = fr._kernel_matrix(np.concatenate((xa, xb)))[:17, 17:]  # the block cov_count reads
     assert K.shape == (17, 11)
     expected = np.array([[fr.airy_kernel(u, v) for v in xb] for u in xa])
     assert np.max(np.abs(K - expected)) < 1e-13
@@ -93,7 +93,6 @@ def test_kernel_precision_follows_node_dtype(monkeypatch):
     xi = fr.build_scheme(cfg, 8, dtype=np.longdouble).xi
     K = fr._kernel_matrix(xi)
     assert K.dtype == np.longdouble and calls == [xi.size]
-    assert fr._kernel_matrix(xi[:5], xi[5:]).dtype == np.longdouble
 
 
 def test_kernel_confluence():
@@ -224,6 +223,9 @@ def test_traces_refuse_oversized_discretization(monkeypatch):
     # 13 panels of 4096 nodes
     with pytest.raises(ValueError, match=f"N = 53248 nodes, above MAX_NODES = {fr.MAX_NODES}"):
         fr.var_count([(-50.0, -1.0)], nodes_per_panel=4096)
+    # each set fits alone (4096 and 8192 nodes); cov_count's one matrix is on their union
+    with pytest.raises(ValueError, match=f"N = 12288 nodes, above MAX_NODES = {fr.MAX_NODES}"):
+        fr.cov_count([(-8.0, -4.0)], [(-4.0, 4.0)], nodes_per_panel=4096)
 
 
 def test_logdet_self_convergence_and_regression():
@@ -685,6 +687,13 @@ def test_weight_derivative_identity():
     assert fd > 0.0
 
 
+@pytest.mark.parametrize("s_m", (0.0, 1.0))
+def test_weight_derivative_identity_needs_interior_weight(s_m):
+    # the central difference would step outside [0, 1]
+    with pytest.raises(ValueError, match=r"s_m in \(0, 1\)"):
+        fr.weight_derivative_identity_gap(GapConfig((-1.0,), (s_m,)))
+
+
 # ---------------------------------------------------------------------------
 # counting statistics
 # ---------------------------------------------------------------------------
@@ -746,6 +755,13 @@ def test_traces_reject_bad_interval_sets(call):
         call()
 
 
+def test_traces_take_a_list_of_intervals():
+    # one interval is [(a, b)]; a bare pair is not an interval set
+    assert fr.mean_count([(-4.0, -1.0)]) > 0.0
+    with pytest.raises(TypeError):
+        fr.mean_count((-4.0, -1.0))
+
+
 @pytest.mark.parametrize("x2", (-math.inf, math.nan, -1.0))
 def test_cov_halflines_needs_finite_ordered_endpoints(x2):
     with pytest.raises(ValueError, match="x1, x2 must be strictly decreasing and finite"):
@@ -757,6 +773,19 @@ def test_traces_refuse_the_rule_orders_determinants_refuse(n):
     for call in (lambda: fr.mean_count([(-4.0, -1.0)], n), lambda: fr.var_count([(-4.0, -1.0)], n),
                  lambda: fr.build_scheme(GapConfig((-2.0,), (0.5,)), n)):
         with pytest.raises(ValueError, match=f"nodes_per_panel must be at least 4, got {n}"):
+            call()
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_log_det_refusal_names_the_given_rule_order(monkeypatch, n):
+    # the first rung's lower bound is checked before any scheme is built
+    def no_scheme(*args, **kwargs):
+        raise AssertionError("a scheme was built")
+
+    monkeypatch.setattr(fr, "build_scheme", no_scheme)
+    for call in (lambda: fr.log_det(GapConfig((-2.0,), (0.5,)), nodes_per_panel=n),
+                 lambda: fr.log_E0(GapConfig((-2.0, -3.0), (0.0, 0.5)), nodes_per_panel=n)):
+        with pytest.raises(ValueError, match=f"nodes_per_panel must be at least 4, got {n}$"):
             call()
 
 

@@ -83,6 +83,8 @@ def test_jump_residual_validation():
         px.jump_residual("chg", 1, -2.0, 0.1j)
     with pytest.raises(ValueError):
         px.jump_residual("sine", 1, 1.0)
+    with pytest.raises(ValueError, match="ray index must be 1..6, got 7"):
+        px.chg_jump_matrix(7, 0.1j)
 
 
 def test_beta_rejected_for_models_without_one():
@@ -227,5 +229,3 @@ def test_normalizer_is_unitary():
 
 def test_pauli_constants():
     assert np.array_equal(px.SIGMA_1, np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.array_equal(px.SIGMA_3, np.array([[1, 0], [0, -1]], dtype=complex))
-    assert np.array_equal(px.SIGMA_PLUS, np.array([[0, 1], [0, 0]], dtype=complex))

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from airy_gap import fredholm as fr
 from airy_gap import specfun as sf
-from airy_gap._constants import EULER_GAMMA, zeta_int
+from airy_gap._constants import EULER_GAMMA, zeta_minus_one
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,8 @@ def test_log_gamma_recurrence_grid(rng):
 def test_log_gamma_pole():
     with pytest.raises(sf.PoleError):
         sf.log_gamma(-3.0)
+    with pytest.raises(sf.PoleError, match="digamma pole"):
+        sf.digamma(0)
 
 
 def test_digamma_classics_and_recurrence(rng):
@@ -352,7 +354,9 @@ def test_barnes_quadratic_integral_identity(b):
 
 def test_zeta_literals_audited(mp40):
     for k in range(2, 44):
-        assert abs(zeta_int(k) - float(mp.zeta(k))) < 1e-15
+        assert abs(1.0 + zeta_minus_one(k) - float(mp.zeta(k))) < 1e-15
+    with pytest.raises(ValueError, match="k >= 2"):
+        zeta_minus_one(1)  # the pole of zeta
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +401,10 @@ def test_bessel_domain_errors():
         sf.bessel_modified_I0K0(-2.0)
     with pytest.raises(sf.DomainError):
         sf.bessel_modified_I0K0(81.0)
+    with pytest.raises(sf.DomainError, match="hankel_H0 supports"):
+        sf.hankel_H0(81.0, 1)
+    with pytest.raises(ValueError, match="kind must be 1 or 2, got 3"):
+        sf.hankel_H0(1.0, 3)
 
 
 def test_hankel_conjugation_symmetry():
@@ -513,3 +521,8 @@ def test_kummer_u_principal_branch_rejects_the_cut(z):
 def test_whittaker_branch_cut_rejected():
     with pytest.raises(sf.DomainError):
         sf.whittaker_pair_mu0(0.5 - 0.2j, -4.0)
+
+
+def test_whittaker_rejects_z_beyond_its_range():
+    with pytest.raises(sf.DomainError, match="whittaker_pair_mu0 supports"):
+        sf.whittaker_pair_mu0(0.5, 61.0)
