@@ -39,7 +39,6 @@ from .fredholm import (
     log_E0,
     log_det,
     mean_count,
-    resolvent_diag,
     var_count,
     weight_derivative_identity_gap,
 )
@@ -79,7 +78,7 @@ __all__ = [
     "jump_residual", "log_E", "log_E0", "log_E0_asym", "log_E0_product_form",
     "log_E_asym", "log_E_m1", "log_E_product_form", "log_F_m1_s0",
     "log_barnes_g", "log_det", "log_gamma", "mean_count", "moment_asym",
-    "mu", "phi_ai", "phi_be", "phi_hg", "resolvent_diag", "s_from_beta",
+    "mu", "phi_ai", "phi_be", "phi_hg", "s_from_beta",
     "sigma2", "sigma_cov", "thinned_joint_tail_asym", "var_count",
     "var_interval_asym", "weight_derivative_identity_gap",
     "whittaker_pair_mu0",

@@ -58,17 +58,18 @@ _ZETA_MINUS_ONE_TABLE = (
 )
 
 
-def zeta_minus_one(k: int) -> float:
-    """zeta(k) - 1 for integer k >= 2, full relative precision.
+def zeta_minus_one_scaled(k: int) -> float:
+    """2^k (zeta(k) - 1) for integer k >= 2, full relative precision.
 
-    Table lookup through k = 40; beyond that three terms of the defining
-    series already exceed double precision.
+    It tends to 1, so no k overflows or underflows it.  Table lookup through
+    k = 40; beyond that three terms of the defining series already exceed
+    double precision.
     """
     if k < 2:
-        raise ValueError("zeta_minus_one requires k >= 2")
+        raise ValueError("zeta_minus_one_scaled requires k >= 2")
     if k <= 40:
-        return _ZETA_MINUS_ONE_TABLE[k - 2]
-    return 2.0 ** -k * (1.0 + (2.0 / 3.0) ** k + 0.5 ** k + 0.4 ** k)
+        return math.ldexp(_ZETA_MINUS_ONE_TABLE[k - 2], k)
+    return 1.0 + (2.0 / 3.0) ** k + 0.5 ** k + 0.4 ** k
 
 
 TWO_PI = 2.0 * math.pi

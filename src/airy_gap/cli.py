@@ -102,6 +102,13 @@ def _numbers(values, name: str) -> list[float]:
     raise ValidationError(f"{name}: expected a non-empty list of finite numbers, got {values!r}")
 
 
+def _scale(r, name: str) -> float:
+    """The one rule on the scale r, a finite float r > 0; name is the config field or flag."""
+    if type(r) is float and math.isfinite(r) and r > 0:
+        return r
+    raise ValidationError(f"{name}: r must be positive and finite, got {r!r}")
+
+
 def _flag_numbers(text: str, name: str) -> list[float]:
     """The comma-separated entries of a flag, checked by _numbers."""
     try:
@@ -140,10 +147,7 @@ def load_config(path: str) -> dict:
     if "x" in raw:
         out["x"] = _numbers(raw["x"], "x")
     if "r" in raw:
-        r = _numbers([raw["r"]], "r")[0]
-        if r <= 0:
-            raise ValidationError("r must be positive")
-        out["r"] = r
+        out["r"] = _scale(raw["r"], "r")
     if "tau" in out and "r" in out:
         expect = [out["r"] * t for t in out["tau"]]
         out.setdefault("x", expect)
@@ -167,8 +171,8 @@ def load_config(path: str) -> dict:
     for key in ("x", "tau"):
         if key in out and len(out[key]) != n:
             raise ValidationError(f"{key} and s must have equal length")
-    if "m" in raw and _numbers([raw["m"]], "m")[0] != n:
-        raise ValidationError(f"declared m = {raw['m']} does not match length {n}")
+    if "m" in raw and not (type(raw["m"]) is float and raw["m"] == n):
+        raise ValidationError(f"m: expected the number of points, {n}, got {raw['m']!r}")
     out["m"] = n
     return out
 
@@ -211,7 +215,7 @@ def cmd_compare(args) -> RunReport:
     cfg = load_config(args.config)
     if "tau" not in cfg:
         raise ValidationError("compare needs a tau-parametrized config")
-    rs = _flag_numbers(args.r_list, "--r-list")
+    rs = [_scale(r, "--r-list") for r in _flag_numbers(args.r_list, "--r-list")]
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValidationError("r list must be strictly ascending")
     rows = [_compare_row(cfg["tau"], cfg["s"], r, args.nodes) for r in rs]
@@ -348,6 +352,8 @@ def cmd_sweep(args) -> RunReport:
         if not 0 <= j < cfg["m"]:
             raise ValidationError(f"index in {f!r} out of range for m = {cfg['m']}")
     values = _flag_numbers(args.values, "--values")
+    if f == "nodes" and args.nodes is not None:
+        raise ValidationError("--nodes conflicts with --vary nodes, whose --values are the rule orders")
     if f == "nodes" and any(v != int(v) for v in values):
         raise ValidationError(f"--values: node counts must be integers, got {args.values!r}")
 

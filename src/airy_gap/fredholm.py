@@ -140,17 +140,14 @@ def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
 
     Returns the panels, the nodes, their weights and, per node, the position
     of its interval in `intervals`.  _panel_counts checks the size first.
-    Every panel is mapped at once, with QuadRule.mapped's arithmetic.
     """
     counts = _panel_counts(intervals, nodes_per_panel)
     rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
     edges = [np.linspace(a, b, count + 1) for (a, b), count in zip(intervals, counts)]
     lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
-    a, b = lo.astype(dtype)[:, None], hi.astype(dtype)[:, None]
-    half = 0.5 * (b - a)
+    xi, w = rule.mapped(lo.astype(dtype)[:, None], hi.astype(dtype)[:, None])  # every panel at once
     pos = np.repeat(np.arange(len(counts), dtype=np.int32), np.multiply(counts, nodes_per_panel))
-    return (tuple(zip(lo.tolist(), hi.tolist())), (half * rule.nodes + 0.5 * (a + b)).ravel(),
-            (half * rule.weights).ravel(), pos)
+    return tuple(zip(lo.tolist(), hi.tolist())), xi.ravel(), w.ravel(), pos
 
 
 def _halfline_cut(a: float, tail_length: float | None = None) -> tuple[float, float]:
@@ -446,57 +443,29 @@ def log_E0(config: GapConfig, **kwargs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# resolvent diagonal and the s_m trace identity
+# the s_m trace identity
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ResolventDiag:
-    """Samples of the resolvent kernel diagonal R(xi, xi) on quadrature nodes."""
-
-    xi: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray  # plain quadrature weights of the sampled nodes
-
-    def integral(self) -> float:
-        return float(self.weights @ self.values)
-
-
-def resolvent_diag(config: GapConfig, scheme: QuadratureScheme,
-                   window: tuple[float, float]) -> ResolventDiag:
-    """Diagonal of the resolvent (I - K)^(-1) K over a window in (x_m, x_{m-1}).
-
-    The symmetrized Nystrom resolvent B = (I - A)^(-1) A maps back to kernel
-    samples through R(xi_i, xi_i) = B_ii / w_plain_i.
-    """
-    a, b = float(window[0]), float(window[1])
-    lower, upper = _scheme_intervals(config, scheme.tail_length)[0][0]  # (x_m, x_{m-1})
-    if not (lower <= a < b <= upper):
-        raise ValueError(f"window must sit inside ({lower}, {upper})")
-    A = _symmetrized_matrix(scheme)
-    try:
-        B = np.linalg.solve(np.eye(A.shape[0]) - A, A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular I - A in resolvent solve: {exc}") from exc
-    mask = (scheme.xi >= a) & (scheme.xi <= b)
-    values = np.diag(B)[mask] / scheme.w_plain[mask]
-    return ResolventDiag(scheme.xi[mask], values, scheme.w_plain[mask])
-
 
 def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL
                                    ) -> tuple[float, float, float]:
-    """Residual of d/ds_m log F = (1 - s_m)^(-1) integral of R over (x_m, x_{m-1}).
+    """Residual of d/ds_m log F = (1 - s_m)^(-1) integral of R(x, x) over (x_m, x_{m-1}).
 
-    Returns (finite_difference, resolvent_value, |difference|).  The central
-    step is 1e-5 * max(s_m, 0.1), balancing truncation against determinant
-    noise.
+    R is the kernel of (I - K)^(-1) K.  Returns (finite_difference,
+    resolvent_value, |difference|).  The central step is 1e-5 * max(s_m, 0.1),
+    balancing truncation against determinant noise.
     """
     s_m = config.s[-1]
     if s_m == 1.0 or s_m == 0.0:
         raise ValueError("identity check needs s_m in (0, 1)")
     step = 1e-5 * max(s_m, 0.1)
     scheme = build_scheme(config, nodes_per_panel)
-    res = resolvent_diag(config, scheme, _scheme_intervals(config, scheme.tail_length)[0][0])
-    resolvent_value = res.integral() / (1.0 - s_m)
+    A = _symmetrized_matrix(scheme)
+    try:
+        B = np.linalg.solve(np.eye(A.shape[0]) - A, A)  # the Nystrom resolvent (I - A)^(-1) A
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular I - A in resolvent solve: {exc}") from exc
+    # R(xi_i, xi_i) = B_ii / w_i, so the quadrature of R over (x_m, x_{m-1}) sums B_ii there
+    resolvent_value = float(np.sum(np.diagonal(B)[scheme.interval_index == config.m])) / (1.0 - s_m)
 
     def at(sm: float) -> float:
         cfg = GapConfig(config.x, config.s[:-1] + (sm,))
@@ -521,11 +490,12 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
     return out
 
 
-def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights; a half-line (a, inf) ends at _halfline_cut(a)."""
+def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and interval positions, as _panelize returns them; a
+    half-line (a, inf) ends at _halfline_cut(a)."""
     cut = [(a, _halfline_cut(a)[0] if math.isinf(b) else b)
            for a, b in _normalize_intervals(intervals)]
-    return _panelize(cut, nodes_per_panel)[1:3]
+    return _panelize(cut, nodes_per_panel)[1:]
 
 
 def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
@@ -534,14 +504,14 @@ def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> flo
     Computes the trace integral of K(u, u); half-lines (a, inf) are truncated
     where the kernel has decayed below 1e-24.
     """
-    xi, w = _set_nodes(intervals, nodes_per_panel)
+    xi, w, _ = _set_nodes(intervals, nodes_per_panel)
     ai, aip = _airy_pair(xi)
     return float(w @ (aip * aip - xi * ai * ai))
 
 
 def var_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
     """Variance of the particle count: tr(K 1_A) - tr((1_A K 1_A)^2)."""
-    xi, w = _set_nodes(intervals, nodes_per_panel)
+    xi, w, _ = _set_nodes(intervals, nodes_per_panel)
     K = _kernel_matrix(xi)
     linear = float(w @ np.diag(K))
     quad = float(w @ (K * K) @ w)
@@ -553,8 +523,8 @@ def cov_count(intervals_a, intervals_b,
     """Covariance of counts on disjoint sets: -tr(1_A K 1_B K)."""
     sa = _normalize_intervals(intervals_a)
     # one node set for A then B: the overlap check and MAX_NODES apply to the union
-    xi, w = _set_nodes(sa + _normalize_intervals(intervals_b), nodes_per_panel)
-    na = _set_nodes(sa, nodes_per_panel)[0].size
+    xi, w, pos = _set_nodes(sa + _normalize_intervals(intervals_b), nodes_per_panel)
+    na = np.count_nonzero(pos < len(sa))
     K = _kernel_matrix(xi)[:na, na:]  # the block K(a_i, b_k)
     return -float(w[:na] @ (K * K) @ w[na:])
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._constants import EULER_GAMMA, LOG_2PI, zeta_minus_one
+from ._constants import EULER_GAMMA, LOG_2PI, zeta_minus_one_scaled
 
 
 class DomainError(ValueError):
@@ -86,7 +86,7 @@ class QuadRule:
     weights: np.ndarray
 
     def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights transplanted to the interval (a, b)."""
+        """Nodes and weights transplanted to (a, b); column arrays a, b map many intervals."""
         half = 0.5 * (b - a)
         return half * self.nodes + 0.5 * (a + b), half * self.weights
 
@@ -316,7 +316,8 @@ def log_barnes_g(z) -> complex:
     G satisfies G(z+1) = Gamma(z) G(z) with G(1) = 1.  The recurrence pulls
     Re z into [0.5, 1.5); the remaining offset w = z - 1 goes through the
     Taylor expansion of log G(1+w), written with zeta(k)-1 so the log(1+w)
-    part is resummed exactly and the series converges for |w| < 2.
+    part is resummed exactly and the series converges for |w| < 2: within
+    2000 terms for |w| <= 1.96, to ~1e-15 relative, else DomainError.
     """
     zc = complex(z)
     if not (zc.real > 0.0 and abs(zc - 1.0) <= 2.0):
@@ -340,7 +341,7 @@ def log_barnes_g(z) -> complex:
     total = 0.0 + 0.0j
     for n in range(3, 2000):
         qn *= q
-        c = zeta_minus_one(n - 1) * 2.0 ** n
+        c = 2.0 * zeta_minus_one_scaled(n - 1)
         term = (-1.0) ** (n - 1) * c * qn / n
         total += term
         if abs(term) < 1e-19 * (1.0 + abs(total)):

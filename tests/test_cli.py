@@ -113,6 +113,16 @@ def test_det_refuses_an_unresolved_thinned_grid_with_exit_4(tmp_path, capsys):
     assert "not positive definite (N=76, 4 nodes per panel, min s=0.3)" in err
 
 
+def test_non_finite_result_exits_4(tmp_path, capsys, monkeypatch):
+    # RunReport.add refuses to print a non-finite value as a result
+    monkeypatch.setattr(cli.fredholm, "log_det", lambda *args, **kwargs: fredholm.DeterminantReport(
+        ((16, math.nan),), math.nan, "nystrom"))
+    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
+    code, out, err = run(["det", cfg], capsys)
+    assert code == 4 and out == ""
+    assert err == "numerical failure: non-finite result for 'log_f'\n"
+
+
 def test_det_missing_file(capsys):
     code, _, err = run(["det", "/nonexistent/config.json"], capsys)
     assert code == 3
@@ -158,7 +168,7 @@ def test_config_validation_rules(tmp_path, capsys):
     # config values are JSON numbers: a string or a bool is not parsed as one
     (["det"], {"x": [-2], "s": ["0.5"]}, "s"),
     (["det"], {"x": [-2], "s": [True]}, "s"),
-    (["det"], {"tau": [-1], "r": "2", "s": [0.5]}, "r"),
+    (["det"], {"tau": [-1], "r": "2", "s": [0.5]}, "r: r must be positive and finite, got '2'"),
     (["det"], {"tau": [-1], "r": True, "s": [0.5]}, "r"),
     (["det"], {"x": [-10 ** 400], "s": [0.5]}, "x"),  # past the float range
     (["det"], [{"x": [-2], "s": [0.5]}], "config must be a JSON object"),
@@ -166,11 +176,22 @@ def test_config_validation_rules(tmp_path, capsys):
     (["det"], {"tau": [-1], "r": -1, "s": [0.5]}, "r must be positive"),
     (["det"], {"tau": [-1, -2], "s": [0.5]}, "tau and s must have equal length"),
     (["det"], {"tau": [-1], "s": [0.5]}, "config needs endpoints"),
+    # scalar fields get scalar messages; r has one rule, in the config and in --r-list
+    (["det"], {"m": "1", "x": [-2], "s": [0.5]}, "m: expected the number of points, 1, got '1'"),
+    (["det"], {"m": True, "x": [-2], "s": [0.5]}, "m: expected the number of points, 1, got True"),
+    (["compare", "--r-list=-2,3"], {"tau": [-1.0], "s": [0.5]},
+     "--r-list: r must be positive and finite, got -2.0"),
+    (["compare", "--r-list=0,3"], {"tau": [-1.0], "s": [0.5]},
+     "--r-list: r must be positive and finite, got 0.0"),
+    # the --values of a nodes sweep are its rule orders; a --nodes beside them has no role
+    (["sweep", "--vary", "nodes", "--values", "16,24", "--nodes", "24", "--out", os.devnull],
+     {"x": [-2], "s": [0.5]}, "--nodes conflicts with --vary nodes"),
 ], ids=["x-scalar", "s-scalar", "tau-scalar", "x-null", "r-as-list", "x-nan", "beta-scalar",
         "beta-string", "m-null", "r-list-nan", "r-list-inf",
         "beta-nan", "beta-inf", "sweep-nodes-fraction", "sweep-index-malformed",
         "s-string", "s-bool", "r-string", "r-bool", "x-int-overflow", "config-list",
-        "r-zero", "r-negative", "tau-s-lengths", "tau-without-r"])
+        "r-zero", "r-negative", "tau-s-lengths", "tau-without-r",
+        "m-string", "m-bool", "r-list-negative", "r-list-zero", "sweep-nodes-with-nodes-flag"])
 def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, field):
     if config is not None:
         argv = argv[:1] + [write_config(tmp_path, config)] + argv[1:]
@@ -274,6 +295,14 @@ def test_compare_validation(tmp_path, capsys):
     assert run(["compare", cfg, "--r-list", "6,4"], capsys)[0] == 2
     cfg_x = write_config(tmp_path, {"x": [-1.0], "s": [0.5]}, "x_only.json")
     assert run(["compare", cfg_x, "--r-list", "4,6"], capsys)[0] == 2
+
+
+def test_compare_near_the_edge_of_the_barnes_series(tmp_path, capsys):
+    # s = 4.8e-6 puts |beta| at 1.95, where log G(1 + i beta) needs ~1900 series terms
+    cfg = write_config(tmp_path, {"tau": [-1.0], "s": [4.8e-6]})
+    code, out, _ = run(["compare", cfg, "--r-list", "2,3"], capsys)
+    assert code == 0
+    assert math.isfinite({r["label"]: r["value"] for r in json.loads(out)["results"]}["gap_final"])
 
 
 @pytest.mark.parametrize("x", ([-5.0, -1.0], [-1.0, -5.0]))
@@ -411,6 +440,17 @@ def test_sweep_weight_field(tmp_path, capsys):
     rows = out_csv.read_text().splitlines()
     assert rows[0] == "s_2,log_f,log_asymptotic,gap"
     assert len(rows) == 3
+
+
+def test_sweep_weight_near_the_edge_of_the_barnes_series(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
+    out_csv = tmp_path / "s1.csv"
+    code, _, _ = run(["sweep", cfg, "--vary", "s_1", "--values", "4.8e-6", "--out", str(out_csv)],
+                     capsys)
+    assert code == 0
+    header, row = out_csv.read_text().splitlines()
+    assert header == "s_1,log_f,log_asymptotic,gap"
+    assert all(math.isfinite(float(v)) for v in row.split(","))
 
 
 def test_sweep_weight_field_of_conditioned_config(tmp_path, capsys):

@@ -94,6 +94,12 @@ def test_beta_rejected_for_models_without_one():
         px.extract_asym_coeff("bessel", "junk")
 
 
+def test_extract_asym_coeff_refuses_a_poor_fit(monkeypatch):
+    monkeypatch.setattr(px, "_EXTRACT_FIT_TOL", 0.0)
+    with pytest.raises(px.specfun.NumericalError, match="asymptotic fit residual .* for model airy"):
+        px.extract_asym_coeff("airy")
+
+
 def test_ray_ambiguity_raised():
     with pytest.raises(px.RayError):
         px.phi_ai(2.0)  # on the positive real axis

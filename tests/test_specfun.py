@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from airy_gap import fredholm as fr
 from airy_gap import specfun as sf
-from airy_gap._constants import EULER_GAMMA, zeta_minus_one
+from airy_gap._constants import EULER_GAMMA, zeta_minus_one_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +131,14 @@ def test_airy_ode_residual_via_finite_differences():
         second = (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]).real / (12 * h)
         ai = sf.airy_ai(x)[0].real
         assert abs(second - x * ai) < 1e-6
+
+
+def test_airy_on_an_array():
+    z = np.array([[0.0, -1.0 + 0.5j], [2.0, 3.0j]])
+    ai, aip = sf.airy_ai(z)
+    assert ai.shape == aip.shape == z.shape and ai.dtype == complex
+    for zi, a, ap in zip(z.ravel(), ai.ravel(), aip.ravel()):
+        assert (a, ap) == sf.airy_ai(zi)
 
 
 def test_airy_domain_error():
@@ -325,7 +333,8 @@ def test_barnes_g_recurrence_grid(rng):
 
 
 def test_barnes_g_against_mpmath(mp40):
-    for z in (1.3 + 0.4j, 0.2 + 0.5j, 1.0 + 1.9j, 2.9 + 0.1j):
+    # from |z - 1| = 1.93 the series runs past k = 1022, where 2^(k+1) alone overflows
+    for z in (1.3 + 0.4j, 0.2 + 0.5j, 1.0 + 1.9j, 2.9 + 0.1j, 1.0 + 1.93j, 1.0 - 1.95j, 1.0 + 1.96j):
         ref = complex(mp.log(mp.barnesg(mp.mpc(z))))
         assert abs(sf.log_barnes_g(z) - ref) < 1e-12
 
@@ -335,6 +344,8 @@ def test_barnes_g_domain():
         sf.log_barnes_g(4.0)
     with pytest.raises(sf.DomainError):
         sf.log_barnes_g(-0.5 + 0.1j)
+    with pytest.raises(sf.DomainError, match="did not converge"):
+        sf.log_barnes_g(1.0 + 1.97j)  # more than the series' 2000 terms
 
 
 @pytest.mark.parametrize("b", [0.1, 0.25, 0.5])
@@ -354,9 +365,13 @@ def test_barnes_quadratic_integral_identity(b):
 
 def test_zeta_literals_audited(mp40):
     for k in range(2, 44):
-        assert abs(1.0 + zeta_minus_one(k) - float(mp.zeta(k))) < 1e-15
+        assert abs(1.0 + math.ldexp(zeta_minus_one_scaled(k), -k) - float(mp.zeta(k))) < 1e-15
     with pytest.raises(ValueError, match="k >= 2"):
-        zeta_minus_one(1)  # the pole of zeta
+        zeta_minus_one_scaled(1)  # the pole of zeta
+    for k in (2, 40, 41, 1023, 1999):  # in range for every k, where 2^k alone overflows
+        with mp.workprec(k + 64):  # zeta(k) - 1 ~ 2^-k
+            ref = float(mp.ldexp(mp.zeta(k) - 1, k))
+        assert zeta_minus_one_scaled(k) == pytest.approx(ref, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
