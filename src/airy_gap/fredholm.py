@@ -4,7 +4,8 @@ The operator acts on (x_m, +infinity) with piecewise weight 1 - s_j on each
 interval (x_j, x_{j-1}); its determinant is the generating function of the
 counting statistics of the Airy point process.  Discretization is panel-wise
 Gauss-Legendre (Nystrom) with the symmetrized weighting
-A_ik = sqrt(w_i w_k) K(xi_i, xi_k).  One double Cholesky factorization of
+A_ik = sqrt(w_i w_k) K(xi_i, xi_k), assembled from sqrt(w) Ai and sqrt(w) Ai'
+by one outer product.  One double Cholesky factorization of
 I - A gives log det(I - A) wherever it certifies itself: every s_j is at
 least NEAR_ONE_GAP (the weights keep the spectrum of A that far below 1), or
 det(I - A) >= DEEP_GAP_THRESHOLD, a lower bound on the spectral gap since A
@@ -217,27 +218,45 @@ def airy_kernel(u: float, v: float) -> float:
 
 
 def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') at real nodes in their dtype; 80-bit nodes go through
-    specfun.airy_ai_real_xp, the call a profiler wraps to count escalations."""
+    """(Ai, Ai') at real nodes in their dtype.
+
+    Double nodes take specfun.airy_real's double Taylor step, within 4 eps of
+    the exact pair relative to |Ai| + |Ai'|; 80-bit nodes go through
+    specfun.airy_ai_real_xp (80-bit, ~3e-17), the call a profiler wraps to
+    count escalations.
+    """
     return (specfun.airy_ai_real_xp if x.dtype == _LD else specfun.airy_real)(x)
 
 
-def _kernel_matrix(xi: np.ndarray) -> np.ndarray:
-    """Dense K(xi_i, xi_k) on distinct nodes, its diagonal by the confluent form.
+def _kernel_matrix(xi: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Dense sqrt(w_i w_k) K(xi_i, xi_k) on distinct nodes (K itself without w),
+    its diagonal by the confluent form; the precision follows the dtype of xi.
 
-    The precision follows the dtype of the nodes.
+    sqrt(w) is folded into Ai and Ai' first, so the antisymmetric numerator
+    is one outer product M less its transpose, and the differences xi_i - xi_k
+    reuse M's memory: four N^2 passes in all.
     """
     ai, aip = _airy_pair(xi)
-    K = np.outer(ai, aip)
-    K -= np.outer(aip, ai)
-    den = xi[:, None] - xi[None, :]
+    if w is not None:
+        sw = np.sqrt(w)
+        ai, aip = ai * sw, aip * sw
+    M = np.outer(ai, aip)
+    A = M - M.T
+    den = np.subtract.outer(xi, xi, out=M)
     np.fill_diagonal(den, 1.0)
-    np.fill_diagonal(K, aip * aip - xi * ai * ai)
-    K /= den
-    return K
+    A /= den
+    np.fill_diagonal(A, aip * aip - xi * ai * ai)
+    return A
 
 
 def _symmetrized_matrix(scheme: QuadratureScheme) -> np.ndarray:
+    """A_ik = sqrt(w_i w_k) K(xi_i, xi_k) with w = w_eff.
+
+    80-bit nodes scale K by sqrt(w) after assembly, as the 80-bit path always
+    has, so none of its roundings move.
+    """
+    if scheme.xi.dtype != _LD:
+        return _kernel_matrix(scheme.xi, scheme.w_eff)
     K = _kernel_matrix(scheme.xi)
     sw = np.sqrt(scheme.w_eff)
     K *= sw[:, None]

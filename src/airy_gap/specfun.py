@@ -3,13 +3,16 @@ gamma family, Barnes G, modified Bessel / Hankel pairs, and Whittaker
 functions at mu = 0.
 
 Everything here is double precision except the real-axis Airy evaluator
-`airy_real` (x >= -100).  It computes in 80-bit floats and rounds once to the dtype of
-its argument, so double nodes get values within an ulp and the deep-gap
-determinants, which push eigenvalues of the discretized operator within
-~1e-12 of 1 where double-rounded kernel entries are not accurate enough, get
-80-bit values from the same code.  scipy serves the complex arguments;
-`scipy.special` is imported inside those functions on their first call, so
-importing this module and every real-axis path stay scipy-free.
+`airy_real` (x >= -100).  80-bit nodes get values computed in 80-bit floats
+and rounded once, ~3e-17 relative: the deep-gap determinants push eigenvalues
+of the discretized operator within ~1e-12 of 1, where double kernel entries
+are not accurate enough.  Double nodes take one double Taylor step off
+float64 coefficient rows rounded once from that 80-bit code: within 4 eps
+of the exact values relative to |Ai| + |Ai'| (1.2 eps on [-16, 104), 2.1 on
+[-100, -16]), which moves thinned determinants by about 1e-15.  scipy
+serves the complex arguments; `scipy.special` is imported inside those
+functions on their first call, so importing this module and every
+real-axis path stay scipy-free.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def airy_ai(z):
     return ai, aip
 
 
-# --- real-axis evaluator, computed in 80-bit floats ------------------------
+# --- real-axis evaluator: 80-bit anchors and series -------------------------
 
 _LD = np.longdouble
 _ASYM_ANCHOR = 12.0
@@ -219,6 +222,15 @@ _ANCHORS = np.empty((_MARCH_ORDER + 1, 2, 0), dtype=_LD)
 _ANCHORS_LOCK = threading.Lock()
 
 
+def _taylor_coefficients(x0, y, yp, terms: int) -> list:
+    """The first `terms` Taylor coefficients a_k of Ai about x0 from (Ai, Ai')(x0),
+    by the recurrence (k + 1)(k + 2) a_(k+2) = x0 a_k + a_(k-1) of y'' = x y."""
+    a = [y, yp, x0 * y / _RECURRENCE_LD[0]]
+    for k in range(1, terms - 2):
+        a.append((x0 * a[k] + a[k - 1]) / _RECURRENCE_LD[k])
+    return a
+
+
 def _anchor_table(depth: int) -> np.ndarray:
     """Coefficient pairs of at least the anchors 12 - j/4, j < depth, in 80-bit.
 
@@ -238,10 +250,7 @@ def _anchor_table(depth: int) -> np.ndarray:
         for j in range(len(cols), depth):
             x0 = _LD(_ASYM_ANCHOR - _MARCH_STEP * j)
             y, yp = _airy_asymptotic_ld(x0) if j == 0 else _taylor_step(cols[-1], _LD(-_MARCH_STEP))
-            a = [y, yp, x0 * y / _RECURRENCE_LD[0]]
-            for k in range(1, _MARCH_ORDER - 1):
-                a.append((x0 * a[k] + a[k - 1]) / _RECURRENCE_LD[k])
-            a = np.array(a)
+            a = np.array(_taylor_coefficients(x0, y, yp, _MARCH_ORDER + 1))
             cols.append(np.stack([a, a * np.arange(_MARCH_ORDER + 1)], axis=1))
         if len(cols) > table.shape[-1]:
             table = np.stack(cols, axis=-1)
@@ -250,31 +259,120 @@ def _anchor_table(depth: int) -> np.ndarray:
     return table
 
 
+# --- double nodes: one step off a float64 table ----------------------------
+
+#: anchors of the double step, a quarter of the march step apart: |h| <= 1/32
+#: halves the rounding the terms in h add (2.6 eps against the 80-bit values
+#: at worst on [-100, 30], against 3.9 with anchors 1/8 apart)
+_ROW_STEP = _MARCH_STEP / 4
+#: Taylor terms of a double step: with |h| <= 1/32 the terms left out stay
+#: below 1e-19 of |Ai| + |Ai'|, at the worst anchors -100 and 104
+_ROW_TERMS = 16
+#: double Ai is subnormal from about here; points at or above it keep the
+#: rounded 80-bit series
+_ROWS_TOP = 104.0
+#: (start, rows): rows[i] is the float64 Taylor row of the anchor
+#: 12 + (start + i)/16, [a_15, ..., a_1, a_0] over [0, 15 a_15, ..., 2 a_2, a_1],
+#: so that both meet the powers [h^15, ..., h, 1]; read-only, and
+#: _row_table swaps in a wider copy under _ANCHORS_LOCK
+_ROWS = (0, np.empty((0, 2, _ROW_TERMS)))
+
+
+def _build_rows(k: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """float64 rows of the anchors 12 + k/16, each rounded once from 80-bit.
+
+    k <= 0 comes from one 80-bit step of -(k mod 4)/16 off the 80-bit anchor
+    12 - j/4 at or above it (no step when k is a multiple of 4); k > 0 from
+    the large-argument series.  anchors holds at least -min(k) // 4 + 1 anchors.
+    """
+    x0 = _ASYM_ANCHOR + _LD(_ROW_STEP) * k
+    y, yp = np.empty_like(x0), np.empty_like(x0)
+    near = k <= 0
+    j = -k[near]
+    if j.size:
+        anchor, offset = divmod(j, 4)
+        y[near], yp[near] = _taylor_step(np.take(anchors, anchor, axis=-1), _LD(-_ROW_STEP) * offset)
+    y[~near], yp[~near] = _airy_asymptotic_ld(x0[~near])
+    a = np.array(_taylor_coefficients(x0, y, yp, _ROW_TERMS))[::-1].T  # (len(k), 16)
+    rows = np.zeros(a.shape[:1] + (2, _ROW_TERMS))
+    rows[:, 0] = a
+    rows[:, 1, 1:] = a[:, :-1] * np.arange(_ROW_TERMS - 1, 0, -1, dtype=_LD)
+    return rows
+
+
+def _row_table(lo: int, hi: int) -> tuple[int, np.ndarray]:
+    """(start, rows) covering at least the anchors 12 + k/16, lo <= k <= hi, and k = 0.
+
+    Keeping k = 0 makes every new row below it come from _anchor_table and
+    every new row above it from the series.  _anchor_table is grown first,
+    outside _ANCHORS_LOCK, which it takes itself.
+    """
+    global _ROWS
+    lo, hi = min(lo, 0), max(hi, 0)
+    anchors = _anchor_table(-lo // 4 + 1)
+    start, rows = _ROWS
+    if start <= lo and hi < start + len(rows):
+        return start, rows
+    with _ANCHORS_LOCK:
+        start, rows = _ROWS
+        end = start + len(rows)
+        rows = np.concatenate([_build_rows(np.arange(min(lo, start), start), anchors), rows,
+                               _build_rows(np.arange(end, max(hi + 1, end)), anchors)])
+        rows.flags.writeable = False  # shared by every caller
+        _ROWS = start, rows = min(lo, start), rows
+    return start, rows
+
+
+def _double_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') at double t in [-100, 104): one double Taylor step (|h| <= 1/32)
+    off the nearest anchor 12 + k/16, every point by one matmul."""
+    k = np.rint((t - _ASYM_ANCHOR) / _ROW_STEP).astype(np.intp)
+    start, rows = _row_table(k.min(), k.max())
+    powers = np.empty((t.size, _ROW_TERMS))
+    rising = powers[:, ::-1]  # 1, h, ..., h^15 written highest power first
+    rising[:, 0] = 1.0
+    rising[:, 1:] = (t - (_ASYM_ANCHOR + _ROW_STEP * k))[:, None]
+    np.cumprod(rising, axis=1, out=rising)
+    values = np.matmul(rows[k - start], powers[:, :, None])
+    return values[:, 0, 0], values[:, 1, 0]
+
+
+def _extended_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') at 80-bit t in [-100, 12): one 80-bit Taylor step (|h| <= 1/8)
+    off the nearest anchor 12 - j/4."""
+    j = np.rint((_ASYM_ANCHOR - t) / _MARCH_STEP).astype(np.intp)
+    pairs = np.take(_anchor_table(j.max() + 1), j, axis=-1)
+    return _taylor_step(pairs, t - (_ASYM_ANCHOR - _MARCH_STEP * j))
+
+
 def airy_real(x):
     """(Ai(x), Ai'(x)) for real x >= -100, in the dtype of x (at least double).
 
-    Computed in 80-bit floats and rounded once: points at or above 12 by the
-    large-argument series, every other point by one Taylor step (|h| <= 1/8)
-    off its nearest anchor 12 - j/4.  The anchor table is grown as deep as
-    the lowest point has needed so far.
+    Double x: one double Taylor step (|h| <= 1/32) off the nearest anchor
+    12 + k/16, whose coefficient rows are rounded once from 80-bit; within
+    4 eps of the exact pair relative to |Ai| + |Ai'| (measured: 1.2 eps on
+    [-16, 104), 2.1 eps on [-100, -16]).  Points at or above 104, where
+    double Ai is subnormal, keep the rounded 80-bit large-argument series.
+    80-bit x is computed in 80-bit floats, ~3e-17 relative: points at or
+    above 12 by that series, every other point by one Taylor step
+    (|h| <= 1/8) off its nearest anchor 12 - j/4.  Both tables grow as far
+    as the points have needed so far.
     """
     x = np.asarray(x)
-    dtype = np.promote_types(x.dtype, np.float64)
-    t = x.astype(_LD)
+    t = x.astype(np.promote_types(x.dtype, np.float64))
     if not np.all(np.isfinite(t)):
         raise DomainError("airy_real needs finite arguments")
     if np.any(t < AIRY_REAL_MIN):
         raise DomainError(f"airy_real supports x >= {AIRY_REAL_MIN}, got {t.min()}")
-    ai = np.empty_like(t)
-    aip = np.empty_like(t)
-    far = t >= _ASYM_ANCHOR
-    ai[far], aip[far] = _airy_asymptotic_ld(t[far])
+    double = t.dtype == np.float64
+    ai, aip = np.empty_like(t), np.empty_like(t)
+    far = t >= (_ROWS_TOP if double else _ASYM_ANCHOR)
+    if far.any():
+        ai[far], aip[far] = _airy_asymptotic_ld(t[far])
     near = t[~far]
     if near.size:
-        j = np.rint((_ASYM_ANCHOR - near) / _MARCH_STEP).astype(np.intp)
-        pairs = np.take(_anchor_table(j.max() + 1), j, axis=-1)
-        ai[~far], aip[~far] = _taylor_step(pairs, near - (_ASYM_ANCHOR - _MARCH_STEP * j))
-    return ai.astype(dtype, copy=False)[()], aip.astype(dtype, copy=False)[()]
+        ai[~far], aip[~far] = (_double_step if double else _extended_step)(near)
+    return ai[()], aip[()]
 
 
 def airy_ai_real_xp(x):
@@ -494,11 +592,13 @@ _KUMMER_SERIES_MAX_LOSS = 19.0
 
 
 def kummer_m(a, z) -> complex:
-    """M(a, 1, z) by the ascending series or, past its cancellation limit, the U connection."""
+    """M(a, 1, z) by whichever ascending series cancels less: its own, which loses
+    |z| - max(Re z, 0), or Kummer's transformation e^z M(1 - a, 1, -z) (DLMF
+    13.2.39), which loses |z| - max(-Re z, 0); past both limits, the U connection."""
     z = complex(z)
-    if abs(z) - max(z.real, 0.0) < _KUMMER_SERIES_MAX_LOSS:
-        return kummer_m_b1(a, z)
-    return kummer_m_b1_asym(a, z)
+    if abs(z) - abs(z.real) >= _KUMMER_SERIES_MAX_LOSS:
+        return kummer_m_b1_asym(a, z)
+    return kummer_m_b1(a, z) if z.real >= 0.0 else np.exp(z) * kummer_m_b1(1.0 - complex(a), -z)
 
 
 def kummer_u(a, z, log_z=None) -> complex:

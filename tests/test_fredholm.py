@@ -312,6 +312,17 @@ def test_small_weight_floor_covers_the_cholesky_rounding(x):
         assert abs(value - _logdet_80bit(cfg, n)) <= floor * abs(value), n
 
 
+@pytest.mark.parametrize("x, s", [((-2.0,), (1e-3,)), ((-20.0,), (1e-3,)), ((-40.0,), (0.01,)),
+                                  ((-2.0, -5.0), (0.5, 0.3))])
+def test_double_kernel_within_a_third_of_the_rounding_floor(x, s):
+    # double Airy step, folded assembly and double Cholesky against 80-bit
+    # nodes, Airy values, assembly and Cholesky
+    cfg = GapConfig(x, s)
+    value = fr.logdet_single(cfg, fr.build_scheme(cfg, 24))
+    floor = pii.ROUNDING_FLOOR * max(1.0, fr.SMALL_WEIGHT_NOISE / min(s)) * max(abs(value), 1.0)
+    assert abs(value - _logdet_80bit(cfg, 24)) <= floor / 3
+
+
 @pytest.mark.parametrize("x, s", [((-2.0,), (0.9,)), ((-4.0,), (0.9,)), ((-2.0,), (0.5,))])
 def test_rounding_floor_covers_small_log_f(x, s):
     # |log F| < 1: the Cholesky rounds to 1-4e-15 however small |log F| is,

@@ -226,7 +226,7 @@ def _separate_anchors(depth):
     return np.array(anchors)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dtype", [np.longdouble])
 def test_packed_taylor_step_is_bit_identical(dtype):
     xs = np.linspace(dtype(-100.0), dtype(30.0), 24001)
     ai, aip = sf.airy_real(xs)
@@ -243,6 +243,68 @@ def test_packed_taylor_step_is_bit_identical(dtype):
     table = sf._anchor_table(len(anchors))[..., :len(anchors)]
     assert np.array_equal(table[:, 0].T, anchors)
     assert np.array_equal(table[:, 1].T, anchors * np.arange(sf._MARCH_ORDER + 1))
+
+
+def test_double_step_within_4_eps_of_the_rounded_80_bit_values():
+    # double nodes take their own double step, so most pairs move by an ulp
+    # or two off the once-rounded 80-bit values the test above pins
+    xs = np.linspace(-100.0, 30.0, 24001)
+    ai, aip = sf.airy_real(xs)
+    ref, refp = (v.astype(np.float64) for v in sf.airy_real(xs.astype(np.longdouble)))
+    assert ai.dtype == aip.dtype == np.float64
+    err = (np.abs(ai - ref) + np.abs(aip - refp)) / (np.abs(ref) + np.abs(refp))
+    assert err.max() <= 4 * np.finfo(np.float64).eps, xs[err.argmax()]
+
+
+def test_double_rows_from_the_series_up_to_104(mp40):
+    # rows at and above 12 come from the 80-bit series; from 104 on double Ai
+    # is subnormal and the points keep the rounded series itself
+    xs = np.linspace(26.0, 103.99, 241)
+    ai, aip = sf.airy_real(xs)
+    for x, a, ap in zip(xs, ai, aip):
+        mx = mp.mpf(float(x))
+        ref, refp = mp.airyai(mx), mp.airyai(mx, 1)
+        err = (abs(mp.mpf(float(a)) - ref) + abs(mp.mpf(float(ap)) - refp)) / (abs(ref) + abs(refp))
+        assert float(err) <= 4 * np.finfo(np.float64).eps, x
+    far = np.array([104.0, 104.03, 110.0, 250.0, 1e6])
+    ai, aip = sf.airy_real(far)
+    ref, refp = sf._airy_asymptotic_ld(far)
+    assert np.array_equal(ai, ref.astype(np.float64)) and np.array_equal(aip, refp.astype(np.float64))
+
+
+def test_double_rows_independent_of_call_history(monkeypatch):
+    xs = np.linspace(-5.3, 14.2, 97)
+    monkeypatch.setattr(sf, "_ROWS", (0, sf._ROWS[1][:0]))  # the only row cache
+    sf.airy_real(1e6)  # the series alone: no row built
+    assert len(sf._ROWS[1]) == 0
+    before = sf.airy_real(xs)
+    assert sf._ROWS[0] == -277 and len(sf._ROWS[1]) == 313  # anchors 12 + k/16, -5.3125 to 14.1875
+    sf.airy_real(np.array([-40.0, 60.0, 1e6]))
+    start, rows = sf._ROWS
+    assert start == -832 and start + len(rows) - 1 == 768 and not rows.flags.writeable
+    after = sf.airy_real(xs)
+    for b, a in zip(before, after):
+        assert np.array_equal(b, a)
+
+
+def test_row_table_grows_to_the_widest_request_under_threads(monkeypatch):
+    # widest first, from both ends: without the lock a narrower table built
+    # alongside could replace a wider one
+    grids = [np.linspace(lo, hi, 64) for lo, hi in zip(np.linspace(-99.0, -1.0, 16), np.linspace(100.0, 13.0, 16))]
+    expected = [sf.airy_real(g) for g in grids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(sf, "_ROWS", (0, sf._ROWS[1][:0]))
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(sf.airy_real, grids, timeout=60))
+            start, rows = sf._ROWS
+            assert start == -1776 and start + len(rows) - 1 == 1408  # anchors -99 and 100
+            for (ai, aip), (ref, refp) in zip(results, expected):
+                assert np.array_equal(ai, ref) and np.array_equal(aip, refp)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.longdouble, 5e-17), (np.float64, 4 * np.finfo(np.float64).eps)])
@@ -495,6 +557,18 @@ def test_whittaker_m_reproduces_series(mp40):
         ref = mp.sqrt(mp.mpc(z)) * mp.e ** (-mp.mpc(z) / 2) * total
         m, _ = sf.whittaker_pair_mu0(kappa, z)
         assert abs(m - complex(ref)) < 1e-9 * abs(complex(ref))
+
+
+def test_whittaker_m_left_half_plane_scan(mp40):
+    # the ascending series of M(a, 1, z) cancels like e^|z| here; Kummer's
+    # transformation runs the series of M(1 - a, 1, -z) instead
+    rng = np.random.default_rng(20261019)
+    for kappa in (-0.5 - 0.1j, 0.2j, -0.3 + 0.1j, -0.3 - 0.5j):
+        for r, theta in zip(rng.uniform(12.0, 60.0, 16), rng.uniform(0.5, 1.5, 16) * math.pi):
+            z = r * np.exp(1j * theta)
+            m, _ = sf.whittaker_pair_mu0(kappa, z)
+            ref = complex(mp.whitm(mp.mpc(kappa), 0, mp.mpc(z)))
+            assert abs(m - ref) < 1e-8 * max(abs(ref), 1.0), (kappa, z)
 
 
 def test_kummer_u_smooth_at_zero_parameter():
