@@ -9,13 +9,13 @@ by one outer product.  One double Cholesky factorization of
 I - A gives log det(I - A) wherever it certifies itself: every s_j is at
 least NEAR_ONE_GAP (the weights keep the spectrum of A that far below 1), or
 det(I - A) >= DEEP_GAP_THRESHOLD, a lower bound on the spectral gap since A
-is positive semidefinite.  Every other configuration is a deep gap: A is
-assembled in 80-bit floats, LAPACK eigh of its double rounding gives the
-eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
-Rayleigh-Ritz step on that subspace.  That path loses accuracy with depth
-and refuses near x = -13, so log_det sends the one-point hard gap F(x; 0) at
-its default resolution to the Painleve II solve of the painleve module
-instead, which holds to ~1e-13 relative down to x = -100.
+is positive semidefinite.  Every other configuration is a deep gap: the
+same assembly runs on 80-bit nodes, LAPACK eigh of its double rounding
+gives the eigenvectors, and the eigenvalues near 1 are recomputed by an
+80-bit Rayleigh-Ritz step on that subspace.  That path loses accuracy with
+depth and refuses near x = -13, so log_det sends the one-point hard gap
+F(x; 0) at its default resolution to the Painleve II solve of the painleve
+module instead, which holds to ~1e-13 relative down to x = -100.
 """
 
 from __future__ import annotations
@@ -220,17 +220,18 @@ def airy_kernel(u: float, v: float) -> float:
 def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Ai, Ai') at real nodes in their dtype.
 
-    Double nodes take specfun.airy_real's double Taylor step, within 4 eps of
-    the exact pair relative to |Ai| + |Ai'|; 80-bit nodes go through
-    specfun.airy_ai_real_xp (80-bit, ~3e-17), the call a profiler wraps to
-    count escalations.
+    Both take specfun.airy_real's one Taylor step off its row table: double
+    nodes sum the float64 rows, within 4 eps of the exact pair relative to
+    |Ai| + |Ai'|; 80-bit nodes sum the 80-bit rows (~3e-17) and go through
+    specfun.airy_ai_real_xp, the call a profiler wraps to count escalations.
     """
     return (specfun.airy_ai_real_xp if x.dtype == _LD else specfun.airy_real)(x)
 
 
 def _kernel_matrix(xi: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """Dense sqrt(w_i w_k) K(xi_i, xi_k) on distinct nodes (K itself without w),
-    its diagonal by the confluent form; the precision follows the dtype of xi.
+    its diagonal by the confluent form; the precision follows the dtype of xi,
+    so double and 80-bit determinants assemble alike.
 
     sqrt(w) is folded into Ai and Ai' first, so the antisymmetric numerator
     is one outer product M less its transpose, and the differences xi_i - xi_k
@@ -247,21 +248,6 @@ def _kernel_matrix(xi: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     A /= den
     np.fill_diagonal(A, aip * aip - xi * ai * ai)
     return A
-
-
-def _symmetrized_matrix(scheme: QuadratureScheme) -> np.ndarray:
-    """A_ik = sqrt(w_i w_k) K(xi_i, xi_k) with w = w_eff.
-
-    80-bit nodes scale K by sqrt(w) after assembly, as the 80-bit path always
-    has, so none of its roundings move.
-    """
-    if scheme.xi.dtype != _LD:
-        return _kernel_matrix(scheme.xi, scheme.w_eff)
-    K = _kernel_matrix(scheme.xi)
-    sw = np.sqrt(scheme.w_eff)
-    K *= sw[:, None]
-    K *= sw[None, :]
-    return K
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +317,9 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     too coarse) raises NumericalError.  Else A is a positive semidefinite
     Gram matrix, so det(I - A) <= min(1 - lambda) and a value of at least
     DEEP_GAP_THRESHOLD is kept.  Every other configuration takes the 80-bit
-    path: float128 assembly, then _ritz_logdet.
+    path: the same assembly on float128 nodes, then _ritz_logdet.
     """
-    A = _symmetrized_matrix(scheme)
+    A = _kernel_matrix(scheme.xi, scheme.w_eff)
     np.negative(A, out=A)  # I - A in place
     A.flat[::A.shape[0] + 1] += 1.0
     thinned = min(config.s) >= NEAR_ONE_GAP
@@ -350,7 +336,7 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
         return value
     del A
     xscheme = build_scheme(config, scheme.nodes_per_panel, scheme.tail_length, dtype=_LD)
-    return _ritz_logdet(_symmetrized_matrix(xscheme))
+    return _ritz_logdet(_kernel_matrix(xscheme.xi, xscheme.w_eff))
 
 
 @dataclass(frozen=True)
@@ -478,7 +464,7 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
         raise ValueError("identity check needs s_m in (0, 1)")
     step = 1e-5 * max(s_m, 0.1)
     scheme = build_scheme(config, nodes_per_panel)
-    A = _symmetrized_matrix(scheme)
+    A = _kernel_matrix(scheme.xi, scheme.w_eff)
     try:
         B = np.linalg.solve(np.eye(A.shape[0]) - A, A)  # the Nystrom resolvent (I - A)^(-1) A
     except np.linalg.LinAlgError as exc:

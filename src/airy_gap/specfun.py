@@ -3,11 +3,11 @@ gamma family, Barnes G, modified Bessel / Hankel pairs, and Whittaker
 functions at mu = 0.
 
 Everything here is double precision except the real-axis Airy evaluator
-`airy_real` (x >= -100).  80-bit nodes get values computed in 80-bit floats
-and rounded once, ~3e-17 relative: the deep-gap determinants push eigenvalues
-of the discretized operator within ~1e-12 of 1, where double kernel entries
-are not accurate enough.  Double nodes take one double Taylor step off
-float64 coefficient rows rounded once from that 80-bit code: within 4 eps
+`airy_real` (x >= -100).  Its one Taylor step reads coefficient rows built in
+80-bit floats.  80-bit nodes sum the 80-bit rows, ~3e-17 relative: the
+deep-gap determinants push eigenvalues of the discretized operator within
+~1e-12 of 1, where double kernel entries are not accurate enough.  Double
+nodes sum float64 copies of the same rows, each rounded once: within 4 eps
 of the exact values relative to |Ai| + |Ai'| (1.2 eps on [-16, 104), 2.1 on
 [-100, -16]), which moves thinned determinants by about 1e-15.  scipy
 serves the complex arguments; `scipy.special` is imported inside those
@@ -212,16 +212,6 @@ def _taylor_step(pairs, h):
     return y[0] * h + pairs[0, 0], y[1]
 
 
-#: coefficient pairs of the anchors 12 - j/4 built so far, (31, 2, depth),
-#: read-only; _anchor_table swaps in a deeper copy, under _ANCHORS_LOCK, when
-#: a call needs one
-_ANCHORS = np.empty((_MARCH_ORDER + 1, 2, 0), dtype=_LD)
-#: the CLI evaluates on one thread, but library callers may call airy_real
-#: from their own; unlocked, a shallower table built alongside could replace
-#: a deeper one
-_ANCHORS_LOCK = threading.Lock()
-
-
 def _taylor_coefficients(x0, y, yp, terms: int) -> list:
     """The first `terms` Taylor coefficients a_k of Ai about x0 from (Ai, Ai')(x0),
     by the recurrence (k + 1)(k + 2) a_(k+2) = x0 a_k + a_(k-1) of y'' = x y."""
@@ -231,59 +221,56 @@ def _taylor_coefficients(x0, y, yp, terms: int) -> list:
     return a
 
 
-def _anchor_table(depth: int) -> np.ndarray:
-    """Coefficient pairs of at least the anchors 12 - j/4, j < depth, in 80-bit.
+@functools.lru_cache(maxsize=None)
+def _anchor(j: int) -> np.ndarray:
+    """Coefficient pairs [a_k, k a_k], (31, 2), of Ai about the anchor 12 - j/4, in 80-bit.
 
     Anchor 0 comes from the large-argument series and anchor j from one
     Taylor step of length 1/4 off anchor j - 1, so a value never depends on
-    how deep the table has been built.  Marching leftward is the
-    well-conditioned direction (the recessive solution grows relative to the
-    dominant one).
+    how deep the march has gone.  Marching leftward is the well-conditioned
+    direction (the recessive solution grows relative to the dominant one).
+    The domain x >= -100 needs j <= 448, which bounds the cache.
     """
-    global _ANCHORS
-    table = _ANCHORS
-    if table.shape[-1] >= depth:
-        return table
-    with _ANCHORS_LOCK:
-        table = _ANCHORS
-        cols = list(np.moveaxis(table, -1, 0))
-        for j in range(len(cols), depth):
-            x0 = _LD(_ASYM_ANCHOR - _MARCH_STEP * j)
-            y, yp = _airy_asymptotic_ld(x0) if j == 0 else _taylor_step(cols[-1], _LD(-_MARCH_STEP))
-            a = np.array(_taylor_coefficients(x0, y, yp, _MARCH_ORDER + 1))
-            cols.append(np.stack([a, a * np.arange(_MARCH_ORDER + 1)], axis=1))
-        if len(cols) > table.shape[-1]:
-            table = np.stack(cols, axis=-1)
-            table.flags.writeable = False  # shared by every caller
-            _ANCHORS = table
-    return table
+    x0 = _LD(_ASYM_ANCHOR - _MARCH_STEP * j)
+    y, yp = _airy_asymptotic_ld(x0) if j == 0 else _taylor_step(_anchor(j - 1), _LD(-_MARCH_STEP))
+    a = np.array(_taylor_coefficients(x0, y, yp, _MARCH_ORDER + 1))
+    pairs = np.stack([a, a * np.arange(_MARCH_ORDER + 1)], axis=1)
+    pairs.flags.writeable = False  # shared by every caller of the cache
+    return pairs
 
 
-# --- double nodes: one step off a float64 table ----------------------------
+# --- the step: one row of a shared table per point --------------------------
 
-#: anchors of the double step, a quarter of the march step apart: |h| <= 1/32
-#: halves the rounding the terms in h add (2.6 eps against the 80-bit values
-#: at worst on [-100, 30], against 3.9 with anchors 1/8 apart)
+#: anchors of the step, a quarter of the march step apart: |h| <= 1/32
+#: halves the rounding the terms in h add to double values (2.6 eps against
+#: the 80-bit values at worst on [-100, 30], against 3.9 with anchors 1/8 apart)
 _ROW_STEP = _MARCH_STEP / 4
-#: Taylor terms of a double step: with |h| <= 1/32 the terms left out stay
-#: below 1e-19 of |Ai| + |Ai'|, at the worst anchors -100 and 104
+#: Taylor terms of a step: with |h| <= 1/32 the terms left out stay below
+#: 1e-19 of |Ai| + |Ai'|, at the worst anchors -100 and 104; 80-bit values
+#: rely on that bound, about one 80-bit ulp
 _ROW_TERMS = 16
-#: double Ai is subnormal from about here; points at or above it keep the
-#: rounded 80-bit series
+#: double Ai is subnormal from about here; points at or above it, double or
+#: 80-bit, take the 80-bit series
 _ROWS_TOP = 104.0
-#: (start, rows): rows[i] is the float64 Taylor row of the anchor
-#: 12 + (start + i)/16, [a_15, ..., a_1, a_0] over [0, 15 a_15, ..., 2 a_2, a_1],
-#: so that both meet the powers [h^15, ..., h, 1]; read-only, and
-#: _row_table swaps in a wider copy under _ANCHORS_LOCK
-_ROWS = (0, np.empty((0, 2, _ROW_TERMS)))
+#: a row in both precisions: built in 80-bit, and its float64 copy rounded once
+_ROW_DTYPE = np.dtype([("double", np.float64, (2, _ROW_TERMS)), ("extended", _LD, (2, _ROW_TERMS))])
+#: (start, rows): rows[i] is the Taylor row of the anchor 12 + (start + i)/16,
+#: [a_15, ..., a_1, a_0] over [0, 15 a_15, ..., 2 a_2, a_1], so that both meet
+#: the powers [h^15, ..., h, 1]; read-only, and _row_table swaps in a wider
+#: copy under _ROWS_LOCK
+_ROWS = (0, np.empty(0, _ROW_DTYPE))
+#: the CLI evaluates on one thread, but library callers may call airy_real
+#: from their own; unlocked, a narrower table built alongside could replace
+#: a wider one
+_ROWS_LOCK = threading.Lock()
 
 
-def _build_rows(k: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """float64 rows of the anchors 12 + k/16, each rounded once from 80-bit.
+def _build_rows(k: np.ndarray) -> np.ndarray:
+    """Rows of the anchors 12 + k/16, built in 80-bit.
 
-    k <= 0 comes from one 80-bit step of -(k mod 4)/16 off the 80-bit anchor
+    k <= 0 comes from one 80-bit step of -(k mod 4)/16 off the anchor
     12 - j/4 at or above it (no step when k is a multiple of 4); k > 0 from
-    the large-argument series.  anchors holds at least -min(k) // 4 + 1 anchors.
+    the large-argument series.
     """
     x0 = _ASYM_ANCHOR + _LD(_ROW_STEP) * k
     y, yp = np.empty_like(x0), np.empty_like(x0)
@@ -291,93 +278,87 @@ def _build_rows(k: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     j = -k[near]
     if j.size:
         anchor, offset = divmod(j, 4)
-        y[near], yp[near] = _taylor_step(np.take(anchors, anchor, axis=-1), _LD(-_ROW_STEP) * offset)
+        anchors = [_anchor(i) for i in range(anchor.max() + 1)]  # in order, so no deep recursion
+        pairs = np.stack([anchors[i] for i in anchor], axis=-1)
+        y[near], yp[near] = _taylor_step(pairs, _LD(-_ROW_STEP) * offset)
     y[~near], yp[~near] = _airy_asymptotic_ld(x0[~near])
     a = np.array(_taylor_coefficients(x0, y, yp, _ROW_TERMS))[::-1].T  # (len(k), 16)
-    rows = np.zeros(a.shape[:1] + (2, _ROW_TERMS))
-    rows[:, 0] = a
-    rows[:, 1, 1:] = a[:, :-1] * np.arange(_ROW_TERMS - 1, 0, -1, dtype=_LD)
+    rows = np.zeros(len(k), _ROW_DTYPE)
+    rows["extended"][:, 0] = a
+    rows["extended"][:, 1, 1:] = a[:, :-1] * np.arange(_ROW_TERMS - 1, 0, -1, dtype=_LD)
+    rows["double"] = rows["extended"]
     return rows
 
 
 def _row_table(lo: int, hi: int) -> tuple[int, np.ndarray]:
-    """(start, rows) covering at least the anchors 12 + k/16, lo <= k <= hi, and k = 0.
-
-    Keeping k = 0 makes every new row below it come from _anchor_table and
-    every new row above it from the series.  _anchor_table is grown first,
-    outside _ANCHORS_LOCK, which it takes itself.
-    """
+    """(start, rows) covering at least the anchors 12 + k/16, lo <= k <= hi."""
     global _ROWS
-    lo, hi = min(lo, 0), max(hi, 0)
-    anchors = _anchor_table(-lo // 4 + 1)
     start, rows = _ROWS
     if start <= lo and hi < start + len(rows):
         return start, rows
-    with _ANCHORS_LOCK:
+    with _ROWS_LOCK:
         start, rows = _ROWS
         end = start + len(rows)
-        rows = np.concatenate([_build_rows(np.arange(min(lo, start), start), anchors), rows,
-                               _build_rows(np.arange(end, max(hi + 1, end)), anchors)])
+        rows = np.concatenate([_build_rows(np.arange(min(lo, start), start)), rows,
+                               _build_rows(np.arange(end, max(hi + 1, end)))])
         rows.flags.writeable = False  # shared by every caller
         _ROWS = start, rows = min(lo, start), rows
     return start, rows
 
 
-def _double_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') at double t in [-100, 104): one double Taylor step (|h| <= 1/32)
-    off the nearest anchor 12 + k/16, every point by one matmul."""
+def _row_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') at t in [-100, 104), in the dtype of t: one Taylor step
+    (|h| <= 1/32) off the nearest anchor 12 + k/16, every point by one matmul
+    of its row in that dtype."""
     k = np.rint((t - _ASYM_ANCHOR) / _ROW_STEP).astype(np.intp)
     start, rows = _row_table(k.min(), k.max())
-    powers = np.empty((t.size, _ROW_TERMS))
+    powers = np.empty((t.size, _ROW_TERMS), dtype=t.dtype)
     rising = powers[:, ::-1]  # 1, h, ..., h^15 written highest power first
     rising[:, 0] = 1.0
     rising[:, 1:] = (t - (_ASYM_ANCHOR + _ROW_STEP * k))[:, None]
     np.cumprod(rising, axis=1, out=rising)
+    rows = rows["double" if t.dtype == np.float64 else "extended"]
     values = np.matmul(rows[k - start], powers[:, :, None])
     return values[:, 0, 0], values[:, 1, 0]
-
-
-def _extended_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') at 80-bit t in [-100, 12): one 80-bit Taylor step (|h| <= 1/8)
-    off the nearest anchor 12 - j/4."""
-    j = np.rint((_ASYM_ANCHOR - t) / _MARCH_STEP).astype(np.intp)
-    pairs = np.take(_anchor_table(j.max() + 1), j, axis=-1)
-    return _taylor_step(pairs, t - (_ASYM_ANCHOR - _MARCH_STEP * j))
 
 
 def airy_real(x):
     """(Ai(x), Ai'(x)) for real x >= -100, in the dtype of x (at least double).
 
-    Double x: one double Taylor step (|h| <= 1/32) off the nearest anchor
-    12 + k/16, whose coefficient rows are rounded once from 80-bit; within
-    4 eps of the exact pair relative to |Ai| + |Ai'| (measured: 1.2 eps on
-    [-16, 104), 2.1 eps on [-100, -16]).  Points at or above 104, where
-    double Ai is subnormal, keep the rounded 80-bit large-argument series.
-    80-bit x is computed in 80-bit floats, ~3e-17 relative: points at or
-    above 12 by that series, every other point by one Taylor step
-    (|h| <= 1/8) off its nearest anchor 12 - j/4.  Both tables grow as far
-    as the points have needed so far.
+    Every point below 104 takes one Taylor step (|h| <= 1/32) off the nearest
+    anchor 12 + k/16, whose 16-term row is built in 80-bit: 80-bit x sums
+    that row, ~3e-17 relative; double x sums its float64 copy, rounded once,
+    within 4 eps of the exact pair relative to |Ai| + |Ai'| (measured:
+    1.2 eps on [-16, 104), 2.1 eps on [-100, -16]).  Points at or above 104,
+    where double Ai is subnormal, take the 80-bit large-argument series.
+    The rows are built as far as the points have needed so far.  Complex x
+    raises DomainError, even with a zero imaginary part.
     """
     x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise DomainError(f"airy_real needs real arguments, got dtype {x.dtype}")
     t = x.astype(np.promote_types(x.dtype, np.float64))
     if not np.all(np.isfinite(t)):
         raise DomainError("airy_real needs finite arguments")
     if np.any(t < AIRY_REAL_MIN):
         raise DomainError(f"airy_real supports x >= {AIRY_REAL_MIN}, got {t.min()}")
-    double = t.dtype == np.float64
     ai, aip = np.empty_like(t), np.empty_like(t)
-    far = t >= (_ROWS_TOP if double else _ASYM_ANCHOR)
+    far = t >= _ROWS_TOP
     if far.any():
         ai[far], aip[far] = _airy_asymptotic_ld(t[far])
     near = t[~far]
     if near.size:
-        ai[~far], aip[~far] = (_double_step if double else _extended_step)(near)
+        ai[~far], aip[~far] = _row_step(near)
     return ai[()], aip[()]
 
 
 def airy_ai_real_xp(x):
-    """(Ai, Ai') on the real axis in extended precision (float128 arrays)."""
-    return airy_real(np.asarray(x, dtype=_LD))
+    """(Ai, Ai') on the real axis in extended precision (float128 arrays).
+
+    x is promoted, not cast, so complex x meets airy_real's DomainError.
+    """
+    x = np.asarray(x)
+    return airy_real(x.astype(np.promote_types(x.dtype, _LD)))
 
 
 # ---------------------------------------------------------------------------

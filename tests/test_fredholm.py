@@ -294,7 +294,8 @@ def test_report_derives_log_f_and_converged_from_its_fields():
 
 def _logdet_80bit(config, n):
     """log det(I - A) by one 80-bit Cholesky of the 80-bit assembly."""
-    A = fr._symmetrized_matrix(fr.build_scheme(config, n, dtype=np.longdouble))
+    scheme = fr.build_scheme(config, n, dtype=np.longdouble)
+    A = fr._kernel_matrix(scheme.xi, scheme.w_eff)
     np.negative(A, out=A)
     A.flat[::A.shape[0] + 1] += 1.0
     return float(fr._cholesky_logdet_ld(A))
@@ -432,7 +433,7 @@ def test_cholesky_logdet_matches_the_spectrum(x, s):
     cfg = GapConfig(x, s)
     for n in (16, 24, 36):
         scheme = fr.build_scheme(cfg, n)
-        twin = float(np.sum(np.log1p(-np.linalg.eigvalsh(fr._symmetrized_matrix(scheme)))))
+        twin = float(np.sum(np.log1p(-np.linalg.eigvalsh(fr._kernel_matrix(scheme.xi, scheme.w_eff)))))
         value = fr.logdet_single(cfg, scheme)
         assert abs(value - twin) <= pii.ROUNDING_FLOOR * abs(twin), (n, value, twin)
 
@@ -454,7 +455,7 @@ def test_thinning_keeps_the_spectrum_off_one(monkeypatch, x, s):
     report = fr.log_det(GapConfig(x, s))
     assert report.converged and len(schemes) == len(report.resolutions)
     for k, scheme in enumerate(schemes):
-        top = np.linalg.eigvalsh(fr._symmetrized_matrix(scheme))[-1]
+        top = np.linalg.eigvalsh(fr._kernel_matrix(scheme.xi, scheme.w_eff))[-1]
         sw = np.sqrt(scheme.w_plain)
         top0 = np.linalg.eigvalsh(sw[:, None] * fr._kernel_matrix(scheme.xi) * sw[None, :])[-1]
         assert top <= (1.0 - min(s)) * max(top0, 1.0) + 1e-12
@@ -504,7 +505,7 @@ def test_determinant_bounds_the_spectral_gap(x, s):
     cfg = GapConfig(x, s)
     for n in (16, 24, 48):
         scheme = fr.build_scheme(cfg, n)
-        gap = 1.0 - np.linalg.eigvalsh(fr._symmetrized_matrix(scheme))[-1]
+        gap = 1.0 - np.linalg.eigvalsh(fr._kernel_matrix(scheme.xi, scheme.w_eff))[-1]
         det = math.exp(fr.logdet_single(cfg, scheme))
         assert gap >= det * (1.0 - 1e-9), (n, gap, det)
 
@@ -517,7 +518,8 @@ def test_logdet_deep_gap_uses_extended_path():
     expected = math.log(2.0) / 24.0 - 0.1654211437004509 - math.log(10.0) / 8.0 - 1000.0 / 12.0
     assert abs(report.log_f - expected) < 2e-4
     # confirm this configuration actually crosses the escalation threshold
-    A = fr._symmetrized_matrix(fr.build_scheme(cfg))
+    scheme = fr.build_scheme(cfg)
+    A = fr._kernel_matrix(scheme.xi, scheme.w_eff)
     spectral_gap = 1.0 - float(np.linalg.eigvalsh(A)[-1])
     assert spectral_gap < fr.DEEP_GAP_THRESHOLD
 
@@ -575,7 +577,7 @@ def test_extended_matches_double_where_double_suffices(caplog):
         scheme = fr.build_scheme(cfg)
         xscheme = fr.build_scheme(cfg, scheme.nodes_per_panel, dtype=np.longdouble)
         with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
-            extended = fr._ritz_logdet(fr._symmetrized_matrix(xscheme))
+            extended = fr._ritz_logdet(fr._kernel_matrix(xscheme.xi, xscheme.w_eff))
         certified = fr.logdet_single(cfg, scheme)
         assert certified >= math.log(fr.DEEP_GAP_THRESHOLD)  # the Cholesky value is kept
         assert abs(extended - certified) < 1e-11

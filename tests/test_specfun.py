@@ -147,7 +147,8 @@ def test_airy_domain_error():
 
 
 def test_airy_extended_precision_vs_mpmath(mp40):
-    xs = np.array([-55.0, -22.0, -13.7, -9.3, -5.0, -1.0, 0.0, 2.3, 7.7, 11.9, 12.0, 14.5])
+    xs = np.array([-55.0, -22.0, -13.7, -9.3, -5.0, -1.0, 0.0, 2.3, 7.7, 11.9, 12.0, 14.5,
+                   20.0, 47.3, 75.1, 103.9])
     ai, aip = sf.airy_ai_real_xp(xs)
     for x, a, ap in zip(xs, ai, aip):
         mx = mp.mpf(float(x))
@@ -171,11 +172,12 @@ def test_airy_double_nodes_within_4_ulp_of_mpmath(mp40):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_airy_real_independent_of_call_history(monkeypatch, dtype):
     xs = np.linspace(-5.3, 14.2, 97).astype(dtype)
-    monkeypatch.setattr(sf, "_ANCHORS", sf._ANCHORS[..., :0])  # the only anchor cache
+    sf._anchor.cache_clear()  # the anchors are read only while rows are built,
+    monkeypatch.setattr(sf, "_ROWS", (0, sf._ROWS[1][:0]))  # so clear the rows too
     before = sf.airy_real(xs)
-    assert sf._ANCHORS.shape[-1] == 70  # anchors 12 - j/4 down to -5.25
+    assert sf._anchor.cache_info().currsize == 70  # anchors 12 - j/4 down to -5.25
     sf.airy_real(np.linspace(-40.0, 0.0, 33).astype(dtype))  # builds deeper anchors
-    assert sf._ANCHORS.shape[-1] == 209 and not sf._ANCHORS.flags.writeable
+    assert sf._anchor.cache_info().currsize == 209 and not sf._anchor(208).flags.writeable
     after = sf.airy_real(xs)
     for b, a in zip(before, after):
         assert b.dtype == dtype
@@ -191,10 +193,11 @@ def test_anchor_table_grows_to_the_deepest_request_under_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(sf, "_ANCHORS", sf._ANCHORS[..., :0])
+            sf._anchor.cache_clear()
+            monkeypatch.setattr(sf, "_ROWS", (0, sf._ROWS[1][:0]))
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(sf.airy_real, grids, timeout=60))
-            assert sf._ANCHORS.shape[-1] == 445  # anchor 12 - 444/4 = -99
+            assert sf._anchor.cache_info().currsize == 445  # anchor 12 - 444/4 = -99
             for (ai, aip), (ref, refp) in zip(results, expected):
                 assert np.array_equal(ai, ref) and np.array_equal(aip, refp)
     finally:
@@ -203,7 +206,7 @@ def test_anchor_table_grows_to_the_deepest_request_under_threads(monkeypatch):
 
 def _separate_taylor_sums(a, h):
     """(Ai, Ai') at x0 + h from the Taylor coefficients a of Ai about x0 by one
-    Horner loop per function: the reference for airy_real's packed step."""
+    Horner loop per function: the reference for the anchor march's packed step."""
     y = a[sf._MARCH_ORDER]
     yp = y * sf._MARCH_ORDER
     for k in range(sf._MARCH_ORDER - 1, 0, -1):
@@ -228,26 +231,18 @@ def _separate_anchors(depth):
 
 @pytest.mark.parametrize("dtype", [np.longdouble])
 def test_packed_taylor_step_is_bit_identical(dtype):
-    xs = np.linspace(dtype(-100.0), dtype(30.0), 24001)
-    ai, aip = sf.airy_real(xs)
-    t = xs.astype(np.longdouble)
-    ref, refp = np.empty_like(t), np.empty_like(t)
-    far = t >= sf._ASYM_ANCHOR
-    ref[far], refp[far] = sf._airy_asymptotic_ld(t[far])
-    near = t[~far]
-    j = np.rint((sf._ASYM_ANCHOR - near) / sf._MARCH_STEP).astype(np.intp)
-    anchors = _separate_anchors(j.max() + 1)
-    ref[~far], refp[~far] = _separate_taylor_sums(anchors[j].T, near - (sf._ASYM_ANCHOR - sf._MARCH_STEP * j))
-    assert ai.dtype == aip.dtype == dtype
-    assert np.array_equal(ai, ref.astype(dtype)) and np.array_equal(aip, refp.astype(dtype))
-    table = sf._anchor_table(len(anchors))[..., :len(anchors)]
-    assert np.array_equal(table[:, 0].T, anchors)
-    assert np.array_equal(table[:, 1].T, anchors * np.arange(sf._MARCH_ORDER + 1))
+    # the anchor march, down to the anchor 12 - 448/4 = AIRY_REAL_MIN
+    depth = int((sf._ASYM_ANCHOR - sf.AIRY_REAL_MIN) / sf._MARCH_STEP) + 1
+    anchors = _separate_anchors(depth)
+    table = np.array([sf._anchor(j) for j in range(depth)])
+    assert table.dtype == dtype
+    assert np.array_equal(table[:, :, 0], anchors)
+    assert np.array_equal(table[:, :, 1], anchors * np.arange(sf._MARCH_ORDER + 1))
 
 
 def test_double_step_within_4_eps_of_the_rounded_80_bit_values():
-    # double nodes take their own double step, so most pairs move by an ulp
-    # or two off the once-rounded 80-bit values the test above pins
+    # double nodes sum the float64 copy of each row, so most pairs move by an
+    # ulp or two off the 80-bit values, rounded once
     xs = np.linspace(-100.0, 30.0, 24001)
     ai, aip = sf.airy_real(xs)
     ref, refp = (v.astype(np.float64) for v in sf.airy_real(xs.astype(np.longdouble)))
@@ -328,6 +323,15 @@ def test_airy_real_rejects_non_finite(bad):
         sf.airy_real(np.array([0.5, bad]))
     with pytest.raises(sf.DomainError, match="finite"):
         sf.airy_real([0.5, bad])
+
+
+@pytest.mark.parametrize("bad", [np.array([0.5 + 0j]), np.array([1 + 2j]), 1 + 2j, [0.5, 2j],
+                                 np.array([0.5 + 0j], dtype=np.clongdouble)])
+@pytest.mark.parametrize("func", [sf.airy_real, sf.airy_ai_real_xp])
+def test_airy_real_rejects_complex(func, bad):
+    # a zero imaginary part too: the real-axis evaluator takes real dtypes only
+    with pytest.raises(sf.DomainError, match="real arguments"):
+        func(bad)
     with pytest.raises(sf.DomainError):
         sf.airy_ai_real_xp(bad)
 
