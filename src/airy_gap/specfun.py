@@ -4,15 +4,15 @@ functions at mu = 0.
 
 Everything here is double precision except the real-axis Airy evaluator
 `airy_real` (x >= -100).  Its one Taylor step reads coefficient rows built in
-80-bit floats.  80-bit nodes sum the 80-bit rows, ~3e-17 relative: the
-deep-gap determinants push eigenvalues of the discretized operator within
-~1e-12 of 1, where double kernel entries are not accurate enough.  Double
-nodes sum float64 copies of the same rows, each rounded once: within 4 eps
-of the exact values relative to |Ai| + |Ai'| (1.2 eps on [-16, 104), 2.1 on
-[-100, -16]), which moves thinned determinants by about 1e-15.  scipy
-serves the complex arguments; `scipy.special` is imported inside those
-functions on their first call, so importing this module and every
-real-axis path stay scipy-free.
+80-bit floats.  80-bit nodes sum the 80-bit rows, ~3e-17 relative (up to
+~5e-17 near 104): the deep-gap determinants push eigenvalues of the
+discretized operator within ~1e-12 of 1, where double kernel entries are not
+accurate enough.  Double nodes sum float64 copies of the same rows, each
+rounded once: within 4 eps of the exact values relative to |Ai| + |Ai'|
+(1.2 eps on [-16, 104), 2.1 on [-100, -16]), which moves thinned
+determinants by about 1e-15.  scipy serves the complex arguments;
+`scipy.special` is imported inside those functions on their first call, so
+importing this module and every real-axis path stay scipy-free.
 """
 
 from __future__ import annotations
@@ -327,12 +327,14 @@ def airy_real(x):
 
     Every point below 104 takes one Taylor step (|h| <= 1/32) off the nearest
     anchor 12 + k/16, whose 16-term row is built in 80-bit: 80-bit x sums
-    that row, ~3e-17 relative; double x sums its float64 copy, rounded once,
-    within 4 eps of the exact pair relative to |Ai| + |Ai'| (measured:
-    1.2 eps on [-16, 104), 2.1 eps on [-100, -16]).  Points at or above 104,
-    where double Ai is subnormal, take the 80-bit large-argument series.
-    The rows are built as far as the points have needed so far.  Complex x
-    raises DomainError, even with a zero imaginary part.
+    that row, ~3e-17 relative (up to ~5e-17 near 104, where the rows come
+    from the large-argument series); double x sums its float64 copy,
+    rounded once, within 4 eps of the exact pair relative to |Ai| + |Ai'|
+    (measured: 1.2 eps on [-16, 104), 2.1 eps on [-100, -16]).  Points at
+    or above 104, where double Ai is subnormal, take the 80-bit
+    large-argument series.  The rows are built as far as the points have
+    needed so far.  Complex x raises DomainError, even with a zero imaginary
+    part.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "biuf":
