@@ -3,7 +3,8 @@
 The operator acts on (x_m, +infinity) with piecewise weight 1 - s_j on each
 interval (x_j, x_{j-1}); its determinant is the generating function of the
 counting statistics of the Airy point process.  Discretization is panel-wise
-Gauss-Legendre (Nystrom) with the symmetrized weighting
+Gauss-Legendre (Nystrom), panels at most 4 long where Ai oscillates (u < 0)
+and 8 where it only decays, with the symmetrized weighting
 A_ik = sqrt(w_i w_k) K(xi_i, xi_k), assembled from sqrt(w) Ai and sqrt(w) Ai'
 by one outer product.  One double Cholesky factorization of
 I - A gives log det(I - A) wherever it certifies itself: every s_j is at
@@ -121,15 +122,20 @@ class QuadratureScheme:
         return self.xi.size
 
 
+def _stretch(u: float) -> float:
+    """phi(u) = u/4 below 0, u/8 above: a panel spans at most 1 in phi; exact, by powers of 2."""
+    return u / (PANEL_MAX_LENGTH if u < 0.0 else 2.0 * PANEL_MAX_LENGTH)
+
+
 def _panel_counts(intervals, nodes_per_panel: int, top: int | None = None) -> list[int]:
-    """Panels per interval; ValueError below 4 nodes per panel, or a top rung (by default
-    nodes_per_panel) above MAX_RULE_ORDER or needing N > MAX_NODES."""
+    """Panels per interval, ceil(phi(b) - phi(a)); ValueError below 4 nodes per panel, or
+    a top rung (by default nodes_per_panel) above MAX_RULE_ORDER or needing N > MAX_NODES."""
     top = nodes_per_panel if top is None else top
     if nodes_per_panel < 4:
         raise ValueError(f"nodes_per_panel must be at least 4, got {nodes_per_panel}")
     if top > specfun.MAX_RULE_ORDER:
         raise ValueError(f"rule order {top} is above MAX_RULE_ORDER = {specfun.MAX_RULE_ORDER}")
-    counts = [max(1, math.ceil((b - a) / PANEL_MAX_LENGTH - 1e-12)) for a, b in intervals]
+    counts = [max(1, math.ceil(_stretch(b) - _stretch(a) - 1e-12)) for a, b in intervals]
     size = sum(counts) * top
     if size > MAX_NODES:
         raise ValueError(f"the discretization needs N = {size} nodes, above MAX_NODES = {MAX_NODES}")
@@ -137,17 +143,22 @@ def _panel_counts(intervals, nodes_per_panel: int, top: int | None = None) -> li
 
 
 def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
-    """Gauss-Legendre panels of length <= PANEL_MAX_LENGTH over each interval.
-
-    Returns the panels, the nodes, their weights and, per node, the position
-    of its interval in `intervals`.  _panel_counts checks the size first.
-    """
+    """Gauss-Legendre panels, at most 4 long below 0 and 8 above: edges spaced in phi as
+    np.linspace would (a + k (b - a)/count, the last b) by float arithmetic, then mapped
+    back by one broadcast, exactly at every endpoint.  Returns the panels, the nodes, their
+    weights and, per node, the position of its interval in `intervals`; _panel_counts
+    checks the size first."""
     counts = _panel_counts(intervals, nodes_per_panel)
     rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
-    edges = [np.linspace(a, b, count + 1) for (a, b), count in zip(intervals, counts)]
-    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
-    xi, w = rule.mapped(lo.astype(dtype)[:, None], hi.astype(dtype)[:, None])  # every panel at once
-    pos = np.repeat(np.arange(len(counts), dtype=np.int32), np.multiply(counts, nodes_per_panel))
+    phi = []  # every panel's (lo, hi) in phi
+    for (a, b), count in zip(intervals, counts):
+        a, b = _stretch(a), _stretch(b)
+        grid = [a + k * ((b - a) / count) for k in range(count)] + [b]
+        phi += zip(grid, grid[1:])
+    edges = np.array(phi).T
+    lo, hi = edges * np.where(edges < 0.0, PANEL_MAX_LENGTH, 2.0 * PANEL_MAX_LENGTH)  # back to u
+    xi, w = rule.mapped(lo.astype(dtype, copy=False)[:, None], hi.astype(dtype, copy=False)[:, None])
+    pos = np.arange(len(counts), dtype=np.int32).repeat([count * nodes_per_panel for count in counts])
     return tuple(zip(lo.tolist(), hi.tolist())), xi.ravel(), w.ravel(), pos
 
 
@@ -170,9 +181,8 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
                  tail_length: float | None = None, dtype=np.float64) -> QuadratureScheme:
     """Panelized Gauss-Legendre scheme for the operator of `config`.
 
-    One run of panels per interior interval (x_j, x_{j-1}) and
-    ceil(T / 4) tail panels on (x_1, x_1 + T).  Panels never exceed length 4
-    so the Airy oscillation (wavelength ~ pi/sqrt|x|) stays resolved.  When
+    _panelize covers each interval (x_j, x_{j-1}) and the tail (x_1, x_1 + T);
+    80-bit nodes map the same double panel edges as double ones.  When
     tail_length is omitted it is chosen so the truncation point clears
     TRUNCATION_POINT_MIN.  A tail_length that puts the cut x_1 + T below
     TRUNCATION_POINT_MIN discretizes the truncated operator, whose

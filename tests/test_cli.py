@@ -110,7 +110,7 @@ def test_det_refuses_an_unresolved_thinned_grid_with_exit_4(tmp_path, capsys):
     cfg = write_config(tmp_path, {"x": [-30.0, -60.0], "s": [0.5, 0.3]})
     code, out, err = run(["det", cfg, "--nodes", "4"], capsys)
     assert code == 4 and out == ""
-    assert "not positive definite (N=76, 4 nodes per panel, min s=0.3)" in err
+    assert "not positive definite (N=72, 4 nodes per panel, min s=0.3)" in err
 
 
 def test_non_finite_result_exits_4(tmp_path, capsys, monkeypatch):
@@ -210,9 +210,9 @@ def test_det_resolution_flags_removed(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-# 4 panels at x = -2: the top rung ceil(1.5 n) sets N; at 1400 the first rung
-# (N = 5600) fits and only the second (N = 8400) does not
-@pytest.mark.parametrize("flags, size", [(["--nodes", "2048"], 12288), (["--nodes", "1400"], 8400)])
+# 3 panels at x = -2, ceil(2/4 + 14.5/8): the top rung ceil(1.5 n) sets N; at
+# 1900 the first rung (N = 5700) fits and only the second (N = 8550) does not
+@pytest.mark.parametrize("flags, size", [(["--nodes", "2048"], 9216), (["--nodes", "1900"], 8550)])
 def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, flags, size):
     # N is checked before any scheme exists: building one fails the test at once
     def no_scheme(*args, **kwargs):

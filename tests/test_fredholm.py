@@ -110,12 +110,19 @@ def test_kernel_confluence():
 # scheme construction
 # ---------------------------------------------------------------------------
 
+def _within_panel_bounds(panels):
+    """Every part of a panel below 0 at most 4 long, every part above 0 at most 8."""
+    return all(min(b, 0.0) - min(a, 0.0) <= 4.0 + 1e-12 and max(b, 0.0) - max(a, 0.0) <= 8.0 + 1e-12
+               for a, b in panels)
+
+
 def test_scheme_single_interval_layout():
     cfg = GapConfig((-2.0,), (0.0,))
     scheme = fr.build_scheme(cfg, nodes_per_panel=16, tail_length=12.0)
-    assert len(scheme.panels) == 3
+    assert len(scheme.panels) == 2  # ceil(2/4 + 10/8)
     assert scheme.panels[0][0] == -2.0
     assert scheme.panels[-1][1] == 10.0
+    assert _within_panel_bounds(scheme.panels)
     assert np.all(scheme.w_eff == scheme.w_plain)  # factor 1 - s = 1
 
 
@@ -140,7 +147,8 @@ def test_scheme_long_interval_split_and_default_tail():
     scheme = fr.build_scheme(cfg, nodes_per_panel=8)
     inner = [p for p in scheme.panels if p[1] <= -1.0]
     assert len(inner) == 3  # ceil(10/4)
-    assert all(b - a <= 4.0 + 1e-12 for a, b in scheme.panels)
+    assert len(scheme.panels) == 5  # and ceil(1/4 + 12.5/8) on (-1, 12.5)
+    assert _within_panel_bounds(scheme.panels)
     # default tail clears the truncation floor
     assert scheme.panels[-1][1] >= fr.TRUNCATION_POINT_MIN
 
@@ -162,11 +170,20 @@ def test_one_halfline_cut_for_determinants_and_traces(a):
 
 
 def _panelize_per_panel(intervals, nodes_per_panel, dtype):
-    """One QuadRule.mapped call per panel: the layout _panelize builds at once."""
+    """The layout _panelize builds at once, one panel at a time from the rule:
+    ceil(phi(b) - phi(a)) panels per interval, phi(u) = u/4 below 0 and u/8
+    above, edges equidistributed in phi, and one QuadRule.mapped call each."""
+    def phi(u):
+        return u / 4.0 if u < 0.0 else u / 8.0
+
+    def u_of(t):
+        return 4.0 * t if t < 0.0 else 8.0 * t
+
     rule = sf.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
     panels, xs, ws, pos = [], [], [], []
-    for p, ((a, b), count) in enumerate(zip(intervals, fr._panel_counts(intervals, nodes_per_panel))):
-        edges = np.linspace(a, b, count + 1)
+    for p, (a, b) in enumerate(intervals):
+        count = max(1, math.ceil(phi(b) - phi(a) - 1e-12))
+        edges = [u_of(t) for t in np.linspace(phi(a), phi(b), count + 1).tolist()]
         for pa, pb in zip(edges[:-1], edges[1:]):
             nodes, weights = rule.mapped(dtype(pa), dtype(pb))
             panels.append((float(pa), float(pb)))
@@ -179,7 +196,8 @@ def _panelize_per_panel(intervals, nodes_per_panel, dtype):
 @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
 @pytest.mark.parametrize("n", (16, 24, 36))
 @pytest.mark.parametrize("x, s", [((-2.0,), (0.5,)), ((-1.0, -3.0, -5.5), (0.2, 0.5, 0.9)),
-                                  ((-99.0,), (0.5,)), ((-8.0, -12.0), (0.0, 0.3))])
+                                  ((-99.0,), (0.5,)), ((-8.0, -12.0), (0.0, 0.3)),
+                                  ((6.0, 0.0, -5.5), (0.5, 0.2, 0.9))])
 def test_panelize_maps_every_panel_like_quadrule_mapped(dtype, n, x, s):
     intervals = fr._scheme_intervals(GapConfig(x, s), None)[0]
     got = fr._panelize(intervals, n, dtype)
@@ -187,6 +205,56 @@ def test_panelize_maps_every_panel_like_quadrule_mapped(dtype, n, x, s):
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# the 15 thinned configurations of the benchmark pool (perfbench/pool.json)
+THINNED_POOL = [
+    ((-2.5168,), (0.764,)),
+    ((-2.9506,), (0.1122,)),
+    ((-2.9215,), (0.1676,)),
+    ((-3.3438, -5.56441758), (0.4651, 0.4953)),
+    ((-2.9852, -4.29749392), (0.5718, 0.5165)),
+    ((-4.3314,), (0.1339,)),
+    ((-4.3633, -5.8053706499999995), (0.3742, 0.2083)),
+    ((-2.1372, -3.75634272, -4.510346879999999), (0.1944, 0.0978, 0.1916)),
+    ((-2.4137, -4.02074146, -6.4008910299999995), (0.3112, 0.8619, 0.4442)),
+    ((-3.8042, -6.40132734, -9.65391834), (0.142, 0.7936, 0.8268)),
+    ((-4.465, -8.3267785, -12.2854475), (0.7337, 0.656, 0.4323)),
+    ((-3.892, -5.9804471999999995, -7.5247928), (0.16, 0.7027, 0.2269)),
+    ((-4.848, -8.9183808, -11.491214399999999), (0.2933, 0.9247, 0.3363)),
+    ((-5.8875, -8.241322499999999, -12.51447), (0.5014, 0.3323, 0.6117)),
+    ((-5.4412, -9.7207038, -12.057699200000002), (0.4944, 0.7468, 0.3629)),
+]
+
+
+@pytest.mark.parametrize("x, s", THINNED_POOL + [
+    ((6.0, 0.0, -5.5), (0.5, 0.2, 0.9)), ((3.0,), (0.5,)), ((-0.1,), (0.5,)),
+    ((-99.0,), (0.5,)), ((-8.0, -12.0), (0.0, 0.3))])
+def test_panels_are_at_most_four_long_below_zero_and_eight_above(x, s):
+    cfg = GapConfig(x, s)
+    for tail in (None, 8.0, 31.0):
+        scheme = fr.build_scheme(cfg, 16, tail)
+        panels = scheme.panels
+        assert _within_panel_bounds(panels)
+        assert all(b == c for (_, b), (c, _) in zip(panels, panels[1:]))
+        # every x_j and the cut x_1 + T are exact panel edges
+        assert set(cfg.x) <= {a for a, _ in panels}
+        assert panels[0][0] == cfg.x[-1] and panels[-1][1] == cfg.x[0] + scheme.tail_length
+        # the 80-bit scheme maps the same double edges
+        assert fr.build_scheme(cfg, 16, tail, dtype=np.longdouble).panels == panels
+
+
+def test_thinned_pool_panel_count():
+    # 90 panels of length at most 4 on both sides; 8 above 0 saves a quarter
+    assert sum(len(fr.build_scheme(GapConfig(x, s), 16).panels) for x, s in THINNED_POOL) == 68
+
+
+@pytest.mark.parametrize("x, s", THINNED_POOL)
+def test_default_ladder_stops_at_24_nodes_on_the_thinned_pool(x, s):
+    cfg = GapConfig(x, s)
+    report = fr.log_det(cfg)
+    assert [n for n, _ in report.resolutions] == [16, 24]
+    assert abs(report.log_f - fr.log_det(cfg, nodes_per_panel=54).log_f) <= report.est_error
 
 
 @pytest.mark.parametrize("tail", (math.inf, math.nan))
@@ -357,9 +425,9 @@ def test_default_ladder_refuses_an_oversized_rung_before_any_determinant(monkeyp
         raise AssertionError("a determinant was computed")
 
     monkeypatch.setattr(fr, "logdet_single", no_determinant)
-    # 125 panels: the 16-node rung fits, the 81-node one (N = 10125) does not
+    # 125 panels, ceil(2/4 + 996/8): the 16-node rung fits, the 81-node one (N = 10125) does not
     with pytest.raises(ValueError, match=f"N = 10125 nodes, above MAX_NODES = {fr.MAX_NODES}"):
-        fr.log_det(GapConfig((-2.0,), (0.5,)), tail_length=500.0)
+        fr.log_det(GapConfig((-2.0,), (0.5,)), tail_length=998.0)
 
 
 def test_logdet_merge_invariance():
@@ -470,7 +538,7 @@ def test_cholesky_refuses_an_unresolved_grid():
         fr.log_det(GapConfig((-30.0, -60.0), (0.5, 0.3)), nodes_per_panel=4)
     msg = str(info.value)
     assert "not positive definite" in msg
-    assert "N=76, 4 nodes per panel, min s=0.3" in msg
+    assert "N=72, 4 nodes per panel, min s=0.3" in msg
 
 
 @pytest.mark.parametrize("x, s, route", [
@@ -563,11 +631,11 @@ def test_ritz_logdet_rejects_eigenvalue_above_one():
 
 def test_deep_gap_refusal_names_the_spectral_gap():
     # at x = -13 the Ritz block of I - A loses positivity in 80-bit arithmetic
-    # on the first rung of the default ladder (16 nodes per panel, N = 112)
+    # on the first rung of the default ladder (16 nodes per panel, N = 80)
     with pytest.raises(NumericalError) as info:
         fr._nystrom_log_det(GapConfig((-13.0,), (0.0,)))
     msg = str(info.value)
-    assert re.search(r"Cholesky pivot .* \(N=112, k=\d+, double min\(1-lambda\)=\S+\)", msg)
+    assert re.search(r"Cholesky pivot .* \(N=80, k=\d+, double min\(1-lambda\)=\S+\)", msg)
     assert "80-bit arithmetic cannot resolve" in msg and "s in [0,1]" not in msg
 
 
