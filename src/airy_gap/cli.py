@@ -13,6 +13,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -437,14 +438,16 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     report.timing_seconds = time.perf_counter() - start
     out = report.to_json()
-    if args.json is not None:
-        try:
+    try:
+        if args.json is not None:
             with open(args.json, "w") as fh:
                 fh.write(out + "\n")
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    print(out)
+        print(out, flush=True)
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader left: nothing more goes there
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

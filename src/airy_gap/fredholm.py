@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,6 +116,7 @@ class QuadratureScheme:
     w_plain: np.ndarray
     w_eff: np.ndarray
     interval_index: np.ndarray  # 1-based j of (x_j, x_{j-1}) containing each node
+    _airy: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # (Ai, Ai') at xi
 
     @property
     def size(self) -> int:
@@ -142,14 +143,13 @@ def _panel_counts(intervals, nodes_per_panel: int, top: int | None = None) -> li
     return counts
 
 
-def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
-    """Gauss-Legendre panels, at most 4 long below 0 and 8 above: edges spaced in phi as
-    np.linspace would (a + k (b - a)/count, the last b) by float arithmetic, then mapped
-    back by one broadcast, exactly at every endpoint.  Returns the panels, the nodes, their
-    weights and, per node, the position of its interval in `intervals`; _panel_counts
-    checks the size first."""
-    counts = _panel_counts(intervals, nodes_per_panel)
-    rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
+def _panel_layout(intervals, nodes_per_panel: int, top: int | None = None):
+    """Every panel's edges lo, hi in u and the position of its interval in `intervals`,
+    the same for every rule order: at most 4 long below 0 and 8 above, edges spaced in
+    phi as np.linspace would (a + k (b - a)/count, the last b) by float arithmetic, then
+    mapped back by one broadcast, exactly at every endpoint.  _panel_counts checks
+    nodes_per_panel and top first."""
+    counts = _panel_counts(intervals, nodes_per_panel, top)
     phi = []  # every panel's (lo, hi) in phi
     for (a, b), count in zip(intervals, counts):
         a, b = _stretch(a), _stretch(b)
@@ -157,9 +157,15 @@ def _panelize(intervals, nodes_per_panel: int, dtype=np.float64):
         phi += zip(grid, grid[1:])
     edges = np.array(phi).T
     lo, hi = edges * np.where(edges < 0.0, PANEL_MAX_LENGTH, 2.0 * PANEL_MAX_LENGTH)  # back to u
+    return lo, hi, np.arange(len(counts), dtype=np.int32).repeat(counts)
+
+
+def _panelize(layout, nodes_per_panel: int, dtype=np.float64):
+    """One rule order on a _panel_layout: panels, nodes, weights and each node's interval position."""
+    lo, hi, pos = layout
+    rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
     xi, w = rule.mapped(lo.astype(dtype, copy=False)[:, None], hi.astype(dtype, copy=False)[:, None])
-    pos = np.arange(len(counts), dtype=np.int32).repeat([count * nodes_per_panel for count in counts])
-    return tuple(zip(lo.tolist(), hi.tolist())), xi.ravel(), w.ravel(), pos
+    return tuple(zip(lo.tolist(), hi.tolist())), xi.ravel(), w.ravel(), pos.repeat(nodes_per_panel)
 
 
 def _halfline_cut(a: float, tail_length: float | None = None) -> tuple[float, float]:
@@ -181,7 +187,7 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
                  tail_length: float | None = None, dtype=np.float64) -> QuadratureScheme:
     """Panelized Gauss-Legendre scheme for the operator of `config`.
 
-    _panelize covers each interval (x_j, x_{j-1}) and the tail (x_1, x_1 + T);
+    _panel_layout covers each interval (x_j, x_{j-1}) and the tail (x_1, x_1 + T);
     80-bit nodes map the same double panel edges as double ones.  When
     tail_length is omitted it is chosen so the truncation point clears
     TRUNCATION_POINT_MIN.  A tail_length that puts the cut x_1 + T below
@@ -189,7 +195,13 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
     determinant is not F(x; s); it is meant only for truncation studies.
     """
     intervals, tail_length = _scheme_intervals(config, tail_length)
-    panels, xi, w, pos = _panelize(intervals, nodes_per_panel, dtype)
+    layout = _panel_layout(intervals, nodes_per_panel)
+    return _layout_scheme(config, layout, nodes_per_panel, tail_length, dtype)
+
+
+def _layout_scheme(config: GapConfig, layout, nodes_per_panel: int, tail_length: float, dtype=np.float64):
+    """build_scheme's scheme on a _panel_layout of its intervals, which a ladder's rungs share."""
+    panels, xi, w, pos = _panelize(layout, nodes_per_panel, dtype)
     interval_index = np.int32(config.m) - pos
     thinning = np.array([1.0 - v for v in config.s], dtype=dtype)
     return QuadratureScheme(
@@ -238,16 +250,16 @@ def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (specfun.airy_ai_real_xp if x.dtype == _LD else specfun.airy_real)(x)
 
 
-def _kernel_matrix(xi: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+def _kernel_matrix(xi: np.ndarray, w: np.ndarray | None = None, airy=None) -> np.ndarray:
     """Dense sqrt(w_i w_k) K(xi_i, xi_k) on distinct nodes (K itself without w),
     its diagonal by the confluent form; the precision follows the dtype of xi,
-    so double and 80-bit determinants assemble alike.
+    so double and 80-bit determinants assemble alike; airy is _airy_pair(xi) if known.
 
     sqrt(w) is folded into Ai and Ai' first, so the antisymmetric numerator
     is one outer product M less its transpose, and the differences xi_i - xi_k
     reuse M's memory: four N^2 passes in all.
     """
-    ai, aip = _airy_pair(xi)
+    ai, aip = _airy_pair(xi) if airy is None else airy
     if w is not None:
         sw = np.sqrt(w)
         ai, aip = ai * sw, aip * sw
@@ -329,7 +341,7 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     DEEP_GAP_THRESHOLD is kept.  Every other configuration takes the 80-bit
     path: the same assembly on float128 nodes, then _ritz_logdet.
     """
-    A = _kernel_matrix(scheme.xi, scheme.w_eff)
+    A = _kernel_matrix(scheme.xi, scheme.w_eff, scheme._airy)
     np.negative(A, out=A)  # I - A in place
     A.flat[::A.shape[0] + 1] += 1.0
     thinned = min(config.s) >= NEAR_ONE_GAP
@@ -418,12 +430,24 @@ def log_det(config: GapConfig, *,
 
 def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
                      tail_length: float | None = None) -> DeterminantReport:
-    """log_det's Nystrom ladder, whatever the configuration."""
+    """log_det's Nystrom ladder, whatever the configuration: every rung on one
+    _panel_layout, checked for the top rung first.  The first two rungs always
+    run, so they are built together and share one airy_real call (each node's
+    value is its own); a later rung is built only when it runs."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
-    _panel_counts(_scheme_intervals(config, tail_length)[0], orders[0], orders[-1])
-    report = _ladder(config, orders, lambda k: logdet_single(config, build_scheme(config, k, tail_length)),
-                     "nystrom")
+    intervals, tail_length = _scheme_intervals(config, tail_length)
+    layout = _panel_layout(intervals, orders[0], orders[-1])
+    coarse, fine = (_layout_scheme(config, layout, k, tail_length) for k in orders[:2])
+    ai, aip = specfun.airy_real(np.concatenate([coarse.xi, fine.xi]))
+    first = {orders[0]: replace(coarse, _airy=(ai[:coarse.size], aip[:coarse.size])),
+             orders[1]: replace(fine, _airy=(ai[coarse.size:], aip[coarse.size:]))}
+
+    def value_at(k):
+        scheme = first.pop(k) if k in first else _layout_scheme(config, layout, k, tail_length)
+        return logdet_single(config, scheme)
+
+    report = _ladder(config, orders, value_at, "nystrom")
     if not report.converged:
         _log.warning("Nystrom ladder unconverged: x=%s, s=%s, top rung %d nodes per panel, est_error=%.3g",
                      config.x, config.s, report.resolutions[-1][0], report.est_error)
@@ -510,7 +534,7 @@ def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray,
     half-line (a, inf) ends at _halfline_cut(a)."""
     cut = [(a, _halfline_cut(a)[0] if math.isinf(b) else b)
            for a, b in _normalize_intervals(intervals)]
-    return _panelize(cut, nodes_per_panel)[1:]
+    return _panelize(_panel_layout(cut, nodes_per_panel), nodes_per_panel)[1:]
 
 
 def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:

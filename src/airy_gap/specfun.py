@@ -306,19 +306,20 @@ def _row_table(lo: int, hi: int) -> tuple[int, np.ndarray]:
     return start, rows
 
 
-def _row_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') at t in [-100, 104), in the dtype of t: one Taylor step
-    (|h| <= 1/32) off the nearest anchor 12 + k/16, every point by one matmul
-    of its row in that dtype."""
-    k = np.rint((t - _ASYM_ANCHOR) / _ROW_STEP).astype(np.intp)
-    start, rows = _row_table(k.min(), k.max())
+def _row_step(t: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') at the points t of one axis, lo = min t and hi = max t within
+    [-100, 104), in the dtype of t: one Taylor step (|h| <= 1/32) off the
+    nearest anchor 12 + k/16, every point by one matmul of its row in that
+    dtype.  k = rint((t - 12) 16) is monotone in t, so lo and hi give its range."""
+    k, lo, hi = (np.rint((v - _ASYM_ANCHOR) * (1 / _ROW_STEP)) for v in (t, lo, hi))
+    start, rows = _row_table(int(lo), int(hi))
     powers = np.empty((t.size, _ROW_TERMS), dtype=t.dtype)
     rising = powers[:, ::-1]  # 1, h, ..., h^15 written highest power first
     rising[:, 0] = 1.0
     rising[:, 1:] = (t - (_ASYM_ANCHOR + _ROW_STEP * k))[:, None]
     np.cumprod(rising, axis=1, out=rising)
     rows = rows["double" if t.dtype == np.float64 else "extended"]
-    values = np.matmul(rows[k - start], powers[:, :, None])
+    values = np.matmul(rows[k.astype(np.intp) - start], powers[:, :, None])
     return values[:, 0, 0], values[:, 1, 0]
 
 
@@ -332,25 +333,28 @@ def airy_real(x):
     rounded once, within 4 eps of the exact pair relative to |Ai| + |Ai'|
     (measured: 1.2 eps on [-16, 104), 2.1 eps on [-100, -16]).  Points at
     or above 104, where double Ai is subnormal, take the 80-bit
-    large-argument series.  The rows are built as far as the points have
-    needed so far.  Complex x raises DomainError, even with a zero imaginary
-    part.
+    large-argument series; below it, as checked by one min and one max, no
+    mask splits the points.  The rows are built as far as the points have
+    needed so far.  Complex x raises DomainError, even with a zero imaginary part.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "biuf":
         raise DomainError(f"airy_real needs real arguments, got dtype {x.dtype}")
     t = x.astype(np.promote_types(x.dtype, np.float64))
-    if not np.all(np.isfinite(t)):
+    if not t.size:
+        return np.empty_like(t), np.empty_like(t)
+    lo, hi = t.min(), t.max()  # NaN anywhere makes both NaN
+    if not -math.inf < lo <= hi < math.inf:
         raise DomainError("airy_real needs finite arguments")
-    if np.any(t < AIRY_REAL_MIN):
-        raise DomainError(f"airy_real supports x >= {AIRY_REAL_MIN}, got {t.min()}")
+    if lo < AIRY_REAL_MIN:
+        raise DomainError(f"airy_real supports x >= {AIRY_REAL_MIN}, got {lo}")
+    if hi < _ROWS_TOP:
+        ai, aip = _row_step(t.ravel(), lo, hi)
+        return ai.reshape(t.shape)[()], aip.reshape(t.shape)[()]
     ai, aip = np.empty_like(t), np.empty_like(t)
     far = t >= _ROWS_TOP
-    if far.any():
-        ai[far], aip[far] = _airy_asymptotic_ld(t[far])
-    near = t[~far]
-    if near.size:
-        ai[~far], aip[~far] = _row_step(near)
+    ai[far], aip[far] = _airy_asymptotic_ld(t[far])
+    ai[~far], aip[~far] = airy_real(t[~far])  # no point at or above 104 there
     return ai[()], aip[()]
 
 
@@ -391,6 +395,12 @@ def digamma(z) -> complex:
     return complex(special.digamma(zc))
 
 
+@functools.lru_cache(maxsize=None)
+def _barnes_coefficients() -> tuple[float, ...]:
+    """log_barnes_g's coefficients of (w/2)^n, (-1)^(n-1) 2^n (zeta(n-1) - 1), n < 2000."""
+    return tuple((-1.0) ** (n - 1) * (2.0 * zeta_minus_one_scaled(n - 1)) for n in range(3, 2000))
+
+
 def log_barnes_g(z) -> complex:
     """log G(z) for the Barnes G-function, Re z > 0 and |z - 1| <= 2.
 
@@ -420,10 +430,9 @@ def log_barnes_g(z) -> complex:
     q = 0.5 * w
     qn = q * q  # q^2, loop starts at n = 3
     total = 0.0 + 0.0j
-    for n in range(3, 2000):
+    for n, c in zip(range(3, 2000), _barnes_coefficients()):
         qn *= q
-        c = 2.0 * zeta_minus_one_scaled(n - 1)
-        term = (-1.0) ** (n - 1) * c * qn / n
+        term = c * qn / n
         total += term
         if abs(term) < 1e-19 * (1.0 + abs(total)):
             break

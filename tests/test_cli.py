@@ -218,7 +218,7 @@ def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, fla
     def no_scheme(*args, **kwargs):
         raise AssertionError("a scheme or determinant matrix was built")
 
-    for name in ("build_scheme", "logdet_single", "_kernel_matrix"):
+    for name in ("build_scheme", "_layout_scheme", "_panelize", "logdet_single", "_kernel_matrix"):
         monkeypatch.setattr(cli.fredholm, name, no_scheme)
     cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
     code, out, err = run(["det", cfg, *flags], capsys)
@@ -240,6 +240,22 @@ def test_json_report_unwritable_exits_3(tmp_path, capsys):
     code, _, err = run(["det", cfg, "--nodes", "16",
                         "--json", str(tmp_path / "missing-dir" / "r.json")], capsys)
     assert code == 3 and err.startswith("i/o error: ")
+
+
+def test_closed_stdout_pipe_exits_3(tmp_path):
+    # the reader of stdout is gone before the report is written: one error
+    # line and exit 3, as for an unwritable --json, and nothing at shutdown
+    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
+    env = dict(os.environ, PYTHONPATH=str(Path(airy_gap.__file__).resolve().parents[1]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "airy_gap.cli", "det", cfg], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == 3
+    assert proc.stderr == "i/o error: [Errno 32] Broken pipe\n"
 
 
 def test_tau_r_parametrization(tmp_path, capsys):

@@ -170,7 +170,7 @@ def test_one_halfline_cut_for_determinants_and_traces(a):
 
 
 def _panelize_per_panel(intervals, nodes_per_panel, dtype):
-    """The layout _panelize builds at once, one panel at a time from the rule:
+    """The panels _panelize builds at once, one panel at a time from the rule:
     ceil(phi(b) - phi(a)) panels per interval, phi(u) = u/4 below 0 and u/8
     above, edges equidistributed in phi, and one QuadRule.mapped call each."""
     def phi(u):
@@ -200,7 +200,7 @@ def _panelize_per_panel(intervals, nodes_per_panel, dtype):
                                   ((6.0, 0.0, -5.5), (0.5, 0.2, 0.9))])
 def test_panelize_maps_every_panel_like_quadrule_mapped(dtype, n, x, s):
     intervals = fr._scheme_intervals(GapConfig(x, s), None)[0]
-    got = fr._panelize(intervals, n, dtype)
+    got = fr._panelize(fr._panel_layout(intervals, n), n, dtype)
     want = _panelize_per_panel(intervals, n, dtype)
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
@@ -257,6 +257,44 @@ def test_default_ladder_stops_at_24_nodes_on_the_thinned_pool(x, s):
     assert abs(report.log_f - fr.log_det(cfg, nodes_per_panel=54).log_f) <= report.est_error
 
 
+@pytest.mark.parametrize("x, s, n", [(x, s, None) for x, s in THINNED_POOL] + [
+    ((-8.0, -12.0), (0.0, 0.3), None), ((-8.5, -11.0), (0.0, 0.5), None),  # cond-8-12, cond-8.5-11
+    ((-6.0, -8.0), (0.0, 0.5), None),
+    ((-2.0, -3.0, -4.5), (0.5, 0.5, 0.3), 24), ((-6.0, -8.0), (0.0, 0.5), 24)])
+def test_ladder_values_are_the_values_of_single_rungs(monkeypatch, x, s, n):
+    # the ladder shares one layout and one Airy call between its first two
+    # rungs; each value stays the bits of logdet_single on build_scheme
+    escalations = []
+    original = sf.airy_ai_real_xp
+    monkeypatch.setattr(sf, "airy_ai_real_xp", lambda xi: escalations.append(xi.size) or original(xi))
+    cfg = GapConfig(x, s)
+    report = fr.log_det(cfg, nodes_per_panel=n)
+    assert report.route == "nystrom" and len(report.resolutions) >= 2
+    assert bool(escalations) == (s[0] == 0.0)  # these s_1 = 0 gaps are deep enough to escalate
+    assert list(report.resolutions) == [(k, fr.logdet_single(cfg, fr.build_scheme(cfg, k)))
+                                        for k, _ in report.resolutions]
+
+
+def test_ladder_hands_each_rung_its_own_scheme(monkeypatch):
+    # a wrapper of logdet_single sees one call per rung, the rung's scheme second
+    calls = []
+    original = fr.logdet_single
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fr, "logdet_single", recording)
+    cfg = GapConfig((-2.0, -3.0, -4.5), (0.5, 0.5, 0.3))
+    report = fr.log_det(cfg)
+    assert len(calls) == len(report.resolutions)
+    for (args, kwargs), (n, _) in zip(calls, report.resolutions):
+        assert kwargs == {} and args[0] is cfg
+        scheme, reference = args[1], fr.build_scheme(cfg, n)
+        assert scheme.nodes_per_panel == n and scheme.size == reference.size
+        assert scheme.panels == reference.panels and np.array_equal(scheme.xi, reference.xi)
+
+
 @pytest.mark.parametrize("tail", (math.inf, math.nan))
 def test_scheme_rejects_nonfinite_tail(tail):
     with pytest.raises(ValueError, match="tail_length must be finite"):
@@ -275,9 +313,11 @@ def test_logdet_trivial_weights():
 
 def test_impossible_refinement_fails_before_any_scheme(monkeypatch):
     def no_scheme(*args, **kwargs):
-        raise AssertionError("build_scheme called")
+        raise AssertionError("a scheme was built")
 
-    monkeypatch.setattr(fr, "build_scheme", no_scheme)
+    # build_scheme and the ladder both build through _layout_scheme and _panelize
+    for name in ("build_scheme", "_layout_scheme", "_panelize"):
+        monkeypatch.setattr(fr, name, no_scheme)
     # the first rung fits, its refinement ceil(1.5 * 3000) = 4500 does not
     with pytest.raises(ValueError, match="rule order 4500 is above MAX_RULE_ORDER = 4096"):
         fr.log_det(GapConfig((-2.0,), (0.5,)), nodes_per_panel=3000)
@@ -319,20 +359,34 @@ def test_default_ladder_refines_by_half():
 
 
 def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
-    built = []
-    original = fr.build_scheme
+    events = []
+    build, run = fr._layout_scheme, fr.logdet_single
 
-    def recording(config, nodes_per_panel, *args, dtype=np.float64, **kwargs):
-        built.append((nodes_per_panel, dtype))
-        return original(config, nodes_per_panel, *args, dtype=dtype, **kwargs)
+    def building(config, layout, nodes_per_panel, tail_length, dtype=np.float64):
+        events.append(("build", nodes_per_panel, dtype))
+        return build(config, layout, nodes_per_panel, tail_length, dtype)
 
-    monkeypatch.setattr(fr, "build_scheme", recording)
-    # log F(-6; 0) is below log DEEP_GAP_THRESHOLD: each rung escalates
-    report = fr._nystrom_log_det(GapConfig((-6.0,), (0.0,)))
-    rungs = [n for n, _ in report.resolutions]
-    assert [n for n, dtype in built if dtype is np.float64] == rungs == [16, 24]
-    extended = [n for n, dtype in built if dtype is np.longdouble]
-    assert extended and all(n in rungs for n in extended)
+    def running(config, scheme):
+        events.append(("run", scheme.nodes_per_panel, scheme.xi.dtype.type))
+        return run(config, scheme)
+
+    # every scheme is built by _layout_scheme, build_scheme's too
+    monkeypatch.setattr(fr, "_layout_scheme", building)
+    monkeypatch.setattr(fr, "logdet_single", running)
+    # log F(-6; 0) is below log DEEP_GAP_THRESHOLD: each rung escalates through
+    # build_scheme's 80-bit scheme; (-40; 0.5) needs a third rung
+    for x, s, rungs, escalates in [((-6.0,), (0.0,), [16, 24], True),
+                                   ((-40.0,), (0.5,), [16, 24, 36], False)]:
+        events.clear()
+        report = fr._nystrom_log_det(GapConfig(x, s))
+        assert [n for n, _ in report.resolutions] == rungs
+        # the first two rungs always run and are built together; a later rung
+        # is built only after the one before it ran
+        double = [event[:2] for event in events if event[2] is np.float64]
+        assert double == [("build", 16), ("build", 24), ("run", 16), ("run", 24)] + [
+            event for n in rungs[2:] for event in (("build", n), ("run", n))]
+        extended = [n for kind, n, dtype in events if dtype is np.longdouble]
+        assert bool(extended) == escalates and all(n in rungs for n in extended)
 
 
 @pytest.mark.parametrize("n, rungs", [(24, [24, 36]), (48, [48, 72]), (17, [17, 26])])
@@ -844,7 +898,8 @@ def test_log_det_refusal_names_the_given_rule_order(monkeypatch, n):
     def no_scheme(*args, **kwargs):
         raise AssertionError("a scheme was built")
 
-    monkeypatch.setattr(fr, "build_scheme", no_scheme)
+    for name in ("build_scheme", "_layout_scheme", "_panelize"):
+        monkeypatch.setattr(fr, name, no_scheme)
     for call in (lambda: fr.log_det(GapConfig((-2.0,), (0.5,)), nodes_per_panel=n),
                  lambda: fr.log_E0(GapConfig((-2.0, -3.0), (0.0, 0.5)), nodes_per_panel=n)):
         with pytest.raises(ValueError, match=f"nodes_per_panel must be at least 4, got {n}$"):

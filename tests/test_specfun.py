@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from airy_gap import fredholm as fr
 from airy_gap import specfun as sf
-from airy_gap._constants import EULER_GAMMA, zeta_minus_one_scaled
+from airy_gap._constants import EULER_GAMMA, LOG_2PI, zeta_minus_one_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +336,66 @@ def test_airy_real_rejects_complex(func, bad):
         func(bad)
 
 
+def _same_bits(got, want):
+    """Equal dtype, shape, values and signs: the bits, for these finite values
+    (an 80-bit array's padding bytes hold no value)."""
+    return (got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_airy_real_of_concatenated_nodes_is_bit_identical(rng, dtype):
+    # the Nystrom ladder evaluates its first two rungs in one call: the stacked
+    # matmul sums each point on its own, whatever else is in the batch
+    cfg = fr.GapConfig((-2.0, -3.0, -4.5), (0.5, 0.5, 0.3))
+    sets = [(fr.build_scheme(cfg, 16, dtype=dtype).xi, fr.build_scheme(cfg, 24, dtype=dtype).xi),
+            (rng.uniform(-99.0, 103.0, 37).astype(dtype), rng.uniform(-3.0, 20.0, 250).astype(dtype)),
+            (np.array([5.0], dtype=dtype), rng.uniform(-60.0, 60.0, 1001).astype(dtype))]
+    for a, b in sets:
+        together = sf.airy_real(np.concatenate([a, b]))
+        for got, alone_a, alone_b in zip(together, sf.airy_real(a), sf.airy_real(b)):
+            assert _same_bits(got[:a.size], alone_a) and _same_bits(got[a.size:], alone_b)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_mask_free_step_matches_the_split(dtype):
+    # points all below 104 skip the mask; across 104 the split keeps the series above
+    xs = np.linspace(94.0, 104.5, 106).astype(dtype)  # steps of 0.1, six points from 104
+    near, far = xs < sf._ROWS_TOP, xs >= sf._ROWS_TOP
+    assert far.sum() == 6
+    ai, aip = sf.airy_real(xs)
+    for got, want in zip((ai[near], aip[near]), sf.airy_real(xs[near])):
+        assert _same_bits(got, want)
+    for got, want in zip((ai[far], aip[far]), sf._airy_asymptotic_ld(xs[far])):
+        assert _same_bits(got, want.astype(dtype))
+    # an array of any shape, a 0-d point and no points keep their shapes and dtype
+    grid = xs[6:].reshape(10, 10)  # 94.6 to 104.5, across 104
+    for got, flat in zip(sf.airy_real(grid), sf.airy_real(grid.ravel())):
+        assert _same_bits(got, flat.reshape(10, 10))
+    for got, flat in zip(sf.airy_real(grid[:, :5] - 100.0), sf.airy_real((grid[:, :5] - 100.0).ravel())):
+        assert _same_bits(got, flat.reshape(10, 5))
+    for point in (dtype(-3.5), dtype(110.0)):
+        got = sf.airy_real(point)
+        for value, want in zip(got, sf.airy_real(np.array([point]))):
+            assert type(value) is dtype and _same_bits(np.array([value]), want)
+    for shape in ((0,), (0, 3)):
+        for value in sf.airy_real(np.empty(shape, dtype=dtype)):
+            assert value.shape == shape and value.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_airy_real_domain_messages(dtype):
+    past = np.nextafter(dtype(sf.AIRY_REAL_MIN), dtype(-np.inf))
+    for bad in ([0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf], [past, np.nan], [np.nan]):
+        with pytest.raises(sf.DomainError) as info:
+            sf.airy_real(np.array(bad, dtype=dtype))
+        assert str(info.value) == "airy_real needs finite arguments"
+    for bad in (np.array([0.5, past, 120.0], dtype=dtype), past, np.array([[past]], dtype=dtype)):
+        with pytest.raises(sf.DomainError) as info:
+            sf.airy_real(bad)
+        assert str(info.value) == f"airy_real supports x >= {sf.AIRY_REAL_MIN}, got {past}"
+
+
 # ---------------------------------------------------------------------------
 # gamma family
 # ---------------------------------------------------------------------------
@@ -403,6 +463,32 @@ def test_barnes_g_against_mpmath(mp40):
     for z in (1.3 + 0.4j, 0.2 + 0.5j, 1.0 + 1.9j, 2.9 + 0.1j, 1.0 + 1.93j, 1.0 - 1.95j, 1.0 + 1.96j):
         ref = complex(mp.log(mp.barnesg(mp.mpc(z))))
         assert abs(sf.log_barnes_g(z) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("z", [1.0 + 0.3j, 1.0 + 0.9j, 1.0 + 1.9j, 0.7 - 1.2j, 2.3 + 0.4j, 0.2 + 1.1j])
+def test_barnes_g_coefficient_table_keeps_every_bit(z):
+    # each term recomputed as before the table: sign, 2^k (zeta(k) - 1), then c q^n / n
+    shift = 0.0 + 0.0j
+    zc = complex(z)
+    while zc.real >= 1.5:
+        zc -= 1.0
+        shift += sf.log_gamma(zc)
+    while zc.real < 0.5:
+        shift -= sf.log_gamma(zc)
+        zc += 1.0
+    w = zc - 1.0
+    gsum = (0.5 * LOG_2PI - 0.5) * w - 0.5 * (1.0 + EULER_GAMMA) * w * w \
+        + np.log1p(w) - w + 0.5 * w * w
+    q = 0.5 * w
+    qn = q * q
+    total = 0.0 + 0.0j
+    for n in range(3, 2000):
+        qn *= q
+        term = (-1.0) ** (n - 1) * (2.0 * zeta_minus_one_scaled(n - 1)) * qn / n
+        total += term
+        if abs(term) < 1e-19 * (1.0 + abs(total)):
+            break
+    assert sf.log_barnes_g(z) == shift + gsum + total
 
 
 def test_barnes_g_domain():
