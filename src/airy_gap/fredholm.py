@@ -4,7 +4,7 @@ The operator acts on (x_m, +infinity) with piecewise weight 1 - s_j on each
 interval (x_j, x_{j-1}); its determinant is the generating function of the
 counting statistics of the Airy point process.  Discretization is panel-wise
 Gauss-Legendre (Nystrom), panels at most 4 long where Ai oscillates (u < 0)
-and 8 where it only decays, with the symmetrized weighting
+and 12 where it only decays, with the symmetrized weighting
 A_ik = sqrt(w_i w_k) K(xi_i, xi_k), assembled from sqrt(w) Ai and sqrt(w) Ai'
 by one outer product.  One double Cholesky factorization of
 I - A gives log det(I - A) wherever it certifies itself: every s_j is at
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class QuadratureScheme:
     w_plain: np.ndarray
     w_eff: np.ndarray
     interval_index: np.ndarray  # 1-based j of (x_j, x_{j-1}) containing each node
-    _airy: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # (Ai, Ai') at xi
+    _airy: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # (Ai, Ai') at xi, if known
 
     @property
     def size(self) -> int:
@@ -124,8 +124,9 @@ class QuadratureScheme:
 
 
 def _stretch(u: float) -> float:
-    """phi(u) = u/4 below 0, u/8 above: a panel spans at most 1 in phi; exact, by powers of 2."""
-    return u / (PANEL_MAX_LENGTH if u < 0.0 else 2.0 * PANEL_MAX_LENGTH)
+    """phi(u) = u/4 below 0, u/12 above: a panel spans at most 1 in phi, so it is at most
+    4 long where Ai oscillates and 12 where it only decays."""
+    return u / (PANEL_MAX_LENGTH if u < 0.0 else 3.0 * PANEL_MAX_LENGTH)
 
 
 def _panel_counts(intervals, nodes_per_panel: int, top: int | None = None) -> list[int]:
@@ -145,27 +146,32 @@ def _panel_counts(intervals, nodes_per_panel: int, top: int | None = None) -> li
 
 def _panel_layout(intervals, nodes_per_panel: int, top: int | None = None):
     """Every panel's edges lo, hi in u and the position of its interval in `intervals`,
-    the same for every rule order: at most 4 long below 0 and 8 above, edges spaced in
-    phi as np.linspace would (a + k (b - a)/count, the last b) by float arithmetic, then
-    mapped back by one broadcast, exactly at every endpoint.  _panel_counts checks
+    the same for every rule order: at most 4 long below 0 and 12 above, edges spaced in
+    phi as np.linspace would (a + k (b - a)/count) by float arithmetic.  Each interval's
+    own ends are its first and last edges; only the interior edges are mapped back to u,
+    which by 12 is not exact, so every endpoint stays an exact edge.  _panel_counts checks
     nodes_per_panel and top first."""
     counts = _panel_counts(intervals, nodes_per_panel, top)
-    phi = []  # every panel's (lo, hi) in phi
+    lo, hi = [], []
     for (a, b), count in zip(intervals, counts):
-        a, b = _stretch(a), _stretch(b)
-        grid = [a + k * ((b - a) / count) for k in range(count)] + [b]
-        phi += zip(grid, grid[1:])
-    edges = np.array(phi).T
-    lo, hi = edges * np.where(edges < 0.0, PANEL_MAX_LENGTH, 2.0 * PANEL_MAX_LENGTH)  # back to u
-    return lo, hi, np.arange(len(counts), dtype=np.int32).repeat(counts)
+        start, step = _stretch(a), (_stretch(b) - _stretch(a)) / count
+        inner = (start + k * step for k in range(1, count))
+        edges = [a, *(t * (PANEL_MAX_LENGTH if t < 0.0 else 3.0 * PANEL_MAX_LENGTH) for t in inner), b]
+        lo += edges[:-1]
+        hi += edges[1:]
+    return np.array(lo), np.array(hi), np.arange(len(counts), dtype=np.int32).repeat(counts)
 
 
-def _panelize(layout, nodes_per_panel: int, dtype=np.float64):
-    """One rule order on a _panel_layout: panels, nodes, weights and each node's interval position."""
-    lo, hi, pos = layout
-    rule = specfun.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
-    xi, w = rule.mapped(lo.astype(dtype, copy=False)[:, None], hi.astype(dtype, copy=False)[:, None])
-    return tuple(zip(lo.tolist(), hi.tolist())), xi.ravel(), w.ravel(), pos.repeat(nodes_per_panel)
+def _panelize(layout, orders, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule orders on a _panel_layout, a row per panel and the
+    orders' columns side by side: their Gauss-Legendre rules, concatenated, mapped onto
+    every panel by one broadcast of QuadRule.mapped's arithmetic."""
+    lo, hi, _ = layout
+    a, b = lo.astype(dtype)[:, None], hi.astype(dtype)[:, None]
+    rules = [specfun.gauss_legendre_rule(n, dtype=dtype) for n in orders]
+    half = 0.5 * (b - a)
+    return (half * np.concatenate([r.nodes for r in rules]) + 0.5 * (a + b),
+            half * np.concatenate([r.weights for r in rules]))
 
 
 def _halfline_cut(a: float, tail_length: float | None = None) -> tuple[float, float]:
@@ -196,23 +202,34 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
     """
     intervals, tail_length = _scheme_intervals(config, tail_length)
     layout = _panel_layout(intervals, nodes_per_panel)
-    return _layout_scheme(config, layout, nodes_per_panel, tail_length, dtype)
+    return _layout_scheme(config, layout, (nodes_per_panel,), tail_length, dtype)[0]
 
 
-def _layout_scheme(config: GapConfig, layout, nodes_per_panel: int, tail_length: float, dtype=np.float64):
-    """build_scheme's scheme on a _panel_layout of its intervals, which a ladder's rungs share."""
-    panels, xi, w, pos = _panelize(layout, nodes_per_panel, dtype)
+def _layout_scheme(config: GapConfig, layout, orders, tail_length: float, dtype=np.float64):
+    """build_scheme's scheme for each rule order in `orders` on one _panel_layout of its
+    intervals, which a ladder's rungs share: one _panelize map and one _airy_pair call on
+    every node, each scheme taking its orders' columns."""
+    xi, w = _panelize(layout, orders, dtype)
+    ai, aip = _airy_pair(xi)
+    lo, hi, pos = layout
+    panels = tuple(zip(lo.tolist(), hi.tolist()))
     interval_index = np.int32(config.m) - pos
     thinning = np.array([1.0 - v for v in config.s], dtype=dtype)
-    return QuadratureScheme(
-        panels=panels,
-        nodes_per_panel=int(nodes_per_panel),
-        tail_length=float(tail_length),
-        xi=xi,
-        w_plain=w,
-        w_eff=w * thinning[interval_index - 1],
-        interval_index=interval_index,
-    )
+    w_eff = w * thinning[interval_index - 1, None]
+    schemes, end = [], 0
+    for n in orders:
+        cols, end = slice(end, end + n), end + n
+        schemes.append(QuadratureScheme(
+            panels=panels,
+            nodes_per_panel=int(n),
+            tail_length=float(tail_length),
+            xi=xi[:, cols].ravel(),
+            w_plain=w[:, cols].ravel(),
+            w_eff=w_eff[:, cols].ravel(),
+            interval_index=interval_index.repeat(n),
+            _airy=(ai[:, cols].ravel(), aip[:, cols].ravel()),
+        ))
+    return schemes
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +375,7 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
         return value
     del A
     xscheme = build_scheme(config, scheme.nodes_per_panel, scheme.tail_length, dtype=_LD)
-    return _ritz_logdet(_kernel_matrix(xscheme.xi, xscheme.w_eff))
+    return _ritz_logdet(_kernel_matrix(xscheme.xi, xscheme.w_eff, xscheme._airy))
 
 
 @dataclass(frozen=True)
@@ -387,10 +404,11 @@ def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport
 
     est_error is the last gap, but at least the rounding noise of one rung:
     painleve.ROUNDING_FLOOR max(|log F|, 1), since part of it does not shrink
-    with |log F|, times max(1, SMALL_WEIGHT_NOISE / min s) where
-    min s >= NEAR_ONE_GAP certifies the Cholesky.
+    with |log F|, times max(1, SMALL_WEIGHT_NOISE / s) where s, the least
+    positive s_j (s_1 = 0 leaves the conditioning to min_{j>=2} s_j), is at
+    least NEAR_ONE_GAP.
     """
-    s = min(config.s)
+    s = min((v for v in config.s if v > 0.0), default=0.0)
     floor = painleve.ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
     resolutions = []
     for n in rungs:
@@ -414,9 +432,9 @@ def log_det(config: GapConfig, *,
     Nystrom rule orders, each ceil(1.5 n) of the one before: DEFAULT_LADDER,
     or (n, ceil(1.5 n)) given nodes_per_panel = n.  Both routes walk _ladder.
     The first rung is checked against the lower bound and the top rung against
-    MAX_RULE_ORDER and MAX_NODES before any scheme is built, and each rung's
-    scheme is built only when it runs.
-    tail_length goes to build_scheme.
+    MAX_RULE_ORDER and MAX_NODES before any scheme is built; the first two
+    rungs are built together, a later rung only when it runs.
+    tail_length is build_scheme's.
     """
     if (config.m == 1 and config.s == (0.0,) and nodes_per_panel is None
             and tail_length is None and config.x[0] < painleve.RIGHT):
@@ -432,19 +450,16 @@ def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
                      tail_length: float | None = None) -> DeterminantReport:
     """log_det's Nystrom ladder, whatever the configuration: every rung on one
     _panel_layout, checked for the top rung first.  The first two rungs always
-    run, so they are built together and share one airy_real call (each node's
-    value is its own); a later rung is built only when it runs."""
+    run, so one _layout_scheme call builds both (each node's Airy value is its
+    own); a later rung is built only when it runs."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
     intervals, tail_length = _scheme_intervals(config, tail_length)
     layout = _panel_layout(intervals, orders[0], orders[-1])
-    coarse, fine = (_layout_scheme(config, layout, k, tail_length) for k in orders[:2])
-    ai, aip = specfun.airy_real(np.concatenate([coarse.xi, fine.xi]))
-    first = {orders[0]: replace(coarse, _airy=(ai[:coarse.size], aip[:coarse.size])),
-             orders[1]: replace(fine, _airy=(ai[coarse.size:], aip[coarse.size:]))}
+    first = dict(zip(orders[:2], _layout_scheme(config, layout, orders[:2], tail_length)))
 
     def value_at(k):
-        scheme = first.pop(k) if k in first else _layout_scheme(config, layout, k, tail_length)
+        scheme = first.pop(k) if k in first else _layout_scheme(config, layout, (k,), tail_length)[0]
         return logdet_single(config, scheme)
 
     report = _ladder(config, orders, value_at, "nystrom")
@@ -498,7 +513,7 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
         raise ValueError("identity check needs s_m in (0, 1)")
     step = 1e-5 * max(s_m, 0.1)
     scheme = build_scheme(config, nodes_per_panel)
-    A = _kernel_matrix(scheme.xi, scheme.w_eff)
+    A = _kernel_matrix(scheme.xi, scheme.w_eff, scheme._airy)
     try:
         B = np.linalg.solve(np.eye(A.shape[0]) - A, A)  # the Nystrom resolvent (I - A)^(-1) A
     except np.linalg.LinAlgError as exc:
@@ -530,11 +545,13 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
 
 
 def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, weights and interval positions, as _panelize returns them; a
+    """Nodes, weights and interval positions, on the panels of determinants; a
     half-line (a, inf) ends at _halfline_cut(a)."""
     cut = [(a, _halfline_cut(a)[0] if math.isinf(b) else b)
            for a, b in _normalize_intervals(intervals)]
-    return _panelize(_panel_layout(cut, nodes_per_panel), nodes_per_panel)[1:]
+    layout = _panel_layout(cut, nodes_per_panel)
+    xi, w = _panelize(layout, (nodes_per_panel,))
+    return xi.ravel(), w.ravel(), layout[2].repeat(nodes_per_panel)
 
 
 def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:

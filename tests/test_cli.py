@@ -110,7 +110,7 @@ def test_det_refuses_an_unresolved_thinned_grid_with_exit_4(tmp_path, capsys):
     cfg = write_config(tmp_path, {"x": [-30.0, -60.0], "s": [0.5, 0.3]})
     code, out, err = run(["det", cfg, "--nodes", "4"], capsys)
     assert code == 4 and out == ""
-    assert "not positive definite (N=72, 4 nodes per panel, min s=0.3)" in err
+    assert "not positive definite (N=68, 4 nodes per panel, min s=0.3)" in err
 
 
 def test_non_finite_result_exits_4(tmp_path, capsys, monkeypatch):
@@ -210,7 +210,7 @@ def test_det_resolution_flags_removed(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-# 3 panels at x = -2, ceil(2/4 + 14.5/8): the top rung ceil(1.5 n) sets N; at
+# 3 panels at x = -6, ceil(6/4 + 12.5/12): the top rung ceil(1.5 n) sets N; at
 # 1900 the first rung (N = 5700) fits and only the second (N = 8550) does not
 @pytest.mark.parametrize("flags, size", [(["--nodes", "2048"], 9216), (["--nodes", "1900"], 8550)])
 def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, flags, size):
@@ -220,7 +220,7 @@ def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, fla
 
     for name in ("build_scheme", "_layout_scheme", "_panelize", "logdet_single", "_kernel_matrix"):
         monkeypatch.setattr(cli.fredholm, name, no_scheme)
-    cfg = write_config(tmp_path, {"x": [-2.0], "s": [0.5]})
+    cfg = write_config(tmp_path, {"x": [-6.0], "s": [0.5]})
     code, out, err = run(["det", cfg, *flags], capsys)
     assert code == 2 and out == ""
     assert f"N = {size}" in err

@@ -91,6 +91,8 @@ def test_kernel_precision_follows_node_dtype(monkeypatch):
     K = fr._kernel_matrix(fr.build_scheme(cfg, 8).xi)
     assert K.dtype == np.float64 and calls == []
     xi = fr.build_scheme(cfg, 8, dtype=np.longdouble).xi
+    assert calls == [xi.size]  # the 80-bit scheme's own Airy pair
+    calls.clear()
     K = fr._kernel_matrix(xi)
     assert K.dtype == np.longdouble and calls == [xi.size]
 
@@ -111,15 +113,15 @@ def test_kernel_confluence():
 # ---------------------------------------------------------------------------
 
 def _within_panel_bounds(panels):
-    """Every part of a panel below 0 at most 4 long, every part above 0 at most 8."""
-    return all(min(b, 0.0) - min(a, 0.0) <= 4.0 + 1e-12 and max(b, 0.0) - max(a, 0.0) <= 8.0 + 1e-12
+    """Every part of a panel below 0 at most 4 long, every part above 0 at most 12."""
+    return all(min(b, 0.0) - min(a, 0.0) <= 4.0 + 1e-12 and max(b, 0.0) - max(a, 0.0) <= 12.0 + 1e-12
                for a, b in panels)
 
 
 def test_scheme_single_interval_layout():
     cfg = GapConfig((-2.0,), (0.0,))
     scheme = fr.build_scheme(cfg, nodes_per_panel=16, tail_length=12.0)
-    assert len(scheme.panels) == 2  # ceil(2/4 + 10/8)
+    assert len(scheme.panels) == 2  # ceil(2/4 + 10/12)
     assert scheme.panels[0][0] == -2.0
     assert scheme.panels[-1][1] == 10.0
     assert _within_panel_bounds(scheme.panels)
@@ -147,7 +149,7 @@ def test_scheme_long_interval_split_and_default_tail():
     scheme = fr.build_scheme(cfg, nodes_per_panel=8)
     inner = [p for p in scheme.panels if p[1] <= -1.0]
     assert len(inner) == 3  # ceil(10/4)
-    assert len(scheme.panels) == 5  # and ceil(1/4 + 12.5/8) on (-1, 12.5)
+    assert len(scheme.panels) == 5  # and ceil(1/4 + 12.5/12) on (-1, 12.5)
     assert _within_panel_bounds(scheme.panels)
     # default tail clears the truncation floor
     assert scheme.panels[-1][1] >= fr.TRUNCATION_POINT_MIN
@@ -171,19 +173,20 @@ def test_one_halfline_cut_for_determinants_and_traces(a):
 
 def _panelize_per_panel(intervals, nodes_per_panel, dtype):
     """The panels _panelize builds at once, one panel at a time from the rule:
-    ceil(phi(b) - phi(a)) panels per interval, phi(u) = u/4 below 0 and u/8
-    above, edges equidistributed in phi, and one QuadRule.mapped call each."""
+    ceil(phi(b) - phi(a)) panels per interval, phi(u) = u/4 below 0 and u/12
+    above, edges equidistributed in phi, the interval's ends kept and its
+    interior edges mapped back, and one QuadRule.mapped call each."""
     def phi(u):
-        return u / 4.0 if u < 0.0 else u / 8.0
+        return u / 4.0 if u < 0.0 else u / 12.0
 
     def u_of(t):
-        return 4.0 * t if t < 0.0 else 8.0 * t
+        return 4.0 * t if t < 0.0 else 12.0 * t
 
     rule = sf.gauss_legendre_rule(nodes_per_panel, dtype=dtype)
     panels, xs, ws, pos = [], [], [], []
     for p, (a, b) in enumerate(intervals):
         count = max(1, math.ceil(phi(b) - phi(a) - 1e-12))
-        edges = [u_of(t) for t in np.linspace(phi(a), phi(b), count + 1).tolist()]
+        edges = [a] + [u_of(t) for t in np.linspace(phi(a), phi(b), count + 1)[1:-1].tolist()] + [b]
         for pa, pb in zip(edges[:-1], edges[1:]):
             nodes, weights = rule.mapped(dtype(pa), dtype(pb))
             panels.append((float(pa), float(pb)))
@@ -200,11 +203,15 @@ def _panelize_per_panel(intervals, nodes_per_panel, dtype):
                                   ((6.0, 0.0, -5.5), (0.5, 0.2, 0.9))])
 def test_panelize_maps_every_panel_like_quadrule_mapped(dtype, n, x, s):
     intervals = fr._scheme_intervals(GapConfig(x, s), None)[0]
-    got = fr._panelize(fr._panel_layout(intervals, n), n, dtype)
+    lo, hi, pos = layout = fr._panel_layout(intervals, n)
     want = _panelize_per_panel(intervals, n, dtype)
-    assert got[0] == want[0]
-    for a, b in zip(got[1:], want[1:]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert tuple(zip(lo.tolist(), hi.tolist())) == want[0]
+    assert np.array_equal(pos.repeat(n), want[3])
+    # alone and as the second of two orders mapped at once, column by column
+    for orders, cols in (((n,), slice(None)), ((7, n), slice(7, None))):
+        xi, w = fr._panelize(layout, orders, dtype)
+        for a, b in zip((xi[:, cols].ravel(), w[:, cols].ravel()), want[1:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # the 15 thinned configurations of the benchmark pool (perfbench/pool.json)
@@ -245,13 +252,33 @@ def test_panels_are_at_most_four_long_below_zero_and_eight_above(x, s):
 
 
 def test_thinned_pool_panel_count():
-    # 90 panels of length at most 4 on both sides; 8 above 0 saves a quarter
-    assert sum(len(fr.build_scheme(GapConfig(x, s), 16).panels) for x, s in THINNED_POOL) == 68
+    # 90 panels of length at most 4 on both sides, 68 at most 8 long above 0, 59 at most 12
+    assert sum(len(fr.build_scheme(GapConfig(x, s), 16).panels) for x, s in THINNED_POOL) == 59
 
 
 @pytest.mark.parametrize("x, s", THINNED_POOL)
 def test_default_ladder_stops_at_24_nodes_on_the_thinned_pool(x, s):
     cfg = GapConfig(x, s)
+    report = fr.log_det(cfg)
+    assert [n for n, _ in report.resolutions] == [16, 24]
+    assert abs(report.log_f - fr.log_det(cfg, nodes_per_panel=54).log_f) <= report.est_error
+
+
+@pytest.mark.parametrize("x, s", [((-8.0, -12.0), (0.0, 0.3)), ((-8.5, -11.0), (0.0, 0.5))])
+def test_conditioned_pool_ladders_stop_at_24_nodes(x, s):
+    # cond-8-12 and cond-8.5-11: log_E0 runs the ladder on the configuration and
+    # on F(x_1; 0); a panel layout that pushed either to a third rung would cost
+    # the deep-gap benchmark a 36-node 80-bit determinant per value
+    for cfg in (GapConfig(x, s), GapConfig(x[:1], (0.0,))):
+        assert [n for n, _ in fr._nystrom_log_det(cfg).resolutions] == [16, 24], cfg
+
+
+@pytest.mark.parametrize("x", (0.5, 2.0, 4.5, 6.0))
+@pytest.mark.parametrize("s", (0.3, 0.9))
+def test_default_ladder_on_a_tail_wholly_above_zero(x, s):
+    # (x, x + T) is one decaying panel, up to 12 long at x = 0.5
+    cfg = GapConfig((x,), (s,))
+    assert len(fr.build_scheme(cfg, 16).panels) == 1
     report = fr.log_det(cfg)
     assert [n for n, _ in report.resolutions] == [16, 24]
     assert abs(report.log_f - fr.log_det(cfg, nodes_per_panel=54).log_f) <= report.est_error
@@ -362,9 +389,9 @@ def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
     events = []
     build, run = fr._layout_scheme, fr.logdet_single
 
-    def building(config, layout, nodes_per_panel, tail_length, dtype=np.float64):
-        events.append(("build", nodes_per_panel, dtype))
-        return build(config, layout, nodes_per_panel, tail_length, dtype)
+    def building(config, layout, orders, tail_length, dtype=np.float64):
+        events.append(("build", tuple(orders), dtype))
+        return build(config, layout, orders, tail_length, dtype)
 
     def running(config, scheme):
         events.append(("run", scheme.nodes_per_panel, scheme.xi.dtype.type))
@@ -380,12 +407,12 @@ def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
         events.clear()
         report = fr._nystrom_log_det(GapConfig(x, s))
         assert [n for n, _ in report.resolutions] == rungs
-        # the first two rungs always run and are built together; a later rung
-        # is built only after the one before it ran
+        # the first two rungs always run and are built by one call; a later
+        # rung is built only after the one before it ran
         double = [event[:2] for event in events if event[2] is np.float64]
-        assert double == [("build", 16), ("build", 24), ("run", 16), ("run", 24)] + [
-            event for n in rungs[2:] for event in (("build", n), ("run", n))]
-        extended = [n for kind, n, dtype in events if dtype is np.longdouble]
+        assert double == [("build", (16, 24)), ("run", 16), ("run", 24)] + [
+            event for n in rungs[2:] for event in (("build", (n,)), ("run", n))]
+        extended = [n for kind, orders, dtype in events if dtype is np.longdouble for n in orders]
         assert bool(extended) == escalates and all(n in rungs for n in extended)
 
 
@@ -435,6 +462,16 @@ def test_small_weight_floor_covers_the_cholesky_rounding(x):
         assert abs(value - _logdet_80bit(cfg, n)) <= floor * abs(value), n
 
 
+def test_small_weight_floor_takes_the_least_positive_weight_when_s1_vanishes():
+    # s_1 = 0 conditions nothing; s_2 = 0.0015 sets the Cholesky's rounding,
+    # which a floor from min s = 0 left 2x outside est_error of the 72-node ladder
+    cfg = GapConfig((-2.099, -5.079), (0.0, 0.0015))
+    report = fr.log_det(cfg)
+    floor = pii.ROUNDING_FLOOR * fr.SMALL_WEIGHT_NOISE / 0.0015 * abs(report.log_f)
+    assert report.converged and report.est_error >= floor
+    assert abs(report.log_f - fr.log_det(cfg, nodes_per_panel=72).log_f) <= report.est_error
+
+
 @pytest.mark.parametrize("x, s", [((-2.0,), (1e-3,)), ((-20.0,), (1e-3,)), ((-40.0,), (0.01,)),
                                   ((-2.0, -5.0), (0.5, 0.3))])
 def test_double_kernel_within_a_third_of_the_rounding_floor(x, s):
@@ -479,9 +516,9 @@ def test_default_ladder_refuses_an_oversized_rung_before_any_determinant(monkeyp
         raise AssertionError("a determinant was computed")
 
     monkeypatch.setattr(fr, "logdet_single", no_determinant)
-    # 125 panels, ceil(2/4 + 996/8): the 16-node rung fits, the 81-node one (N = 10125) does not
-    with pytest.raises(ValueError, match=f"N = 10125 nodes, above MAX_NODES = {fr.MAX_NODES}"):
-        fr.log_det(GapConfig((-2.0,), (0.5,)), tail_length=998.0)
+    # 102 panels, ceil(2/4 + 1212/12): the 16-node rung fits, the 81-node one (N = 8262) does not
+    with pytest.raises(ValueError, match=f"N = 8262 nodes, above MAX_NODES = {fr.MAX_NODES}"):
+        fr.log_det(GapConfig((-2.0,), (0.5,)), tail_length=1214.0)
 
 
 def test_logdet_merge_invariance():
@@ -592,7 +629,7 @@ def test_cholesky_refuses_an_unresolved_grid():
         fr.log_det(GapConfig((-30.0, -60.0), (0.5, 0.3)), nodes_per_panel=4)
     msg = str(info.value)
     assert "not positive definite" in msg
-    assert "N=72, 4 nodes per panel, min s=0.3" in msg
+    assert "N=68, 4 nodes per panel, min s=0.3" in msg
 
 
 @pytest.mark.parametrize("x, s, route", [
