@@ -566,11 +566,15 @@ def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> flo
 
 
 def var_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
-    """Variance of the particle count: tr(K 1_A) - tr((1_A K 1_A)^2)."""
+    """Variance of the particle count: tr(K 1_A) - tr((1_A K 1_A)^2); one
+    below -painleve.ROUNDING_FLOOR tr(K 1_A) raises NumericalError."""
     xi, w, _ = _set_nodes(intervals, nodes_per_panel)
     K = _kernel_matrix(xi)
     linear = float(w @ np.diag(K))
     quad = float(w @ (K * K) @ w)
+    if linear - quad < -painleve.ROUNDING_FLOOR * linear:
+        raise NumericalError(f"negative count variance {linear - quad:.3g} on {intervals} "
+                             f"at {nodes_per_panel} nodes per panel: the rule is too coarse")
     return linear - quad
 
 

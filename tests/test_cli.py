@@ -386,6 +386,14 @@ def test_stats_rejects_bad_interval_and_rule_order(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_stats_refuses_a_negative_variance_with_exit_4(capsys):
+    # 16 nodes per panel on (-99, -50) once printed interval_var_numeric -1.61
+    # and exit 0; the variance is 0.83623
+    code, out, err = run(["stats", "--interval", "-99", "-50", "--nodes", "16"], capsys)
+    assert code == 4 and out == ""
+    assert "negative count variance -1.61 on [(-99.0, -50.0)] at 16 nodes per panel" in err
+
+
 # ---------------------------------------------------------------------------
 # parametrix
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ def four_term_tail(x):
 def reference_log_hard_gap(x, n):
     """The n-point Gauss-Legendre rule on [x, RIGHT], exact for (t - x) p^2
     with p the degree n - 1 interpolant of q: O(n^2) per value."""
-    t, q = pii.hastings_mcleod(n)
+    t, _ = pii.hastings_mcleod(n)
     nodes, weights = sf.gauss_legendre_rule(n).mapped(x, pii.RIGHT)
-    p = pii._interpolate(t, q, nodes)
+    p = pii._interpolate(pii._barycentric(n), nodes[:, None] - t)
     return -float(weights @ ((nodes - x) * p * p))
 
 
@@ -33,18 +33,14 @@ def reference_log_hard_gap(x, n):
 # ---------------------------------------------------------------------------
 
 def test_solution_matches_its_asymptotics_inside_the_interval():
-    t, q = pii.hastings_mcleod(pii.RUNGS[-1])
-    far_left, near_left, right = pii._interpolate(t, q, np.array([-60.0, -30.0, 6.0]))
+    t, _ = pii.hastings_mcleod(pii.RUNGS[-1])
+    far_left, near_left, right = pii._interpolate(pii._barycentric(pii.RUNGS[-1]),
+                                                  np.array([-60.0, -30.0, 6.0])[:, None] - t)
     assert abs(far_left - pii._left_value(-60.0)) < 1e-13 * far_left
     assert abs(near_left - pii._left_value(-30.0)) < 1e-13 * near_left
     # q - Ai is of order Ai^3 out here: 2e-11 relative at t = 6
     ai = sf.airy_real(6.0)[0]
     assert abs(right - ai) < 1e-9 * ai
-
-
-def test_interpolation_returns_node_values_at_the_nodes():
-    t, q = pii.hastings_mcleod(pii.RUNGS[0])
-    assert np.array_equal(pii._interpolate(t, q, t[[0, 3, 7, -1]]), q[[0, 3, 7, -1]])
 
 
 def test_newton_failure_raises(monkeypatch):
@@ -57,13 +53,23 @@ def test_newton_failure_raises(monkeypatch):
 # the cached tail integrals
 # ---------------------------------------------------------------------------
 
+# 24 values of x drawn once (seed 26) on the whole domain, beside the fixed
+# ones.  One, x = 3.94, falls where q is under 1e-3 of its maximum 7.7: there
+# the barycentric rounding of both evaluators, about eps max|q| / q, exceeds
+# 1e-14 relative.  Against an 80-bit interpolation the value is 5e-14 off and
+# the reference 7e-14 (log F = -6.4e-8; est_error is 7e-15 absolute).
+SEEDED_X = [x if x <= 3.0 else pytest.param(x, marks=pytest.mark.xfail(
+                strict=True, reason="double barycentric rounding above x = 3"))
+            for x in np.random.default_rng(26).uniform(-100.0, pii.RIGHT, 24).tolist()]
+
+
 # Toward the right end both evaluators carry the rounding of barycentric
 # interpolation from nodes where q reaches 7.7: each is ~3e-15 relative off
 # an 80-bit interpolation at x = 2.  1e-14 there is still 1000x under the
 # gap between the two orders.
 @pytest.mark.parametrize("n", pii.RUNGS)
 @pytest.mark.parametrize("x", [-100.0, -99.0, -60.0, -30.0, -16.0, -13.0, -10.9554, -9.0,
-                               -6.0, -4.0, -2.0, 0.0, 2.0])
+                               -6.0, -4.0, -2.0, 0.0, 2.0] + SEEDED_X)
 def test_cached_sums_match_the_n_point_rule(x, n):
     value = pii.log_hard_gap(x, n)
     assert abs(value - reference_log_hard_gap(x, n)) <= (2e-15 if x <= -2 else 1e-14) * abs(value)
@@ -82,30 +88,45 @@ def test_cached_sums_are_continuous_across_a_node(n):
         assert abs(quotient - J[k]) < 1e-5 * J[k]
 
 
+def test_a_value_on_a_chebyshev_point_is_its_table_entry():
+    u, _ = pii._unit_rule()
+    for n in pii.RUNGS:
+        t, _ = pii.hastings_mcleod(n)
+        _, G = pii.tail_integrals(n)
+        for k in np.searchsorted(t, [-60.0, -10.0, -3.0]):
+            assert pii.log_hard_gap(t[k], n) == -G[k]
+            below, above = np.nextafter(t[k], -np.inf), np.nextafter(t[k], np.inf)
+            assert np.any(below + (t[k] - below) * u == t[k])  # rule points rounding onto t_k
+            for x in (below, above):
+                value = pii.log_hard_gap(x, n)
+                assert abs(value - reference_log_hard_gap(x, n)) <= 2e-15 * abs(value), (n, k, x)
+
+
 def test_a_cached_value_interpolates_only_its_last_gap(monkeypatch):
     for n in pii.RUNGS:
         pii.log_hard_gap(-10.0, n)  # warm-up: the solve and the table
-    solves, tables = pii.hastings_mcleod.cache_info().misses, pii.tail_integrals.cache_info().misses
+    caches = (pii.hastings_mcleod, pii._barycentric, pii.tail_integrals)
+    misses = [cache.cache_info().misses for cache in caches]
     sizes = []
     interpolate = pii._interpolate
 
-    def counting(t, q, s):
-        sizes.append(s.size)
-        return interpolate(t, q, s)
+    def counting(columns, d):
+        sizes.append(d.shape[0])
+        return interpolate(columns, d)
 
     monkeypatch.setattr(pii, "_interpolate", counting)
     for x in np.linspace(-99.0, 7.0, 100):
         fr.log_det(GapConfig((float(x),), (0.0,)))
     assert len(sizes) == 100 * len(pii.RUNGS) and max(sizes) <= pii.GAP_NODES
-    assert pii.hastings_mcleod.cache_info().misses == solves
-    assert pii.tail_integrals.cache_info().misses == tables
+    assert [cache.cache_info().misses for cache in caches] == misses
     for n in pii.RUNGS:
-        assert not any(a.flags.writeable for a in pii.hastings_mcleod(n) + pii.tail_integrals(n))
+        arrays = pii.hastings_mcleod(n) + (pii._barycentric(n),) + pii.tail_integrals(n)
+        assert not any(a.flags.writeable for a in arrays + pii._unit_rule())
 
 
 def test_table_build_interpolates_in_blocks():
     # one interpolation matrix for all (n - 1) GAP_NODES points would take
-    # 13.5 MB at n = 375; the blocked build peaks at 0.95 MB
+    # 13.5 MB at n = 375; the blocked build peaks at 0.89 MB
     n = pii.RUNGS[-1]
     pii.hastings_mcleod(n)
     sf.gauss_legendre_rule(pii.GAP_NODES)
