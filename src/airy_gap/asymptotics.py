@@ -274,12 +274,7 @@ def var_interval_asym(r: float, tau1: float, tau2: float) -> float:
 def thinned_joint_tail_asym(x1: float, x2: float, beta) -> float:
     """log P(largest thinned particle < x2, largest < x1), finite x1 < 0, x2 < x1.
 
-    log F(x1; 0) + log E(x2 - x1; beta)
-    - beta^2 log[(x1 - 2 x2)/(2 (x1 - x2))] - 2 i beta |x1| |x1 - x2|^(1/2).
+    log F(x1; 0) + log E0((x1, x2); beta), the conditioned expansion in product form.
     """
     check_negative_pair(x1, x2, "x1", "x2")
-    b = _imag_part(beta)
-    return (log_F_m1_s0(x1)
-            + log_E_m1(x2 - x1, beta)
-            + b * b * math.log((x1 - 2.0 * x2) / (2.0 * (x1 - x2)))
-            + 2.0 * b * abs(x1) * math.sqrt(x1 - x2))
+    return log_F_m1_s0(x1) + log_E0_product_form((x1, x2), (beta,))

@@ -16,7 +16,7 @@ gives the eigenvectors, and the eigenvalues near 1 are recomputed by an
 80-bit Rayleigh-Ritz step on that subspace.  That path loses accuracy with
 depth and refuses near x = -13, so log_det sends the one-point hard gap
 F(x; 0) at its default resolution to the Painleve II solve of the painleve
-module instead, which holds to ~1e-13 relative down to x = -100.
+module instead: ~1e-13 relative down to x = -100, ~eps max|q|/q(x) near RIGHT.
 """
 
 from __future__ import annotations
@@ -129,9 +129,13 @@ def _stretch(u: float) -> float:
     return u / (PANEL_MAX_LENGTH if u < 0.0 else 3.0 * PANEL_MAX_LENGTH)
 
 
-def _panel_counts(intervals, nodes_per_panel: int, top: int | None = None) -> list[int]:
-    """Panels per interval, ceil(phi(b) - phi(a)); ValueError below 4 nodes per panel, or
-    a top rung (by default nodes_per_panel) above MAX_RULE_ORDER or needing N > MAX_NODES."""
+def _panel_layout(intervals, nodes_per_panel: int, top: int | None = None):
+    """Every panel's edges lo, hi in u and the position of its interval in `intervals`, the
+    same for every rule order: ceil(phi(b) - phi(a)) panels per interval, edges spaced in phi
+    as np.linspace would.  Each interval's own ends are its first and last edges; only the
+    interior ones are mapped back to u, which by 12 is not exact.  ValueError before any
+    array is built below 4 nodes per panel, or for a top rung (by default nodes_per_panel)
+    above MAX_RULE_ORDER or needing N > MAX_NODES."""
     top = nodes_per_panel if top is None else top
     if nodes_per_panel < 4:
         raise ValueError(f"nodes_per_panel must be at least 4, got {nodes_per_panel}")
@@ -141,17 +145,6 @@ def _panel_counts(intervals, nodes_per_panel: int, top: int | None = None) -> li
     size = sum(counts) * top
     if size > MAX_NODES:
         raise ValueError(f"the discretization needs N = {size} nodes, above MAX_NODES = {MAX_NODES}")
-    return counts
-
-
-def _panel_layout(intervals, nodes_per_panel: int, top: int | None = None):
-    """Every panel's edges lo, hi in u and the position of its interval in `intervals`,
-    the same for every rule order: at most 4 long below 0 and 12 above, edges spaced in
-    phi as np.linspace would (a + k (b - a)/count) by float arithmetic.  Each interval's
-    own ends are its first and last edges; only the interior edges are mapped back to u,
-    which by 12 is not exact, so every endpoint stays an exact edge.  _panel_counts checks
-    nodes_per_panel and top first."""
-    counts = _panel_counts(intervals, nodes_per_panel, top)
     lo, hi = [], []
     for (a, b), count in zip(intervals, counts):
         start, step = _stretch(a), (_stretch(b) - _stretch(a)) / count
@@ -267,19 +260,18 @@ def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (specfun.airy_ai_real_xp if x.dtype == _LD else specfun.airy_real)(x)
 
 
-def _kernel_matrix(xi: np.ndarray, w: np.ndarray | None = None, airy=None) -> np.ndarray:
-    """Dense sqrt(w_i w_k) K(xi_i, xi_k) on distinct nodes (K itself without w),
-    its diagonal by the confluent form; the precision follows the dtype of xi,
-    so double and 80-bit determinants assemble alike; airy is _airy_pair(xi) if known.
+def _kernel_matrix(xi: np.ndarray, w: np.ndarray, airy=None) -> np.ndarray:
+    """Dense sqrt(w_i w_k) K(xi_i, xi_k) on distinct nodes, its diagonal by the
+    confluent form; the precision follows the dtype of xi, so double and 80-bit
+    determinants assemble alike; airy is _airy_pair(xi) if known.
 
     sqrt(w) is folded into Ai and Ai' first, so the antisymmetric numerator
     is one outer product M less its transpose, and the differences xi_i - xi_k
     reuse M's memory: four N^2 passes in all.
     """
     ai, aip = _airy_pair(xi) if airy is None else airy
-    if w is not None:
-        sw = np.sqrt(w)
-        ai, aip = ai * sw, aip * sw
+    sw = np.sqrt(w)
+    ai, aip = ai * sw, aip * sw
     M = np.outer(ai, aip)
     A = M - M.T
     den = np.subtract.outer(xi, xi, out=M)
@@ -566,27 +558,28 @@ def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> flo
 
 
 def var_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
-    """Variance of the particle count: tr(K 1_A) - tr((1_A K 1_A)^2); one
-    below -painleve.ROUNDING_FLOOR tr(K 1_A) raises NumericalError."""
+    """Variance of the particle count, tr A - ||A||_F^2 on the determinants' weighted kernel
+    A = W^(1/2) K W^(1/2); one below -painleve.ROUNDING_FLOOR tr A raises NumericalError."""
     xi, w, _ = _set_nodes(intervals, nodes_per_panel)
-    K = _kernel_matrix(xi)
-    linear = float(w @ np.diag(K))
-    quad = float(w @ (K * K) @ w)
-    if linear - quad < -painleve.ROUNDING_FLOOR * linear:
-        raise NumericalError(f"negative count variance {linear - quad:.3g} on {intervals} "
+    A = _kernel_matrix(xi, w)
+    linear = float(np.trace(A))
+    variance = linear - float(np.vdot(A, A))
+    if variance < -painleve.ROUNDING_FLOOR * linear:
+        raise NumericalError(f"negative count variance {variance:.3g} on {intervals} "
                              f"at {nodes_per_panel} nodes per panel: the rule is too coarse")
-    return linear - quad
+    return variance
 
 
 def cov_count(intervals_a, intervals_b,
               nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
-    """Covariance of counts on disjoint sets: -tr(1_A K 1_B K)."""
+    """Covariance of counts on disjoint sets: -tr(1_A K 1_B K) = -||A_ab||_F^2, A_ab the
+    A-by-B block of the weighted kernel on their union."""
     sa = _normalize_intervals(intervals_a)
     # one node set for A then B: the overlap check and MAX_NODES apply to the union
     xi, w, pos = _set_nodes(sa + _normalize_intervals(intervals_b), nodes_per_panel)
     na = np.count_nonzero(pos < len(sa))
-    K = _kernel_matrix(xi)[:na, na:]  # the block K(a_i, b_k)
-    return -float(w[:na] @ (K * K) @ w[na:])
+    block = _kernel_matrix(xi, w)[:na, na:]
+    return -float(np.vdot(block, block))
 
 
 def cov_halflines(x1: float, x2: float,

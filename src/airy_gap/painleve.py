@@ -14,7 +14,9 @@ is cached for the process, together with the barycentric columns (w q, w)
 and the tail integrals of q^2 and (t - t_k) q^2 from each Chebyshev point
 t_k to RIGHT.  A value then adds the integral from x to the next point by a
 GAP_NODES-point rule, its interpolant one matmul on 1/(s - t): O(n), about
-20-25 us per value and order on a 2-CPU x86-64 VM.
+20-25 us per value and order on a 2-CPU x86-64 VM.  Interpolation rounds on the scale
+max|q| = 7.7, so toward RIGHT the relative error grows as about eps max|q|/q(x): 5e-14
+at x = 3.94, 1e-12 at 5, 2e-11 at 7, while the absolute error stays below 1e-20.
 """
 
 from __future__ import annotations
@@ -173,6 +175,7 @@ def log_hard_gap(x: float, n: int) -> float:
     (0, 1) scaled by t_k - x, its interpolated q one matmul on 1/(s - t), so
     a cached order costs O(n) per value: about 20-25 us at either order of
     RUNGS.  The domain is the Nystrom route's, so every hard gap has one edge.
+    Toward RIGHT the relative error grows as eps max|q|/q(x), 2e-11 at x = 7 (absolute < 1e-20).
     """
     x = float(x)
     if not specfun.AIRY_REAL_MIN <= x < RIGHT:

@@ -421,8 +421,6 @@ def log_barnes_g(z) -> complex:
         shift -= log_gamma(zc)
         zc += 1.0
     w = zc - 1.0
-    if abs(w) < 1e-300:
-        return shift
     gsum = (0.5 * LOG_2PI - 0.5) * w - 0.5 * (1.0 + EULER_GAMMA) * w * w \
         + np.log1p(w) - w + 0.5 * w * w
     # sum_{n>=3} (-1)^(n-1) (zeta(n-1) - 1) w^n / n, iterated as (w/2)^n to

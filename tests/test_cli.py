@@ -297,6 +297,18 @@ def test_compare_out_writes_one_row_per_r(tmp_path, capsys):
     assert [row[3] for row in rows] == [labels["gap_r_3"], labels["gap_r_4"]]
 
 
+def test_compare_scaled_gap_past_the_float_range_reads_inf(tmp_path, capsys):
+    # r^(3/2) overflows at r = 1e300, but the determinant at x = -1 and its gap do not
+    cfg = write_config(tmp_path, {"tau": [-1e-300], "s": [0.5]})
+    out_csv = tmp_path / "big-r.csv"
+    code, out, err = run(["compare", cfg, "--r-list", "1e300", "--out", str(out_csv)], capsys)
+    assert code == 0, err
+    labels = {r["label"]: r["value"] for r in json.loads(out)["results"]}
+    header, row = out_csv.read_text().splitlines()
+    assert header.split(",")[-1] == "gap_r32_over_logr" and row.split(",")[-1] == "inf"
+    assert float(row.split(",")[3]) == labels["gap_final"] and math.isfinite(labels["gap_final"])
+
+
 def test_compare_conditioned_route(tmp_path, capsys):
     cfg = write_config(tmp_path, {"tau": [-1.0, -2.0], "s": [0.0, 0.5]})
     code, out, _ = run(["compare", cfg, "--r-list", "4,5", "--nodes", "24"], capsys)

@@ -72,7 +72,8 @@ def test_kernel_at_origin():
 def test_kernel_block_matches_scalar_kernel(rng):
     xa = np.sort(rng.uniform(-12.0, -1.0, size=17))
     xb = np.sort(rng.uniform(0.0, 6.0, size=11))
-    K = fr._kernel_matrix(np.concatenate((xa, xb)))[:17, 17:]  # the block cov_count reads
+    xi = np.concatenate((xa, xb))
+    K = fr._kernel_matrix(xi, np.ones_like(xi))[:17, 17:]  # the block cov_count reads
     assert K.shape == (17, 11)
     expected = np.array([[fr.airy_kernel(u, v) for v in xb] for u in xa])
     assert np.max(np.abs(K - expected)) < 1e-13
@@ -88,12 +89,13 @@ def test_kernel_precision_follows_node_dtype(monkeypatch):
 
     monkeypatch.setattr(sf, "airy_ai_real_xp", counting)
     cfg = GapConfig((-2.0,), (0.5,))
-    K = fr._kernel_matrix(fr.build_scheme(cfg, 8).xi)
+    xi = fr.build_scheme(cfg, 8).xi
+    K = fr._kernel_matrix(xi, np.ones_like(xi))
     assert K.dtype == np.float64 and calls == []
     xi = fr.build_scheme(cfg, 8, dtype=np.longdouble).xi
     assert calls == [xi.size]  # the 80-bit scheme's own Airy pair
     calls.clear()
-    K = fr._kernel_matrix(xi)
+    K = fr._kernel_matrix(xi, np.ones_like(xi))
     assert K.dtype == np.longdouble and calls == [xi.size]
 
 
@@ -616,7 +618,7 @@ def test_thinning_keeps_the_spectrum_off_one(monkeypatch, x, s):
     for k, scheme in enumerate(schemes):
         top = np.linalg.eigvalsh(fr._kernel_matrix(scheme.xi, scheme.w_eff))[-1]
         sw = np.sqrt(scheme.w_plain)
-        top0 = np.linalg.eigvalsh(sw[:, None] * fr._kernel_matrix(scheme.xi) * sw[None, :])[-1]
+        top0 = np.linalg.eigvalsh(sw[:, None] * fr._kernel_matrix(scheme.xi, np.ones_like(scheme.xi)) * sw[None, :])[-1]
         assert top <= (1.0 - min(s)) * max(top0, 1.0) + 1e-12
         assert top < 1.0 - fr.NEAR_ONE_GAP
         if k >= len(schemes) - 2:
@@ -879,6 +881,51 @@ def test_cov_bilinearity():
     lhs = fr.var_count(A + B)
     rhs = fr.var_count(A) + fr.var_count(B) + 2.0 * fr.cov_count(A, B)
     assert abs(lhs - rhs) < 1e-9
+
+
+def _unweighted_var(intervals):
+    """tr(K 1_A) - w (K o K) w from the unweighted K on the nodes of A, and tr(K 1_A)."""
+    xi, w, _ = fr._set_nodes(intervals, 48)
+    K = fr._kernel_matrix(xi, np.ones_like(xi))
+    linear = float(w @ np.diag(K))
+    return linear - float(w @ (K * K) @ w), linear
+
+
+def _unweighted_cov(a, b):
+    """-w_a (K_ab o K_ab) w_b from the unweighted K on one node set for A then B, and
+    tr(K 1_(A u B))."""
+    xi, w, pos = fr._set_nodes(a + b, 48)
+    K = fr._kernel_matrix(xi, np.ones_like(xi))
+    na = np.count_nonzero(pos < len(a))
+    block = K[:na, na:]
+    return -float(w[:na] @ (block * block) @ w[na:]), float(w @ np.diag(K))
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("var", ([(-3.0, math.inf)],)),
+    ("var", ([(-5.0, -2.0)],)),
+    ("var", ([(-40.0, -20.0)],)),
+    ("var", ([(-99.0, -50.0)],)),
+    ("var", ([(-4.0, -2.5), (-2.5, -1.0)],)),
+    ("cov", ([(-5.0, -3.5)], [(-3.5, -2.0)])),
+    ("cov", ([(-60.0, -30.0)], [(-30.0, -10.0)])),
+    ("halflines", (-2.0, -5.0)),
+    ("halflines", (-20.0, -80.0)),
+])
+def test_traces_match_the_unweighted_formulas(kind, args):
+    # the traces read tr A - ||A||_F^2 off the determinants' weighted kernel
+    # A = W^(1/2) K W^(1/2); the same numbers from K and w apart, within 8 eps of
+    # the linear term tr(K 1_A)
+    if kind == "var":
+        value, (expected, linear) = fr.var_count(*args, 48), _unweighted_var(*args)
+    elif kind == "cov":
+        value, (expected, linear) = fr.cov_count(*args, 48), _unweighted_cov(*args)
+    else:
+        x1, x2 = args
+        var, var_linear = _unweighted_var([(x1, math.inf)])
+        cov, cov_linear = _unweighted_cov([(x1, math.inf)], [(x2, x1)])
+        value, expected, linear = fr.cov_halflines(x1, x2, 48), var + cov, max(var_linear, cov_linear)
+    assert abs(value - expected) <= 8.0 * np.finfo(float).eps * linear, (value, expected)
 
 
 def test_cov_rejects_overlap():
