@@ -277,4 +277,5 @@ def thinned_joint_tail_asym(x1: float, x2: float, beta) -> float:
     log F(x1; 0) + log E0((x1, x2); beta), the conditioned expansion in product form.
     """
     check_negative_pair(x1, x2, "x1", "x2")
+    _imag_part(beta)
     return log_F_m1_s0(x1) + log_E0_product_form((x1, x2), (beta,))

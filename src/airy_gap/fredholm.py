@@ -4,10 +4,12 @@ The operator acts on (x_m, +infinity) with piecewise weight 1 - s_j on each
 interval (x_j, x_{j-1}); its determinant is the generating function of the
 counting statistics of the Airy point process.  Discretization is panel-wise
 Gauss-Legendre (Nystrom), panels at most 4 long where Ai oscillates (u < 0)
-and 12 where it only decays, with the symmetrized weighting
-A_ik = sqrt(w_i w_k) K(xi_i, xi_k), assembled from sqrt(w) Ai and sqrt(w) Ai'
-by one outer product.  One double Cholesky factorization of
-I - A gives log det(I - A) wherever it certifies itself: every s_j is at
+and 12 where it only decays.  A scheme is geometry: nodes, rule weights and
+Airy values from one builder, _layout_scheme, for determinants, traces and
+the s_m identity alike.  The factor 1 - s_j enters at assembly, in the
+symmetrized A_ik = sqrt(w_i w_k) K(xi_i, xi_k), one outer product of
+sqrt(w) Ai and sqrt(w) Ai'.  One double Cholesky factorization of I - A
+gives log det(I - A) wherever it certifies itself: every s_j is at
 least NEAR_ONE_GAP (the weights keep the spectrum of A that far below 1), or
 det(I - A) >= DEEP_GAP_THRESHOLD, a lower bound on the spectral gap since A
 is positive semidefinite.  Every other configuration is a deep gap: the
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,24 +105,28 @@ def default_tail_length(a: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureScheme:
-    """Flattened panel Gauss-Legendre discretization of the weighted operator.
+    """Flattened panel Gauss-Legendre nodes xi, rule weights w and (Ai, Ai') at xi on one
+    _panel_layout, and nothing of s: the kernel's assembly applies 1 - s_j (_thinned_weights)."""
 
-    w_plain are the geometric quadrature weights; w_eff carry the extra
-    (1 - s_j) factor of the interval each node falls in.
-    """
-
-    panels: tuple[tuple[float, float], ...]
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray]  # _panel_layout's (lo, hi, position)
     nodes_per_panel: int
-    tail_length: float
     xi: np.ndarray
-    w_plain: np.ndarray
-    w_eff: np.ndarray
-    interval_index: np.ndarray  # 1-based j of (x_j, x_{j-1}) containing each node
-    _airy: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # (Ai, Ai') at xi, if known
+    w: np.ndarray
+    airy: tuple[np.ndarray, np.ndarray]
 
     @property
     def size(self) -> int:
         return self.xi.size
+
+    @property
+    def panels(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.layout[0].tolist(), self.layout[1].tolist()))
+
+    @property
+    def interval_index(self) -> np.ndarray:
+        """Each node's interval by its position in the list the layout covers, ascending
+        (x_m, x_{m-1}), ..., (x_1, x_0) for a determinant."""
+        return self.layout[2].repeat(self.nodes_per_panel)
 
 
 def _stretch(u: float) -> float:
@@ -155,74 +161,57 @@ def _panel_layout(intervals, nodes_per_panel: int, top: int | None = None):
     return np.array(lo), np.array(hi), np.arange(len(counts), dtype=np.int32).repeat(counts)
 
 
-def _panelize(layout, orders, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule orders on a _panel_layout, a row per panel and the
-    orders' columns side by side: their Gauss-Legendre rules, concatenated, mapped onto
-    every panel by one broadcast of QuadRule.mapped's arithmetic."""
-    lo, hi, _ = layout
-    a, b = lo.astype(dtype)[:, None], hi.astype(dtype)[:, None]
-    rules = [specfun.gauss_legendre_rule(n, dtype=dtype) for n in orders]
-    half = 0.5 * (b - a)
-    return (half * np.concatenate([r.nodes for r in rules]) + 0.5 * (a + b),
-            half * np.concatenate([r.weights for r in rules]))
-
-
-def _halfline_cut(a: float, tail_length: float | None = None) -> tuple[float, float]:
-    """(a + T, T): the one cut of a half-line (a, inf), T = default_tail_length(a) unless given."""
+def _halfline_cut(a: float, tail_length: float | None = None) -> float:
+    """a + T, the one cut of a half-line (a, inf), T = default_tail_length(a) unless given."""
     T = default_tail_length(a) if tail_length is None else tail_length
     if not MIN_TAIL_LENGTH <= T < math.inf:
         raise ValueError(f"tail_length must be finite and at least {MIN_TAIL_LENGTH:g}")
-    return a + T, T
+    return a + T
 
 
 def _scheme_intervals(config: GapConfig, tail_length: float | None):
-    """The intervals (x_m, x_{m-1}), ..., (x_1, x_0) with x_0 = x_1 + T, and T."""
-    x0, tail_length = _halfline_cut(config.x[0], tail_length)
-    ends = config.x[::-1] + (x0,)  # x_m < ... < x_1 < x_0
-    return list(zip(ends, ends[1:])), tail_length
+    """The intervals (x_m, x_{m-1}), ..., (x_1, x_0) with x_0 = _halfline_cut(x_1)."""
+    ends = config.x[::-1] + (_halfline_cut(config.x[0], tail_length),)  # x_m < ... < x_1 < x_0
+    return list(zip(ends, ends[1:]))
 
 
 def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
                  tail_length: float | None = None, dtype=np.float64) -> QuadratureScheme:
-    """Panelized Gauss-Legendre scheme for the operator of `config`.
+    """Panelized Gauss-Legendre scheme on the intervals of `config`.
 
     _panel_layout covers each interval (x_j, x_{j-1}) and the tail (x_1, x_1 + T);
-    80-bit nodes map the same double panel edges as double ones.  When
-    tail_length is omitted it is chosen so the truncation point clears
-    TRUNCATION_POINT_MIN.  A tail_length that puts the cut x_1 + T below
-    TRUNCATION_POINT_MIN discretizes the truncated operator, whose
-    determinant is not F(x; s); it is meant only for truncation studies.
+    the weights s do not enter.  When tail_length is omitted it is chosen so
+    the truncation point clears TRUNCATION_POINT_MIN.  A tail_length that puts
+    the cut x_1 + T below TRUNCATION_POINT_MIN discretizes the truncated
+    operator, whose determinant is not F(x; s); it is meant only for
+    truncation studies.
     """
-    intervals, tail_length = _scheme_intervals(config, tail_length)
-    layout = _panel_layout(intervals, nodes_per_panel)
-    return _layout_scheme(config, layout, (nodes_per_panel,), tail_length, dtype)[0]
+    layout = _panel_layout(_scheme_intervals(config, tail_length), nodes_per_panel)
+    return _layout_scheme(layout, (nodes_per_panel,), dtype)[0]
 
 
-def _layout_scheme(config: GapConfig, layout, orders, tail_length: float, dtype=np.float64):
-    """build_scheme's scheme for each rule order in `orders` on one _panel_layout of its
-    intervals, which a ladder's rungs share: one _panelize map and one _airy_pair call on
-    every node, each scheme taking its orders' columns."""
-    xi, w = _panelize(layout, orders, dtype)
+def _layout_scheme(layout, orders, dtype=np.float64) -> list[QuadratureScheme]:
+    """A scheme for each rule order in `orders` on one _panel_layout, the one map of rules
+    onto panels: the orders' Gauss-Legendre rules, concatenated, mapped onto every panel by
+    one broadcast of QuadRule.mapped's arithmetic (80-bit nodes on the same double edges),
+    one _airy_pair call on every node, and each scheme taking its orders' columns."""
+    lo, hi, _ = layout
+    a, b = lo.astype(dtype)[:, None], hi.astype(dtype)[:, None]
+    rules = [specfun.gauss_legendre_rule(n, dtype=dtype) for n in orders]
+    half = 0.5 * (b - a)
+    xi = half * np.concatenate([r.nodes for r in rules]) + 0.5 * (a + b)
+    w = half * np.concatenate([r.weights for r in rules])
     ai, aip = _airy_pair(xi)
-    lo, hi, pos = layout
-    panels = tuple(zip(lo.tolist(), hi.tolist()))
-    interval_index = np.int32(config.m) - pos
-    thinning = np.array([1.0 - v for v in config.s], dtype=dtype)
-    w_eff = w * thinning[interval_index - 1, None]
-    schemes, end = [], 0
-    for n in orders:
-        cols, end = slice(end, end + n), end + n
-        schemes.append(QuadratureScheme(
-            panels=panels,
-            nodes_per_panel=int(n),
-            tail_length=float(tail_length),
-            xi=xi[:, cols].ravel(),
-            w_plain=w[:, cols].ravel(),
-            w_eff=w_eff[:, cols].ravel(),
-            interval_index=interval_index.repeat(n),
-            _airy=(ai[:, cols].ravel(), aip[:, cols].ravel()),
-        ))
-    return schemes
+    ends = np.cumsum((0, *orders))
+    return [QuadratureScheme(layout, int(n), xi[:, i:j].ravel(), w[:, i:j].ravel(),
+                             (ai[:, i:j].ravel(), aip[:, i:j].ravel()))
+            for n, i, j in zip(orders, ends, ends[1:])]
+
+
+def _thinned_weights(config: GapConfig, scheme: QuadratureScheme) -> np.ndarray:
+    """The scheme's weights times 1 - s_j on (x_j, x_{j-1}), the weights A is assembled with."""
+    thinning = np.array([1.0 - v for v in config.s[::-1]], dtype=scheme.w.dtype)
+    return scheme.w * thinning[scheme.interval_index]
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +337,10 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     too coarse) raises NumericalError.  Else A is a positive semidefinite
     Gram matrix, so det(I - A) <= min(1 - lambda) and a value of at least
     DEEP_GAP_THRESHOLD is kept.  Every other configuration takes the 80-bit
-    path: the same assembly on float128 nodes, then _ritz_logdet.
+    path: the same assembly on float128 nodes of the scheme's own layout, then
+    _ritz_logdet.
     """
-    A = _kernel_matrix(scheme.xi, scheme.w_eff, scheme._airy)
+    A = _kernel_matrix(scheme.xi, _thinned_weights(config, scheme), scheme.airy)
     np.negative(A, out=A)  # I - A in place
     A.flat[::A.shape[0] + 1] += 1.0
     thinned = min(config.s) >= NEAR_ONE_GAP
@@ -366,8 +356,8 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     if thinned or value >= math.log(DEEP_GAP_THRESHOLD):
         return value
     del A
-    xscheme = build_scheme(config, scheme.nodes_per_panel, scheme.tail_length, dtype=_LD)
-    return _ritz_logdet(_kernel_matrix(xscheme.xi, xscheme.w_eff, xscheme._airy))
+    xscheme = _layout_scheme(scheme.layout, (scheme.nodes_per_panel,), _LD)[0]
+    return _ritz_logdet(_kernel_matrix(xscheme.xi, _thinned_weights(config, xscheme), xscheme.airy))
 
 
 @dataclass(frozen=True)
@@ -441,17 +431,17 @@ def log_det(config: GapConfig, *,
 def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
                      tail_length: float | None = None) -> DeterminantReport:
     """log_det's Nystrom ladder, whatever the configuration: every rung on one
-    _panel_layout, checked for the top rung first.  The first two rungs always
-    run, so one _layout_scheme call builds both (each node's Airy value is its
-    own); a later rung is built only when it runs."""
+    _panel_layout, checked for the top rung first, and every escalation maps it
+    again in 80-bit.  The first two rungs always run, so one _layout_scheme call
+    builds both (each node's Airy value is its own); a later rung is built only
+    when it runs."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
-    intervals, tail_length = _scheme_intervals(config, tail_length)
-    layout = _panel_layout(intervals, orders[0], orders[-1])
-    first = dict(zip(orders[:2], _layout_scheme(config, layout, orders[:2], tail_length)))
+    layout = _panel_layout(_scheme_intervals(config, tail_length), orders[0], orders[-1])
+    first = dict(zip(orders[:2], _layout_scheme(layout, orders[:2])))
 
     def value_at(k):
-        scheme = first.pop(k) if k in first else _layout_scheme(config, layout, (k,), tail_length)[0]
+        scheme = first.pop(k) if k in first else _layout_scheme(layout, (k,))[0]
         return logdet_single(config, scheme)
 
     report = _ladder(config, orders, value_at, "nystrom")
@@ -498,24 +488,24 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
 
     R is the kernel of (I - K)^(-1) K.  Returns (finite_difference,
     resolvent_value, |difference|).  The central step is 1e-5 * max(s_m, 0.1),
-    balancing truncation against determinant noise.
+    balancing truncation against determinant noise.  The resolvent and both
+    determinants run on one scheme, whose nodes do not depend on s.
     """
     s_m = config.s[-1]
     if s_m == 1.0 or s_m == 0.0:
         raise ValueError("identity check needs s_m in (0, 1)")
     step = 1e-5 * max(s_m, 0.1)
     scheme = build_scheme(config, nodes_per_panel)
-    A = _kernel_matrix(scheme.xi, scheme.w_eff, scheme._airy)
+    A = _kernel_matrix(scheme.xi, _thinned_weights(config, scheme), scheme.airy)
     try:
         B = np.linalg.solve(np.eye(A.shape[0]) - A, A)  # the Nystrom resolvent (I - A)^(-1) A
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular I - A in resolvent solve: {exc}") from exc
     # R(xi_i, xi_i) = B_ii / w_i, so the quadrature of R over (x_m, x_{m-1}) sums B_ii there
-    resolvent_value = float(np.sum(np.diagonal(B)[scheme.interval_index == config.m])) / (1.0 - s_m)
+    resolvent_value = float(np.sum(np.diagonal(B)[scheme.interval_index == 0])) / (1.0 - s_m)
 
     def at(sm: float) -> float:
-        cfg = GapConfig(config.x, config.s[:-1] + (sm,))
-        return logdet_single(cfg, build_scheme(cfg, nodes_per_panel, scheme.tail_length))
+        return logdet_single(GapConfig(config.x, config.s[:-1] + (sm,)), scheme)
 
     fd = (at(s_m + step) - at(s_m - step)) / (2.0 * step)
     return fd, resolvent_value, abs(fd - resolvent_value)
@@ -536,14 +526,10 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
     return out
 
 
-def _set_nodes(intervals, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, weights and interval positions, on the panels of determinants; a
-    half-line (a, inf) ends at _halfline_cut(a)."""
-    cut = [(a, _halfline_cut(a)[0] if math.isinf(b) else b)
-           for a, b in _normalize_intervals(intervals)]
-    layout = _panel_layout(cut, nodes_per_panel)
-    xi, w = _panelize(layout, (nodes_per_panel,))
-    return xi.ravel(), w.ravel(), layout[2].repeat(nodes_per_panel)
+def _set_scheme(intervals, nodes_per_panel: int) -> QuadratureScheme:
+    """The determinants' scheme on an interval set, a half-line (a, inf) cut at _halfline_cut(a)."""
+    cut = [(a, _halfline_cut(a) if math.isinf(b) else b) for a, b in _normalize_intervals(intervals)]
+    return _layout_scheme(_panel_layout(cut, nodes_per_panel), (nodes_per_panel,))[0]
 
 
 def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
@@ -552,16 +538,16 @@ def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> flo
     Computes the trace integral of K(u, u); half-lines (a, inf) are truncated
     where the kernel has decayed below 1e-24.
     """
-    xi, w, _ = _set_nodes(intervals, nodes_per_panel)
-    ai, aip = _airy_pair(xi)
-    return float(w @ (aip * aip - xi * ai * ai))
+    scheme = _set_scheme(intervals, nodes_per_panel)
+    ai, aip = scheme.airy
+    return float(scheme.w @ (aip * aip - scheme.xi * ai * ai))
 
 
 def var_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
     """Variance of the particle count, tr A - ||A||_F^2 on the determinants' weighted kernel
     A = W^(1/2) K W^(1/2); one below -painleve.ROUNDING_FLOOR tr A raises NumericalError."""
-    xi, w, _ = _set_nodes(intervals, nodes_per_panel)
-    A = _kernel_matrix(xi, w)
+    scheme = _set_scheme(intervals, nodes_per_panel)
+    A = _kernel_matrix(scheme.xi, scheme.w, scheme.airy)
     linear = float(np.trace(A))
     variance = linear - float(np.vdot(A, A))
     if variance < -painleve.ROUNDING_FLOOR * linear:
@@ -576,9 +562,9 @@ def cov_count(intervals_a, intervals_b,
     A-by-B block of the weighted kernel on their union."""
     sa = _normalize_intervals(intervals_a)
     # one node set for A then B: the overlap check and MAX_NODES apply to the union
-    xi, w, pos = _set_nodes(sa + _normalize_intervals(intervals_b), nodes_per_panel)
-    na = np.count_nonzero(pos < len(sa))
-    block = _kernel_matrix(xi, w)[:na, na:]
+    scheme = _set_scheme(sa + _normalize_intervals(intervals_b), nodes_per_panel)
+    na = np.count_nonzero(scheme.interval_index < len(sa))
+    block = _kernel_matrix(scheme.xi, scheme.w, scheme.airy)[:na, na:]
     return -float(np.vdot(block, block))
 
 

@@ -199,6 +199,9 @@ def test_realness_enforced():
         asym.log_E_asym([-1.0, -2.0], [0.1 + 0.1j, 0.2j])
     with pytest.raises(ValueError):
         asym.log_E_m1(-2.0, 0.3)
+    # under its own name, not that of log_E0_product_form's beta0
+    with pytest.raises(ValueError, match="^beta must be purely imaginary, got 0.3$"):
+        asym.thinned_joint_tail_asym(-2.0, -4.0, 0.3)
 
 
 def test_ordering_enforced():
@@ -227,9 +230,11 @@ NONFINITE = (math.nan, math.inf, -math.inf)
     (lambda v: asym.sigma2_0(-3.0, v), "0 > x1 > x,"),
     (lambda v: asym.var_interval_asym(10.0, -1.0, v), "0 > tau1 > tau2,"),
     (lambda v: asym.thinned_joint_tail_asym(v, -2.0, 0.1j), "0 > x1 > x2,"),
+    (lambda v: asym.thinned_joint_tail_asym(-2.0, -4.0, v), "^beta must be purely imaginary"),
 ], ids=["log_E_asym", "log_E_asym-x2", "log_E0_asym", "log_E0_asym-x1", "log_E_product_form",
         "beta_from_s", "mu", "sigma2", "log_F_m1_s0", "log_E_m1", "moment_asym",
-        "mu0", "sigma2_0", "var_interval_asym", "thinned_joint_tail_asym"])
+        "mu0", "sigma2_0", "var_interval_asym", "thinned_joint_tail_asym",
+        "thinned_joint_tail_asym-beta"])
 def test_nonfinite_inputs_raise(call, message, bad):
     with pytest.raises(ValueError, match=message):
         call(bad)

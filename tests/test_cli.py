@@ -218,7 +218,7 @@ def test_det_refuses_oversized_discretization(tmp_path, capsys, monkeypatch, fla
     def no_scheme(*args, **kwargs):
         raise AssertionError("a scheme or determinant matrix was built")
 
-    for name in ("build_scheme", "_layout_scheme", "_panelize", "logdet_single", "_kernel_matrix"):
+    for name in ("build_scheme", "_layout_scheme", "logdet_single", "_kernel_matrix"):
         monkeypatch.setattr(cli.fredholm, name, no_scheme)
     cfg = write_config(tmp_path, {"x": [-6.0], "s": [0.5]})
     code, out, err = run(["det", cfg, *flags], capsys)

@@ -127,23 +127,25 @@ def test_scheme_single_interval_layout():
     assert scheme.panels[0][0] == -2.0
     assert scheme.panels[-1][1] == 10.0
     assert _within_panel_bounds(scheme.panels)
-    assert np.all(scheme.w_eff == scheme.w_plain)  # factor 1 - s = 1
+    assert np.all(fr._thinned_weights(cfg, scheme) == scheme.w)  # factor 1 - s = 1
 
 
 def test_scheme_weight_factors():
     cfg = GapConfig((-1.0, -3.0), (0.5, 0.2))
     scheme = fr.build_scheme(cfg, nodes_per_panel=8, tail_length=8.0)
-    inner = scheme.interval_index == 2
+    # intervals by ascending position: (-3, -1) first, then the tail (-1, 7)
+    inner = scheme.interval_index == 0
     outer = scheme.interval_index == 1
-    assert np.allclose(scheme.w_eff[inner] / scheme.w_plain[inner], 0.8)
-    assert np.allclose(scheme.w_eff[outer] / scheme.w_plain[outer], 0.5)
+    w = fr._thinned_weights(cfg, scheme)  # the weights A is assembled with
+    assert np.allclose(w[inner] / scheme.w[inner], 0.8)
+    assert np.allclose(w[outer] / scheme.w[outer], 0.5)
     assert np.all(scheme.xi[inner] < -1.0) and np.all(scheme.xi[inner] > -3.0)
 
 
 def test_scheme_all_weights_one_vanishes():
     cfg = GapConfig((-1.0, -2.0), (1.0, 1.0))
     scheme = fr.build_scheme(cfg, nodes_per_panel=8)
-    assert np.all(scheme.w_eff == 0.0)
+    assert np.all(fr._thinned_weights(cfg, scheme) == 0.0)
 
 
 def test_scheme_long_interval_split_and_default_tail():
@@ -167,14 +169,15 @@ def test_scheme_validation():
 
 @pytest.mark.parametrize("a", (-3.0, -1.0, 0.0, 6.0))
 def test_one_halfline_cut_for_determinants_and_traces(a):
-    w = fr._set_nodes([(a, math.inf)], 8)[1]
+    trace = fr._set_scheme([(a, math.inf)], 8)
     scheme = fr.build_scheme(GapConfig((a,), (0.5,)), 8)
-    assert w.sum() == pytest.approx(scheme.w_plain.sum(), abs=1e-12)
-    assert scheme.tail_length == fr.default_tail_length(a)
+    assert trace.w.sum() == pytest.approx(scheme.w.sum(), abs=1e-12)
+    assert trace.panels == scheme.panels
+    assert scheme.panels[-1][1] == a + fr.default_tail_length(a)
 
 
-def _panelize_per_panel(intervals, nodes_per_panel, dtype):
-    """The panels _panelize builds at once, one panel at a time from the rule:
+def _map_per_panel(intervals, nodes_per_panel, dtype):
+    """The panels _layout_scheme maps at once, one panel at a time from the rule:
     ceil(phi(b) - phi(a)) panels per interval, phi(u) = u/4 below 0 and u/12
     above, edges equidistributed in phi, the interval's ends kept and its
     interior edges mapped back, and one QuadRule.mapped call each."""
@@ -204,15 +207,16 @@ def _panelize_per_panel(intervals, nodes_per_panel, dtype):
                                   ((-99.0,), (0.5,)), ((-8.0, -12.0), (0.0, 0.3)),
                                   ((6.0, 0.0, -5.5), (0.5, 0.2, 0.9))])
 def test_panelize_maps_every_panel_like_quadrule_mapped(dtype, n, x, s):
-    intervals = fr._scheme_intervals(GapConfig(x, s), None)[0]
+    intervals = fr._scheme_intervals(GapConfig(x, s), None)
     lo, hi, pos = layout = fr._panel_layout(intervals, n)
-    want = _panelize_per_panel(intervals, n, dtype)
+    want = _map_per_panel(intervals, n, dtype)
     assert tuple(zip(lo.tolist(), hi.tolist())) == want[0]
     assert np.array_equal(pos.repeat(n), want[3])
     # alone and as the second of two orders mapped at once, column by column
-    for orders, cols in (((n,), slice(None)), ((7, n), slice(7, None))):
-        xi, w = fr._panelize(layout, orders, dtype)
-        for a, b in zip((xi[:, cols].ravel(), w[:, cols].ravel()), want[1:3]):
+    for orders in ((n,), (7, n)):
+        scheme = fr._layout_scheme(layout, orders, dtype)[-1]
+        assert scheme.nodes_per_panel == n and np.array_equal(scheme.interval_index, want[3])
+        for a, b in zip((scheme.xi, scheme.w), want[1:3]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -248,7 +252,7 @@ def test_panels_are_at_most_four_long_below_zero_and_eight_above(x, s):
         assert all(b == c for (_, b), (c, _) in zip(panels, panels[1:]))
         # every x_j and the cut x_1 + T are exact panel edges
         assert set(cfg.x) <= {a for a, _ in panels}
-        assert panels[0][0] == cfg.x[-1] and panels[-1][1] == cfg.x[0] + scheme.tail_length
+        assert panels[0][0] == cfg.x[-1] and panels[-1][1] == fr._halfline_cut(cfg.x[0], tail)
         # the 80-bit scheme maps the same double edges
         assert fr.build_scheme(cfg, 16, tail, dtype=np.longdouble).panels == panels
 
@@ -344,8 +348,8 @@ def test_impossible_refinement_fails_before_any_scheme(monkeypatch):
     def no_scheme(*args, **kwargs):
         raise AssertionError("a scheme was built")
 
-    # build_scheme and the ladder both build through _layout_scheme and _panelize
-    for name in ("build_scheme", "_layout_scheme", "_panelize"):
+    # build_scheme and the ladder both build through _layout_scheme
+    for name in ("build_scheme", "_layout_scheme"):
         monkeypatch.setattr(fr, name, no_scheme)
     # the first rung fits, its refinement ceil(1.5 * 3000) = 4500 does not
     with pytest.raises(ValueError, match="rule order 4500 is above MAX_RULE_ORDER = 4096"):
@@ -388,27 +392,36 @@ def test_default_ladder_refines_by_half():
 
 
 def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
-    events = []
-    build, run = fr._layout_scheme, fr.logdet_single
+    events, layouts = [], []
+    lay, build, run = fr._panel_layout, fr._layout_scheme, fr.logdet_single
 
-    def building(config, layout, orders, tail_length, dtype=np.float64):
+    def laying(*args, **kwargs):
+        layouts.append(lay(*args, **kwargs))
+        return layouts[-1]
+
+    def building(layout, orders, dtype=np.float64):
+        assert any(layout is known for known in layouts)
         events.append(("build", tuple(orders), dtype))
-        return build(config, layout, orders, tail_length, dtype)
+        return build(layout, orders, dtype)
 
     def running(config, scheme):
         events.append(("run", scheme.nodes_per_panel, scheme.xi.dtype.type))
         return run(config, scheme)
 
     # every scheme is built by _layout_scheme, build_scheme's too
+    monkeypatch.setattr(fr, "_panel_layout", laying)
     monkeypatch.setattr(fr, "_layout_scheme", building)
     monkeypatch.setattr(fr, "logdet_single", running)
-    # log F(-6; 0) is below log DEEP_GAP_THRESHOLD: each rung escalates through
-    # build_scheme's 80-bit scheme; (-40; 0.5) needs a third rung
+    # log F(-6; 0) is below log DEEP_GAP_THRESHOLD: each rung escalates by
+    # mapping its own layout in 80-bit; (-40; 0.5) needs a third rung
     for x, s, rungs, escalates in [((-6.0,), (0.0,), [16, 24], True),
                                    ((-40.0,), (0.5,), [16, 24, 36], False)]:
         events.clear()
+        layouts.clear()
         report = fr._nystrom_log_det(GapConfig(x, s))
         assert [n for n, _ in report.resolutions] == rungs
+        # one panel layout for the whole ladder, its escalations included
+        assert len(layouts) == 1
         # the first two rungs always run and are built by one call; a later
         # rung is built only after the one before it ran
         double = [event[:2] for event in events if event[2] is np.float64]
@@ -446,7 +459,7 @@ def test_report_derives_log_f_and_converged_from_its_fields():
 def _logdet_80bit(config, n):
     """log det(I - A) by one 80-bit Cholesky of the 80-bit assembly."""
     scheme = fr.build_scheme(config, n, dtype=np.longdouble)
-    A = fr._kernel_matrix(scheme.xi, scheme.w_eff)
+    A = fr._kernel_matrix(scheme.xi, fr._thinned_weights(config, scheme))
     np.negative(A, out=A)
     A.flat[::A.shape[0] + 1] += 1.0
     return float(fr._cholesky_logdet_ld(A))
@@ -594,7 +607,8 @@ def test_cholesky_logdet_matches_the_spectrum(x, s):
     cfg = GapConfig(x, s)
     for n in (16, 24, 36):
         scheme = fr.build_scheme(cfg, n)
-        twin = float(np.sum(np.log1p(-np.linalg.eigvalsh(fr._kernel_matrix(scheme.xi, scheme.w_eff)))))
+        A = fr._kernel_matrix(scheme.xi, fr._thinned_weights(cfg, scheme))
+        twin = float(np.sum(np.log1p(-np.linalg.eigvalsh(A))))
         value = fr.logdet_single(cfg, scheme)
         assert abs(value - twin) <= pii.ROUNDING_FLOOR * abs(twin), (n, value, twin)
 
@@ -616,8 +630,9 @@ def test_thinning_keeps_the_spectrum_off_one(monkeypatch, x, s):
     report = fr.log_det(GapConfig(x, s))
     assert report.converged and len(schemes) == len(report.resolutions)
     for k, scheme in enumerate(schemes):
-        top = np.linalg.eigvalsh(fr._kernel_matrix(scheme.xi, scheme.w_eff))[-1]
-        sw = np.sqrt(scheme.w_plain)
+        A = fr._kernel_matrix(scheme.xi, fr._thinned_weights(GapConfig(x, s), scheme))
+        top = np.linalg.eigvalsh(A)[-1]
+        sw = np.sqrt(scheme.w)
         top0 = np.linalg.eigvalsh(sw[:, None] * fr._kernel_matrix(scheme.xi, np.ones_like(scheme.xi)) * sw[None, :])[-1]
         assert top <= (1.0 - min(s)) * max(top0, 1.0) + 1e-12
         assert top < 1.0 - fr.NEAR_ONE_GAP
@@ -666,7 +681,7 @@ def test_determinant_bounds_the_spectral_gap(x, s):
     cfg = GapConfig(x, s)
     for n in (16, 24, 48):
         scheme = fr.build_scheme(cfg, n)
-        gap = 1.0 - np.linalg.eigvalsh(fr._kernel_matrix(scheme.xi, scheme.w_eff))[-1]
+        gap = 1.0 - np.linalg.eigvalsh(fr._kernel_matrix(scheme.xi, fr._thinned_weights(cfg, scheme)))[-1]
         det = math.exp(fr.logdet_single(cfg, scheme))
         assert gap >= det * (1.0 - 1e-9), (n, gap, det)
 
@@ -680,7 +695,7 @@ def test_logdet_deep_gap_uses_extended_path():
     assert abs(report.log_f - expected) < 2e-4
     # confirm this configuration actually crosses the escalation threshold
     scheme = fr.build_scheme(cfg)
-    A = fr._kernel_matrix(scheme.xi, scheme.w_eff)
+    A = fr._kernel_matrix(scheme.xi, fr._thinned_weights(cfg, scheme))
     spectral_gap = 1.0 - float(np.linalg.eigvalsh(A)[-1])
     assert spectral_gap < fr.DEEP_GAP_THRESHOLD
 
@@ -738,7 +753,7 @@ def test_extended_matches_double_where_double_suffices(caplog):
         scheme = fr.build_scheme(cfg)
         xscheme = fr.build_scheme(cfg, scheme.nodes_per_panel, dtype=np.longdouble)
         with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
-            extended = fr._ritz_logdet(fr._kernel_matrix(xscheme.xi, xscheme.w_eff))
+            extended = fr._ritz_logdet(fr._kernel_matrix(xscheme.xi, fr._thinned_weights(cfg, xscheme)))
         certified = fr.logdet_single(cfg, scheme)
         assert certified >= math.log(fr.DEEP_GAP_THRESHOLD)  # the Cholesky value is kept
         assert abs(extended - certified) < 1e-11
@@ -833,6 +848,25 @@ def test_weight_derivative_identity():
     assert res > 0.0  # R(x, x) >= 0: the resolvent of a positive operator below 1
 
 
+@pytest.mark.parametrize("x, s, n", [((-1.0, -3.0), (0.5, 0.5), 48),
+                                     ((-1.0, -2.0, -4.0), (0.6, 0.3, 0.5), 24)])
+def test_weight_derivative_identity_builds_one_scheme(monkeypatch, x, s, n):
+    # the resolvent and both finite-difference determinants share one scheme,
+    # whose nodes do not depend on s; each determinant stays the bits of
+    # logdet_single on its own build_scheme
+    builds, values = [], []
+    build, run = fr._layout_scheme, fr.logdet_single
+    monkeypatch.setattr(fr, "_layout_scheme", lambda *a: builds.append(a[1]) or build(*a))
+    monkeypatch.setattr(fr, "logdet_single", lambda c, sc: values.append((c, run(c, sc))) or values[-1][1])
+    fr.weight_derivative_identity_gap(GapConfig(x, s), n)
+    assert builds == [(n,)] and len(values) == 2
+    monkeypatch.undo()
+    (up, _), (down, _) = values
+    assert up.x == down.x == x and up.s[:-1] == down.s[:-1] == s[:-1] and up.s[-1] > s[-1] > down.s[-1]
+    for config, value in values:
+        assert value == fr.logdet_single(config, fr.build_scheme(config, n))
+
+
 def test_weight_derivative_identity_singular_solve_raises(monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -885,7 +919,8 @@ def test_cov_bilinearity():
 
 def _unweighted_var(intervals):
     """tr(K 1_A) - w (K o K) w from the unweighted K on the nodes of A, and tr(K 1_A)."""
-    xi, w, _ = fr._set_nodes(intervals, 48)
+    scheme = fr._set_scheme(intervals, 48)
+    xi, w = scheme.xi, scheme.w
     K = fr._kernel_matrix(xi, np.ones_like(xi))
     linear = float(w @ np.diag(K))
     return linear - float(w @ (K * K) @ w), linear
@@ -894,7 +929,8 @@ def _unweighted_var(intervals):
 def _unweighted_cov(a, b):
     """-w_a (K_ab o K_ab) w_b from the unweighted K on one node set for A then B, and
     tr(K 1_(A u B))."""
-    xi, w, pos = fr._set_nodes(a + b, 48)
+    scheme = fr._set_scheme(a + b, 48)
+    xi, w, pos = scheme.xi, scheme.w, scheme.interval_index
     K = fr._kernel_matrix(xi, np.ones_like(xi))
     na = np.count_nonzero(pos < len(a))
     block = K[:na, na:]
@@ -982,7 +1018,7 @@ def test_log_det_refusal_names_the_given_rule_order(monkeypatch, n):
     def no_scheme(*args, **kwargs):
         raise AssertionError("a scheme was built")
 
-    for name in ("build_scheme", "_layout_scheme", "_panelize"):
+    for name in ("build_scheme", "_layout_scheme"):
         monkeypatch.setattr(fr, name, no_scheme)
     for call in (lambda: fr.log_det(GapConfig((-2.0,), (0.5,)), nodes_per_panel=n),
                  lambda: fr.log_E0(GapConfig((-2.0, -3.0), (0.0, 0.5)), nodes_per_panel=n)):
