@@ -13,10 +13,12 @@ gives log det(I - A) wherever it certifies itself: every s_j is at
 least NEAR_ONE_GAP (the weights keep the spectrum of A that far below 1), or
 det(I - A) >= DEEP_GAP_THRESHOLD, a lower bound on the spectral gap since A
 is positive semidefinite.  Every other configuration is a deep gap: the
-same assembly runs on 80-bit nodes, LAPACK eigh of its double rounding
-gives the eigenvectors, and the eigenvalues near 1 are recomputed by an
-80-bit Rayleigh-Ritz step on that subspace.  That path loses accuracy with
-depth and refuses near x = -13, so log_det sends the one-point hard gap
+same assembly runs on 80-bit nodes, a pivoted Cholesky of its double
+rounding stops at the numerical rank r (10-18 for x_1 in [-12, -6],
+whatever N), LAPACK eigh of the r x r Gram matrix of that factor gives the
+eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
+Rayleigh-Ritz step on them.  That path loses accuracy with depth and
+refuses near x = -13, so log_det sends the one-point hard gap
 F(x; 0) at its default resolution to the Painleve II solve of the painleve
 module instead: ~1e-13 relative down to x = -100, ~eps max|q|/q(x) near RIGHT.
 """
@@ -292,38 +294,59 @@ def _cholesky_logdet_ld(M: np.ndarray) -> np.longdouble:
     return logdet
 
 
-def _ritz_logdet(A: np.ndarray) -> float:
-    """log det(I - A) of a symmetric float128 A with eigenvalues below ~1.
+def _numerical_range(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """A ~ L L^T for a symmetric positive semidefinite A, by a pivoted Cholesky
+    (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62 (2012)) stopped once
+    every residual diagonal entry is at most N eps max diag A.  Returns L, N x r
+    with r the numerical rank, and the trace of the residual A - L L^T, which
+    bounds its norm; O(N r^2) work, r independent of N on a resolved grid."""
+    n = A.shape[0]
+    d = np.diagonal(A).copy()
+    tol = n * np.finfo(A.dtype).eps * d.max()
+    rows = np.empty_like(A)  # rows[:r] is L^T
+    r, p = 0, np.argmax(d)
+    while r < n and d[p] > tol:
+        rows[r] = (A[p] - rows[:r, p] @ rows[:r]) / np.sqrt(d[p])
+        d -= rows[r] * rows[r]
+        r, p = r + 1, np.argmax(d)
+    return rows[:r].T, float(np.sum(d))
 
-    LAPACK eigh of A rounded to double gives the spectrum; eigenvalues with
-    1 - lambda >= NEAR_ONE_GAP enter through log1p in double.  The k
-    eigenvectors V of the rest span a nearly invariant subspace, and the
-    product of their eigenvalues of I - A is recomputed in float128 as the
-    Rayleigh-Ritz ratio det(V^T (I - A) V) / det(V^T V).  Its error is
+
+def _ritz_logdet(A: np.ndarray) -> float:
+    """log det(I - A) of a symmetric positive semidefinite float128 A with
+    eigenvalues below ~1.
+
+    _numerical_range of A rounded to double gives A ~ L L^T, and eigh of the
+    r x r L^T L = U diag(lambda) U^T its nonzero spectrum, with eigenvectors
+    L U lambda^(-1/2).  Eigenvalues with 1 - lambda >= NEAR_ONE_GAP enter
+    through log1p in double, the residual (eigenvalues below N eps) through its
+    trace.  The k eigenvectors V of the rest span a nearly invariant subspace,
+    and the product of their eigenvalues of I - A is recomputed in float128 as
+    the Rayleigh-Ritz ratio det(V^T (I - A) V) / det(V^T V).  Its error is
     second order in the double eigenvector error, and it does not depend on
     how eigh mixes eigenvectors inside a cluster of near-1 eigenvalues.
     Where np.longdouble is plain double, a gap under DEEP_GAP_THRESHOLD raises.
     """
-    evals, vecs = np.linalg.eigh(A.astype(np.float64))
+    L, residual = _numerical_range(A.astype(np.float64))
+    evals, vecs = np.linalg.eigh(L.T @ L)
     gap = 1.0 - evals[-1]
     if gap < DEEP_GAP_THRESHOLD and not EXTENDED_PRECISION:
         raise NumericalError(f"spectral gap {gap:.3g} of I - A needs the 80-bit path, but "
                              f"np.longdouble is plain double here (eps {np.finfo(_LD).eps:.3g})")
     near = 1.0 - evals < NEAR_ONE_GAP
-    bulk = np.sum(np.log1p(-evals[~near]))
-    V = vecs[:, near].astype(_LD)
-    del vecs
+    bulk = np.sum(np.log1p(-evals[~near])) - residual
+    V = (L @ (vecs[:, near] / np.sqrt(evals[near]))).astype(_LD)
     ritz = V.T @ (V - A @ V)
     gram = V.T @ V
-    _log.info("80-bit log det: N=%d, k=%d eigenvalues within %g of 1, min(1-lambda)=%.3g",
-              A.shape[0], V.shape[1], NEAR_ONE_GAP, gap)
+    _log.info("80-bit log det: N=%d, k=%d eigenvalues within %g of 1, numerical rank r=%d, "
+              "min(1-lambda)=%.3g", A.shape[0], V.shape[1], NEAR_ONE_GAP, L.shape[1], gap)
     try:
         ritz_logdet, gram_logdet = _cholesky_logdet_ld(ritz), _cholesky_logdet_ld(gram)
     except NumericalError as exc:
         raise NumericalError(
             f"{exc} in the 80-bit Rayleigh-Ritz step (N={A.shape[0]}, k={V.shape[1]}, "
-            f"double min(1-lambda)={gap:.3g}): 80-bit arithmetic cannot "
-            "resolve a spectral gap of I - A this small") from exc
+            f"double min(1-lambda)={gap:.3g}) on numerical rank r={L.shape[1]}: 80-bit "
+            "arithmetic cannot resolve a spectral gap of I - A this small") from exc
     return float(_LD(bulk) + ritz_logdet - gram_logdet)
 
 

@@ -723,7 +723,11 @@ def test_ritz_logdet_synthetic_spectrum(near_pair):
     units = list(near_pair) + [2 ** 39, 2 ** 47] + [k * 2 ** 55 for k in range(1, 13)]
     gaps = np.array([np.ldexp(np.longdouble(u), -59) for u in units])
     expected = float(np.sum(np.log(gaps)))
-    value = fr._ritz_logdet(_exact_spectrum_matrix(gaps))
+    A = _exact_spectrum_matrix(gaps)
+    value = fr._ritz_logdet(A)
+    # every eigenvalue is at least 1/4: the numerical range is the whole space
+    L, residual = fr._numerical_range(A.astype(np.float64))
+    assert L.shape == (16, 16) and abs(residual) < 1e-14
     # 80-bit rounding of the O(1) entries of A V resolves a gap g only to
     # about eps/g relative; the bound is 1e-9 relative unless that is coarser
     floor = 2.0 * float(np.finfo(np.longdouble).eps * np.sum(1 / gaps[:4]))
@@ -735,6 +739,66 @@ def test_ritz_logdet_rejects_eigenvalue_above_one():
     gaps[0] = -gaps[0]
     with pytest.raises(NumericalError, match="Cholesky"):
         fr._ritz_logdet(_exact_spectrum_matrix(gaps))
+
+
+def _ritz_logdet_full_eigh(A):
+    """The reference Ritz log det: eigh of the whole N x N double rounding of A gives the
+    eigenvectors, then the same 80-bit Rayleigh-Ritz step.  Returns the value and the
+    double 1 - lambda of the near-1 eigenvalues."""
+    evals, vecs = np.linalg.eigh(A.astype(np.float64))
+    near = 1.0 - evals < fr.NEAR_ONE_GAP
+    V = vecs[:, near].astype(np.longdouble)
+    ritz = fr._cholesky_logdet_ld(V.T @ (V - A @ V)) - fr._cholesky_logdet_ld(V.T @ V)
+    return float(np.longdouble(np.sum(np.log1p(-evals[~near]))) + ritz), 1.0 - evals[near]
+
+
+def _escalated_matrix(cfg, n):
+    """The float128 A that logdet_single hands to _ritz_logdet at n nodes per panel."""
+    xscheme = fr.build_scheme(cfg, n, dtype=np.longdouble)
+    return fr._kernel_matrix(xscheme.xi, fr._thinned_weights(cfg, xscheme), xscheme.airy)
+
+
+_ESCALATED = [(x, s, n) for x, s in (((-8.0, -12.0), (0.0, 0.3)), ((-8.0,), (0.0,)),
+                                     ((-8.5, -11.0), (0.0, 0.5)), ((-8.5,), (0.0,)))
+              for n in (16, 24)] + [((x,), (0.0,), 24) for x in (-7.0, -9.0, -10.0)]
+
+
+@pytest.mark.parametrize("x, s, n", _ESCALATED)
+def test_ritz_logdet_matches_the_full_eigh_reference(x, s, n):
+    # the conditioned pool configurations with their references F(x_1; 0), both
+    # rungs, and the hard gaps: the rank-r eigenvectors change only the rounding
+    A = _escalated_matrix(GapConfig(x, s), n)
+    expected, gaps = _ritz_logdet_full_eigh(A)
+    assert gaps.size > 0  # a deep gap: the Ritz step runs
+    floor = 2.0 * float(np.finfo(np.longdouble).eps * np.sum(1 / gaps))
+    assert abs(fr._ritz_logdet(A) - expected) < max(1e-9 * abs(expected), floor)
+
+
+@pytest.mark.parametrize("x, s, n", [((-8.0, -12.0), (0.0, 0.3), 16), ((-8.0, -12.0), (0.0, 0.3), 24),
+                                     ((-8.0,), (0.0,), 16), ((-10.0,), (0.0,), 30)])
+def test_numerical_range_is_low_rank_within_its_tolerance(x, s, n):
+    A = _escalated_matrix(GapConfig(x, s), n).astype(np.float64)
+    L, residual = fr._numerical_range(A)
+    N = A.shape[0]
+    assert 64 <= N <= 120 and L.shape[0] == N and 0 < L.shape[1] <= 20
+    tol = N * np.finfo(np.float64).eps * np.max(np.diagonal(A))
+    # a positive semidefinite residual is bounded entrywise by its diagonal
+    assert np.max(np.abs(A - L @ L.T)) <= tol
+    assert abs(residual) <= N * tol
+
+
+def test_conditioned_escalations_run_no_full_eigh(monkeypatch):
+    # log_E0 of cond-8-12 escalates every rung of both ladders; eigh sees only L^T L
+    orders = []
+    original = np.linalg.eigh
+
+    def recording(M, *args, **kwargs):
+        orders.append(M.shape[0])
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    fr.log_E0(GapConfig((-8.0, -12.0), (0.0, 0.3)))
+    assert len(orders) >= 4 and max(orders) <= 20, orders
 
 
 def test_deep_gap_refusal_names_the_spectral_gap():
