@@ -21,10 +21,14 @@ Rayleigh-Ritz step on them.  That path loses accuracy with depth and
 refuses near x = -13, so log_det sends the one-point hard gap
 F(x; 0) at its default resolution to the Painleve II solve of the painleve
 module instead: ~1e-13 relative down to x = -100, ~eps max|q|/q(x) near RIGHT.
+The determinant of the first k points sits in the trailing block of A on
+(x_k, x_{k-1}), ..., (x_1, x_0), so log_E0's F(x_1; 0) walks its ladder on
+the blocks of F(x; s): one layout, scheme and assembly per rung serve both.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -55,7 +59,7 @@ DEEP_GAP_THRESHOLD = 1e-6
 #: double log1p of the rest loses at most ~1e-13 each
 NEAR_ONE_GAP = 1e-3
 #: the Cholesky's rounding noise grows like 1/min s: up to 728 ulps of |log F|
-#: at s = 1e-3 against an 80-bit Cholesky, x down to -40 (see _ladder)
+#: at s = 1e-3 against an 80-bit Cholesky, x down to -40 (see _report)
 SMALL_WEIGHT_NOISE = 0.09
 CONVERGENCE_TOL = 1e-8
 
@@ -351,36 +355,55 @@ def _ritz_logdet(A: np.ndarray) -> float:
 
 
 def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
-    """log det(I - A) at one resolution.
+    """log det(I - A) at one resolution: _logdet_blocks with the one block of all of A."""
+    return _logdet_blocks(config, scheme, (0,))[0]
 
-    2 sum log diag L of one double Cholesky I - A = L L^T, kept when it
+
+def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[float]:
+    """log det(I - A_k) at one resolution for the trailing block A_k of A from each node in
+    `starts`, widest first.  A block from the first node of (x_k, x_{k-1}) covers (x_k,
+    x_{k-1}), ..., (x_1, x_0): the determinant of config's first k points, whose own scheme
+    has the same panels, nodes and entries.
+
+    2 sum log diag L of one double Cholesky I - A_k = L L^T, kept when it
     certifies itself.  Every s_j >= NEAR_ONE_GAP keeps the eigenvalues of
     A = S^(1/2) A_0 S^(1/2) (A_0 unthinned, a projection; S = diag(1 - s_j))
     at most 1 - min s on a resolved grid, and a failed factorization (a grid
     too coarse) raises NumericalError.  Else A is a positive semidefinite
     Gram matrix, so det(I - A) <= min(1 - lambda) and a value of at least
-    DEEP_GAP_THRESHOLD is kept.  Every other configuration takes the 80-bit
-    path: the same assembly on float128 nodes of the scheme's own layout, then
-    _ritz_logdet.
+    DEEP_GAP_THRESHOLD is kept.  I - A is formed in place, so each I - A_k
+    is its trailing block, no copy.  The blocks left take the 80-bit path:
+    one assembly on float128 nodes of the scheme's own layout, then
+    _ritz_logdet on each block made contiguous, widest first.  Both
+    assemblies cover the whole scheme, whichever blocks are asked for.
     """
+    n = scheme.nodes_per_panel
     A = _kernel_matrix(scheme.xi, _thinned_weights(config, scheme), scheme.airy)
     np.negative(A, out=A)  # I - A in place
     A.flat[::A.shape[0] + 1] += 1.0
-    thinned = min(config.s) >= NEAR_ONE_GAP
-    try:
-        value = float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A)))))
-    except np.linalg.LinAlgError as exc:
-        if thinned:
-            raise NumericalError(
-                f"I - A is not positive definite (N={scheme.size}, {scheme.nodes_per_panel} "
-                f"nodes per panel, min s={min(config.s):g}): the grid does not resolve "
-                "this configuration") from exc
-        value = -math.inf
-    if thinned or value >= math.log(DEEP_GAP_THRESHOLD):
-        return value
-    del A
-    xscheme = _layout_scheme(scheme.layout, (scheme.nodes_per_panel,), _LD)[0]
-    return _ritz_logdet(_kernel_matrix(xscheme.xi, _thinned_weights(config, xscheme), xscheme.airy))
+    values, deep = [], []
+    for i, t in enumerate(starts):
+        k = config.m - int(scheme.layout[2][t // n])
+        thinned = min(config.s[:k]) >= NEAR_ONE_GAP
+        try:
+            value = float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A[t:, t:])))))
+        except np.linalg.LinAlgError as exc:
+            if thinned:
+                raise NumericalError(
+                    f"I - A is not positive definite (N={scheme.size - t}, {n} nodes per panel, "
+                    f"min s={min(config.s[:k]):g}): the grid does not resolve "
+                    "this configuration") from exc
+            value = -math.inf
+        values.append(value)
+        if not (thinned or value >= math.log(DEEP_GAP_THRESHOLD)):
+            deep.append(i)
+    if deep:
+        del A
+        xscheme = _layout_scheme(scheme.layout, (n,), _LD)[0]
+        A = _kernel_matrix(xscheme.xi, _thinned_weights(config, xscheme), xscheme.airy)
+        for i in deep:
+            values[i] = _ritz_logdet(np.ascontiguousarray(A[starts[i]:, starts[i]:]))
+    return values
 
 
 @dataclass(frozen=True)
@@ -404,8 +427,8 @@ class DeterminantReport:
         return self.est_error < CONVERGENCE_TOL
 
 
-def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport:
-    """value_at(n) over the rungs, up to the first gap below CONVERGENCE_TOL.
+def _report(config: GapConfig, resolutions, gap: float, route: str) -> DeterminantReport:
+    """The report of a ladder that ended with `gap` between its last two rungs.
 
     est_error is the last gap, but at least the rounding noise of one rung:
     painleve.ROUNDING_FLOOR max(|log F|, 1), since part of it does not shrink
@@ -415,6 +438,12 @@ def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport
     """
     s = min((v for v in config.s if v > 0.0), default=0.0)
     floor = painleve.ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
+    value = resolutions[-1][1]
+    return DeterminantReport(tuple(resolutions), float(max(gap, floor * max(abs(value), 1.0))), route)
+
+
+def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport:
+    """value_at(n) over the rungs, up to the first gap below CONVERGENCE_TOL."""
     resolutions = []
     for n in rungs:
         value = value_at(n)
@@ -422,7 +451,27 @@ def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport
         resolutions.append((int(n), value))
         if gap < CONVERGENCE_TOL:
             break
-    return DeterminantReport(tuple(resolutions), float(max(gap, floor * max(abs(value), 1.0))), route)
+    return _report(config, resolutions, gap, route)
+
+
+def _lockstep(configs, rungs, values_at, route: str) -> list[DeterminantReport]:
+    """_ladder for several determinants at once: values_at(n, live) gives the values at
+    rung n of configs[i] for each i in live, and each one leaves live at its own first
+    gap below CONVERGENCE_TOL.  _ladder stays the one-determinant loop: a hard gap's
+    whole Painleve value costs about 40 us, and this bookkeeping a few."""
+    resolutions = [[] for _ in configs]
+    gaps = [math.inf] * len(configs)
+    live = list(range(len(configs)))
+    for n in rungs:
+        for i, value in zip(list(live), values_at(n, live)):
+            if resolutions[i]:
+                gaps[i] = abs(value - resolutions[i][-1][1])
+            resolutions[i].append((int(n), value))
+            if gaps[i] < CONVERGENCE_TOL:
+                live.remove(i)
+        if not live:
+            break
+    return [_report(c, r, gap, route) for c, r, gap in zip(configs, resolutions, gaps)]
 
 
 def log_det(config: GapConfig, *,
@@ -451,27 +500,58 @@ def log_det(config: GapConfig, *,
     return _nystrom_log_det(config, nodes_per_panel, tail_length)
 
 
-def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
-                     tail_length: float | None = None) -> DeterminantReport:
-    """log_det's Nystrom ladder, whatever the configuration: every rung on one
-    _panel_layout, checked for the top rung first, and every escalation maps it
-    again in 80-bit.  The first two rungs always run, so one _layout_scheme call
-    builds both (each node's Airy value is its own); a later rung is built only
-    when it runs."""
+def _rungs(config: GapConfig, nodes_per_panel: int | None, tail_length: float | None):
+    """A Nystrom ladder's rule orders, its _panel_layout and scheme_at(n), the scheme of
+    rung n: DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n, all on one
+    layout, checked for the top rung first (every escalation maps it again in 80-bit).
+    The first two rungs always run, so one _layout_scheme call builds both (each node's
+    Airy value is its own); a later rung is built only when it runs."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
     layout = _panel_layout(_scheme_intervals(config, tail_length), orders[0], orders[-1])
     first = dict(zip(orders[:2], _layout_scheme(layout, orders[:2])))
 
-    def value_at(k):
-        scheme = first.pop(k) if k in first else _layout_scheme(layout, (k,))[0]
-        return logdet_single(config, scheme)
+    def scheme_at(k):
+        return first.pop(k) if k in first else _layout_scheme(layout, (k,))[0]
 
-    report = _ladder(config, orders, value_at, "nystrom")
+    return orders, layout, scheme_at
+
+
+def _warn_unconverged(config: GapConfig, report: DeterminantReport) -> None:
     if not report.converged:
         _log.warning("Nystrom ladder unconverged: x=%s, s=%s, top rung %d nodes per panel, est_error=%.3g",
                      config.x, config.s, report.resolutions[-1][0], report.est_error)
+
+
+def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
+                     tail_length: float | None = None) -> DeterminantReport:
+    """log_det's Nystrom ladder, whatever the configuration: logdet_single, the call a
+    profiler wraps, on each rung of _rungs."""
+    orders, _, scheme_at = _rungs(config, nodes_per_panel, tail_length)
+    report = _ladder(config, orders, lambda k: logdet_single(config, scheme_at(k)), "nystrom")
+    _warn_unconverged(config, report)
     return report
+
+
+def _nystrom_ladders(config: GapConfig, heads, nodes_per_panel: int | None = None,
+                     tail_length: float | None = None) -> list[DeterminantReport]:
+    """The Nystrom ladders of the determinants of config's first k points, k in `heads`,
+    widest first, on the trailing blocks of config's own rungs: each determinant walks
+    on its own and stops at its own first gap below CONVERGENCE_TOL, and each rung runs
+    _logdet_blocks once for the blocks of those still walking.  Each one unconverged
+    logs a WARNING, in the order of heads."""
+    orders, layout, scheme_at = _rungs(config, nodes_per_panel, tail_length)
+    blocks = [GapConfig(config.x[:k], config.s[:k]) for k in heads]
+    positions = layout[2].tolist()
+    panels = [bisect.bisect_left(positions, config.m - k) for k in heads]  # panels below each block
+
+    def values_at(k, live):
+        return _logdet_blocks(config, scheme_at(k), [panels[i] * k for i in live])
+
+    reports = _lockstep(blocks, orders, values_at, "nystrom")
+    for block, report in zip(blocks, reports):
+        _warn_unconverged(block, report)
+    return reports
 
 
 def log_E(config: GapConfig, **kwargs) -> float:
@@ -488,7 +568,11 @@ def log_E0(config: GapConfig, **kwargs) -> float:
     ladder even when F(x_1; 0) alone would take the Painleve II route.  The
     double-rounded pi in the 80-bit Airy anchor biases both Nystrom values,
     partly alike; pairing one of them with the unbiased Painleve value
-    would move deep conditioned values by up to ~1e-8.  Given
+    would move deep conditioned values by up to ~1e-8.  F(x_1; 0) is
+    discretized on the panels of the tail (x_1, x_0) of F(x; s), so it is
+    the trailing block of the same matrix: one layout, one scheme and one
+    assembly per rung (one more of each in 80-bit where either escalates)
+    serve both, each value the bits of its own ladder.  Given
     nodes_per_panel = n, both run the same rungs (n, ceil(1.5 n)); otherwise
     each walks DEFAULT_LADDER and stops where it converges on its own.
     """
@@ -496,8 +580,7 @@ def log_E0(config: GapConfig, **kwargs) -> float:
         raise ValueError("log_E0 requires s_1 = 0")
     if config.m < 2:
         raise ValueError("log_E0 requires m >= 2")
-    full = _nystrom_log_det(config, **kwargs)
-    ref = _nystrom_log_det(GapConfig((config.x[0],), (0.0,)), **kwargs)
+    full, ref = _nystrom_ladders(config, (config.m, 1), **kwargs)
     return full.log_f - ref.log_f
 
 

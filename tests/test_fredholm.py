@@ -901,6 +901,86 @@ def test_log_E0_trivial_conditioning():
     assert abs(fr.log_E0(GapConfig((-1.0, -2.0), (0.0, 1.0)))) < 1e-12
 
 
+@pytest.mark.parametrize("x, s, kwargs, rungs", [
+    ((-8.0, -12.0), (0.0, 0.3), {}, (2, 2)),  # cond-8-12
+    ((-8.5, -11.0), (0.0, 0.5), {}, (2, 2)),  # cond-8.5-11
+    ((-5.0, -30.0), (0.0, 0.3), {}, (3, 2)),  # the full walks on alone after the reference stops
+    ((-12.0, -24.0), (0.0, 0.2846), {}, (5, 5)),  # both unconverged at 81
+    ((-7.0, -16.0, -24.0), (0.0, 0.4, 0.2), {}, (2, 2)),
+    ((-2.0, -3.0), (0.0, 0.5), {"nodes_per_panel": 17}, (2, 2)),
+    ((-2.0, -3.0), (0.0, 0.5), {"nodes_per_panel": 27}, (2, 2)),
+    ((-2.0, -3.0), (0.0, 0.5), {"tail_length": 16.0}, (2, 2)),
+], ids=["cond-8-12", "cond-8.5-11", "full-longer", "unconverged", "m3", "n17", "n27", "tail"])
+def test_log_E0_is_two_ladders_to_the_bit(caplog, x, s, kwargs, rungs):
+    # F(x_1; 0) read off the trailing block of the full determinant's matrix is
+    # its own ladder, rung by rung: values, rungs and est_error
+    cfg, head = GapConfig(x, s), GapConfig(x[:1], (0.0,))
+    with caplog.at_level(logging.ERROR, logger="airy_gap.fredholm"):
+        full, ref = fr._nystrom_log_det(cfg, **kwargs), fr._nystrom_log_det(head, **kwargs)
+        assert fr._nystrom_ladders(cfg, (cfg.m, 1), **kwargs) == [full, ref]
+        assert fr.log_E0(cfg, **kwargs) == full.log_f - ref.log_f
+    assert (len(full.resolutions), len(ref.resolutions)) == rungs
+
+
+@pytest.mark.parametrize("x, s, n", [((-2.0, -3.0), (0.5, 0.5), 16),  # every block certified in double
+                                     ((-8.0, -12.0), (0.0, 0.3), 24),  # every block escalates
+                                     ((-7.0, -16.0, -24.0), (0.0, 0.4, 0.2), 16)])
+def test_each_trailing_block_is_the_determinant_of_the_leading_points(x, s, n):
+    # the block from the first node of (x_k, x_{k-1}) is the determinant of
+    # (x_1, ..., x_k) on its own scheme, together with the wider blocks or alone
+    cfg = GapConfig(x, s)
+    scheme = fr.build_scheme(cfg, n)
+    leading = [GapConfig(x[:k], s[:k]) for k in range(cfg.m, 0, -1)]
+    starts = [scheme.size - fr.build_scheme(head, n).size for head in leading]
+    expected = [fr.logdet_single(head, fr.build_scheme(head, n)) for head in leading]
+    assert starts[0] == 0 and fr._logdet_blocks(cfg, scheme, starts) == expected
+    for t, value in zip(starts[1:], expected[1:]):
+        assert fr._logdet_blocks(cfg, scheme, (t,)) == [value]
+
+
+def test_log_E0_builds_one_ladder(monkeypatch):
+    # cond-8-12: both determinants escalate at rungs 16 and 24 on one panel
+    # layout, one double scheme call and one assembly per rung and precision
+    counts = {}
+
+    def counted(name, key):
+        original = getattr(fr, name)
+
+        def wrapper(*args, **kwargs):
+            label = (name, key(*args, **kwargs))
+            counts[label] = counts.get(label, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fr, name, wrapper)
+
+    def precision(dtype):
+        return "80-bit" if np.dtype(dtype) == np.longdouble else "double"
+
+    counted("_panel_layout", lambda *args: "")
+    counted("_layout_scheme", lambda layout, orders, dtype=np.float64: precision(dtype))
+    counted("_kernel_matrix", lambda xi, w, airy=None: precision(xi.dtype))
+    counted("_ritz_logdet", lambda A: "")
+    fr.log_E0(GapConfig((-8.0, -12.0), (0.0, 0.3)))
+    assert counts == {("_panel_layout", ""): 1,
+                      ("_layout_scheme", "double"): 1, ("_layout_scheme", "80-bit"): 2,
+                      ("_kernel_matrix", "double"): 2, ("_kernel_matrix", "80-bit"): 2,
+                      ("_ritz_logdet", ""): 4}
+
+
+def test_log_E0_refuses_as_its_full_determinant():
+    # within a rung the full block is factored first: at (-13, -16) its 80-bit
+    # Ritz step refuses on the first rung, before that of F(-13; 0) (N = 80)
+    cfg = GapConfig((-13.0, -16.0), (0.0, 0.3))
+    with pytest.raises(NumericalError) as full:
+        fr._nystrom_log_det(cfg)
+    with pytest.raises(NumericalError) as conditioned:
+        fr.log_E0(cfg)
+    msg = str(conditioned.value)
+    assert msg == str(full.value)
+    assert re.search(r"Cholesky pivot .* in the 80-bit Rayleigh-Ritz step \(N=96, k=8, "
+                     r"double min\(1-lambda\)=\S+\) on numerical rank r=\d+", msg)
+
+
 # ---------------------------------------------------------------------------
 # resolvent and the weight-derivative identity
 # ---------------------------------------------------------------------------
