@@ -28,7 +28,6 @@ the blocks of F(x; s): one layout, scheme and assembly per rung serve both.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ DEEP_GAP_THRESHOLD = 1e-6
 #: double log1p of the rest loses at most ~1e-13 each
 NEAR_ONE_GAP = 1e-3
 #: the Cholesky's rounding noise grows like 1/min s: up to 728 ulps of |log F|
-#: at s = 1e-3 against an 80-bit Cholesky, x down to -40 (see _report)
+#: at s = 1e-3 against an 80-bit Cholesky, x down to -40 (see _ladder)
 SMALL_WEIGHT_NOISE = 0.09
 CONVERGENCE_TOL = 1e-8
 
@@ -354,6 +353,12 @@ def _ritz_logdet(A: np.ndarray) -> float:
     return float(_LD(bulk) + ritz_logdet - gram_logdet)
 
 
+def _trailing_kernel(config: GapConfig, scheme: QuadratureScheme, t0: int) -> np.ndarray:
+    """The trailing block of A from node t0, assembled on the scheme's nodes from t0 alone."""
+    ai, aip = scheme.airy
+    return _kernel_matrix(scheme.xi[t0:], _thinned_weights(config, scheme)[t0:], (ai[t0:], aip[t0:]))
+
+
 def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     """log det(I - A) at one resolution: _logdet_blocks with the one block of all of A."""
     return _logdet_blocks(config, scheme, (0,))[0]
@@ -363,7 +368,9 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     """log det(I - A_k) at one resolution for the trailing block A_k of A from each node in
     `starts`, widest first.  A block from the first node of (x_k, x_{k-1}) covers (x_k,
     x_{k-1}), ..., (x_1, x_0): the determinant of config's first k points, whose own scheme
-    has the same panels, nodes and entries.
+    has the same panels, nodes and entries.  Only the widest block is assembled, entry for
+    entry as in A, in 80-bit too: a block escalates only with every wider one, whose
+    determinant its own bounds (a Schur complement of I - A is at most I).
 
     2 sum log diag L of one double Cholesky I - A_k = L L^T, kept when it
     certifies itself.  Every s_j >= NEAR_ONE_GAP keeps the eigenvalues of
@@ -373,12 +380,11 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     Gram matrix, so det(I - A) <= min(1 - lambda) and a value of at least
     DEEP_GAP_THRESHOLD is kept.  I - A is formed in place, so each I - A_k
     is its trailing block, no copy.  The blocks left take the 80-bit path:
-    one assembly on float128 nodes of the scheme's own layout, then
-    _ritz_logdet on each block made contiguous, widest first.  Both
-    assemblies cover the whole scheme, whichever blocks are asked for.
+    the widest block assembled on float128 nodes of the scheme's own
+    layout, then _ritz_logdet on each block made contiguous.
     """
-    n = scheme.nodes_per_panel
-    A = _kernel_matrix(scheme.xi, _thinned_weights(config, scheme), scheme.airy)
+    n, t0 = scheme.nodes_per_panel, starts[0]
+    A = _trailing_kernel(config, scheme, t0)
     np.negative(A, out=A)  # I - A in place
     A.flat[::A.shape[0] + 1] += 1.0
     values, deep = [], []
@@ -386,7 +392,7 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
         k = config.m - int(scheme.layout[2][t // n])
         thinned = min(config.s[:k]) >= NEAR_ONE_GAP
         try:
-            value = float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A[t:, t:])))))
+            value = float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A[t - t0:, t - t0:])))))
         except np.linalg.LinAlgError as exc:
             if thinned:
                 raise NumericalError(
@@ -399,10 +405,10 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
             deep.append(i)
     if deep:
         del A
-        xscheme = _layout_scheme(scheme.layout, (n,), _LD)[0]
-        A = _kernel_matrix(xscheme.xi, _thinned_weights(config, xscheme), xscheme.airy)
+        A = _trailing_kernel(config, _layout_scheme(scheme.layout, (n,), _LD)[0], t0)
         for i in deep:
-            values[i] = _ritz_logdet(np.ascontiguousarray(A[starts[i]:, starts[i]:]))
+            t = starts[i] - t0
+            values[i] = _ritz_logdet(np.ascontiguousarray(A[t:, t:]))
     return values
 
 
@@ -427,8 +433,10 @@ class DeterminantReport:
         return self.est_error < CONVERGENCE_TOL
 
 
-def _report(config: GapConfig, resolutions, gap: float, route: str) -> DeterminantReport:
-    """The report of a ladder that ended with `gap` between its last two rungs.
+def _ladder(configs, rungs, values_at, route: str) -> list[DeterminantReport]:
+    """One report per config from values_at(n, live) over the rungs: the values at rung n
+    of configs[i] for each i in live, each config leaving live at its own first gap below
+    CONVERGENCE_TOL.
 
     est_error is the last gap, but at least the rounding noise of one rung:
     painleve.ROUNDING_FLOOR max(|log F|, 1), since part of it does not shrink
@@ -436,42 +444,24 @@ def _report(config: GapConfig, resolutions, gap: float, route: str) -> Determina
     positive s_j (s_1 = 0 leaves the conditioning to min_{j>=2} s_j), is at
     least NEAR_ONE_GAP.
     """
-    s = min((v for v in config.s if v > 0.0), default=0.0)
-    floor = painleve.ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
-    value = resolutions[-1][1]
-    return DeterminantReport(tuple(resolutions), float(max(gap, floor * max(abs(value), 1.0))), route)
-
-
-def _ladder(config: GapConfig, rungs, value_at, route: str) -> DeterminantReport:
-    """value_at(n) over the rungs, up to the first gap below CONVERGENCE_TOL."""
-    resolutions = []
-    for n in rungs:
-        value = value_at(n)
-        gap = abs(value - resolutions[-1][1]) if resolutions else math.inf
-        resolutions.append((int(n), value))
-        if gap < CONVERGENCE_TOL:
-            break
-    return _report(config, resolutions, gap, route)
-
-
-def _lockstep(configs, rungs, values_at, route: str) -> list[DeterminantReport]:
-    """_ladder for several determinants at once: values_at(n, live) gives the values at
-    rung n of configs[i] for each i in live, and each one leaves live at its own first
-    gap below CONVERGENCE_TOL.  _ladder stays the one-determinant loop: a hard gap's
-    whole Painleve value costs about 40 us, and this bookkeeping a few."""
     resolutions = [[] for _ in configs]
     gaps = [math.inf] * len(configs)
     live = list(range(len(configs)))
     for n in rungs:
-        for i, value in zip(list(live), values_at(n, live)):
+        for i, value in zip(live, values_at(n, live)):
             if resolutions[i]:
                 gaps[i] = abs(value - resolutions[i][-1][1])
             resolutions[i].append((int(n), value))
-            if gaps[i] < CONVERGENCE_TOL:
-                live.remove(i)
+        live = [i for i in live if not gaps[i] < CONVERGENCE_TOL]
         if not live:
             break
-    return [_report(c, r, gap, route) for c, r, gap in zip(configs, resolutions, gaps)]
+    reports = []
+    for config, steps, gap in zip(configs, resolutions, gaps):
+        s = min((v for v in config.s if v > 0.0), default=0.0)
+        floor = painleve.ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
+        reports.append(DeterminantReport(tuple(steps), float(max(gap, floor * max(abs(steps[-1][1]), 1.0))),
+                                         route))
+    return reports
 
 
 def log_det(config: GapConfig, *,
@@ -493,7 +483,7 @@ def log_det(config: GapConfig, *,
     if (config.m == 1 and config.s == (0.0,) and nodes_per_panel is None
             and tail_length is None and config.x[0] < painleve.RIGHT):
         x = config.x[0]
-        report = _ladder(config, painleve.RUNGS, lambda n: painleve.log_hard_gap(x, n), "painleve")
+        report, = _ladder((config,), painleve.RUNGS, lambda n, _: (painleve.log_hard_gap(x, n),), "painleve")
         _log.info("Painleve II hard gap: x=%g, Chebyshev orders %s, est_error=%.3g",
                   x, painleve.RUNGS, report.est_error)
         return report
@@ -517,40 +507,35 @@ def _rungs(config: GapConfig, nodes_per_panel: int | None, tail_length: float | 
     return orders, layout, scheme_at
 
 
-def _warn_unconverged(config: GapConfig, report: DeterminantReport) -> None:
-    if not report.converged:
-        _log.warning("Nystrom ladder unconverged: x=%s, s=%s, top rung %d nodes per panel, est_error=%.3g",
-                     config.x, config.s, report.resolutions[-1][0], report.est_error)
-
-
 def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
                      tail_length: float | None = None) -> DeterminantReport:
-    """log_det's Nystrom ladder, whatever the configuration: logdet_single, the call a
-    profiler wraps, on each rung of _rungs."""
-    orders, _, scheme_at = _rungs(config, nodes_per_panel, tail_length)
-    report = _ladder(config, orders, lambda k: logdet_single(config, scheme_at(k)), "nystrom")
-    _warn_unconverged(config, report)
-    return report
+    """log_det's Nystrom ladder, whatever the configuration: _nystrom_ladders' full one."""
+    return _nystrom_ladders(config, False, nodes_per_panel, tail_length)[0]
 
 
-def _nystrom_ladders(config: GapConfig, heads, nodes_per_panel: int | None = None,
+def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | None = None,
                      tail_length: float | None = None) -> list[DeterminantReport]:
-    """The Nystrom ladders of the determinants of config's first k points, k in `heads`,
-    widest first, on the trailing blocks of config's own rungs: each determinant walks
-    on its own and stops at its own first gap below CONVERGENCE_TOL, and each rung runs
-    _logdet_blocks once for the blocks of those still walking.  Each one unconverged
-    logs a WARNING, in the order of heads."""
+    """The Nystrom ladder of F(x; s) on the rungs of _rungs, and given `reference` that of
+    F(x_1; s_1) on the trailing blocks of the same rungs, the full one first.  Each stops
+    at its own first gap below CONVERGENCE_TOL, and an unconverged one logs a WARNING.  A
+    rung runs _logdet_blocks once for the blocks still walking; the full block alone is
+    logdet_single, the call a profiler wraps."""
     orders, layout, scheme_at = _rungs(config, nodes_per_panel, tail_length)
-    blocks = [GapConfig(config.x[:k], config.s[:k]) for k in heads]
-    positions = layout[2].tolist()
-    panels = [bisect.bisect_left(positions, config.m - k) for k in heads]  # panels below each block
+    configs, panels = [config], [0]
+    if reference:
+        configs.append(GapConfig(config.x[:1], config.s[:1]))
+        panels.append(int(np.count_nonzero(layout[2] < config.m - 1)))  # panels below x_1
 
     def values_at(k, live):
+        if live == [0]:
+            return [logdet_single(config, scheme_at(k))]
         return _logdet_blocks(config, scheme_at(k), [panels[i] * k for i in live])
 
-    reports = _lockstep(blocks, orders, values_at, "nystrom")
-    for block, report in zip(blocks, reports):
-        _warn_unconverged(block, report)
+    reports = _ladder(configs, orders, values_at, "nystrom")
+    for block, report in zip(configs, reports):
+        if not report.converged:
+            _log.warning("Nystrom ladder unconverged: x=%s, s=%s, top rung %d nodes per panel, "
+                         "est_error=%.3g", block.x, block.s, report.resolutions[-1][0], report.est_error)
     return reports
 
 
@@ -572,7 +557,8 @@ def log_E0(config: GapConfig, **kwargs) -> float:
     discretized on the panels of the tail (x_1, x_0) of F(x; s), so it is
     the trailing block of the same matrix: one layout, one scheme and one
     assembly per rung (one more of each in 80-bit where either escalates)
-    serve both, each value the bits of its own ladder.  Given
+    serve both, each value the bits of its own ladder; a rung F(x_1; 0)
+    walks alone assembles its block only.  Given
     nodes_per_panel = n, both run the same rungs (n, ceil(1.5 n)); otherwise
     each walks DEFAULT_LADDER and stops where it converges on its own.
     """
@@ -580,7 +566,7 @@ def log_E0(config: GapConfig, **kwargs) -> float:
         raise ValueError("log_E0 requires s_1 = 0")
     if config.m < 2:
         raise ValueError("log_E0 requires m >= 2")
-    full, ref = _nystrom_ladders(config, (config.m, 1), **kwargs)
+    full, ref = _nystrom_ladders(config, True, **kwargs)
     return full.log_f - ref.log_f
 
 

@@ -905,19 +905,20 @@ def test_log_E0_trivial_conditioning():
     ((-8.0, -12.0), (0.0, 0.3), {}, (2, 2)),  # cond-8-12
     ((-8.5, -11.0), (0.0, 0.5), {}, (2, 2)),  # cond-8.5-11
     ((-5.0, -30.0), (0.0, 0.3), {}, (3, 2)),  # the full walks on alone after the reference stops
+    ((-10.0, -13.0), (0.0, 0.3), {}, (2, 3)),  # the reference walks on alone after the full stops
     ((-12.0, -24.0), (0.0, 0.2846), {}, (5, 5)),  # both unconverged at 81
     ((-7.0, -16.0, -24.0), (0.0, 0.4, 0.2), {}, (2, 2)),
     ((-2.0, -3.0), (0.0, 0.5), {"nodes_per_panel": 17}, (2, 2)),
     ((-2.0, -3.0), (0.0, 0.5), {"nodes_per_panel": 27}, (2, 2)),
     ((-2.0, -3.0), (0.0, 0.5), {"tail_length": 16.0}, (2, 2)),
-], ids=["cond-8-12", "cond-8.5-11", "full-longer", "unconverged", "m3", "n17", "n27", "tail"])
+], ids=["cond-8-12", "cond-8.5-11", "full-longer", "ref-longer", "unconverged", "m3", "n17", "n27", "tail"])
 def test_log_E0_is_two_ladders_to_the_bit(caplog, x, s, kwargs, rungs):
     # F(x_1; 0) read off the trailing block of the full determinant's matrix is
     # its own ladder, rung by rung: values, rungs and est_error
     cfg, head = GapConfig(x, s), GapConfig(x[:1], (0.0,))
     with caplog.at_level(logging.ERROR, logger="airy_gap.fredholm"):
         full, ref = fr._nystrom_log_det(cfg, **kwargs), fr._nystrom_log_det(head, **kwargs)
-        assert fr._nystrom_ladders(cfg, (cfg.m, 1), **kwargs) == [full, ref]
+        assert fr._nystrom_ladders(cfg, True, **kwargs) == [full, ref]
         assert fr.log_E0(cfg, **kwargs) == full.log_f - ref.log_f
     assert (len(full.resolutions), len(ref.resolutions)) == rungs
 
@@ -936,6 +937,20 @@ def test_each_trailing_block_is_the_determinant_of_the_leading_points(x, s, n):
     assert starts[0] == 0 and fr._logdet_blocks(cfg, scheme, starts) == expected
     for t, value in zip(starts[1:], expected[1:]):
         assert fr._logdet_blocks(cfg, scheme, (t,)) == [value]
+
+
+def test_a_reference_walking_alone_assembles_only_its_block(monkeypatch):
+    # (-10, -13)/(0, 0.3): the full ladder stops at 24 and F(-10; 0) walks on
+    # to 36 alone, where every assembly, double or 80-bit, is its block only
+    cfg, head = GapConfig((-10.0, -13.0), (0.0, 0.3)), GapConfig((-10.0,), (0.0,))
+    sizes = []
+    kernel = fr._kernel_matrix
+    monkeypatch.setattr(fr, "_kernel_matrix", lambda xi, w, airy=None: sizes.append(xi.size) or kernel(xi, w, airy))
+    full, ref = fr._nystrom_ladders(cfg, True)
+    assert [n for n, _ in full.resolutions] == [16, 24] and [n for n, _ in ref.resolutions] == [16, 24, 36]
+    full_sizes = {fr.build_scheme(cfg, n).size for n in (16, 24)}
+    k = sum(size in full_sizes for size in sizes)
+    assert set(sizes[:k]) == full_sizes and set(sizes[k:]) == {fr.build_scheme(head, 36).size}
 
 
 def test_log_E0_builds_one_ladder(monkeypatch):
