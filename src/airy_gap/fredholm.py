@@ -17,10 +17,14 @@ same assembly runs on 80-bit nodes, a pivoted Cholesky of its double
 rounding stops at the numerical rank r (10-18 for x_1 in [-12, -6],
 whatever N), LAPACK eigh of the r x r Gram matrix of that factor gives the
 eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
-Rayleigh-Ritz step on them.  That path loses accuracy with depth and
-refuses near x = -13, so log_det sends the one-point hard gap
-F(x; 0) at its default resolution to the Painleve II solve of the painleve
-module instead: ~1e-13 relative down to x = -100, ~eps max|q|/q(x) near RIGHT.
+Rayleigh-Ritz step on them.  A ladder rung after one on which no determinant
+still walking certified its value starts on that path, its scheme built on
+80-bit nodes alone: a double Cholesky there would fail the certificate again
+unless the two rungs straddle DEEP_GAP_THRESHOLD, where the values differ by
+~1e-12.  That path loses accuracy with depth and refuses near x = -13, so
+log_det sends the one-point hard gap F(x; 0) at its default resolution to
+the Painleve II solve of the painleve module instead: ~1e-13 relative down
+to x = -100, ~eps max|q|/q(x) near RIGHT.
 The determinant of the first k points sits in the trailing block of A on
 (x_k, x_{k-1}), ..., (x_1, x_0), so log_E0's F(x_1; 0) walks its ladder on
 the blocks of F(x; s): one layout, scheme and assembly per rung serve both.
@@ -339,8 +343,9 @@ def _ritz_logdet(A: np.ndarray) -> float:
     near = 1.0 - evals < NEAR_ONE_GAP
     bulk = np.sum(np.log1p(-evals[~near])) - residual
     V = (L @ (vecs[:, near] / np.sqrt(evals[near]))).astype(_LD)
-    ritz = V.T @ (V - A @ V)
-    gram = V.T @ V
+    # np.dot sums in matmul's order, but faster: numpy's longdouble matmul is a plain loop
+    ritz = np.dot(V.T, V - np.dot(A, V))
+    gram = np.dot(V.T, V)
     _log.info("80-bit log det: N=%d, k=%d eigenvalues within %g of 1, numerical rank r=%d, "
               "min(1-lambda)=%.3g", A.shape[0], V.shape[1], NEAR_ONE_GAP, L.shape[1], gap)
     try:
@@ -360,8 +365,15 @@ def _trailing_kernel(config: GapConfig, scheme: QuadratureScheme, t0: int) -> np
 
 
 def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
-    """log det(I - A) at one resolution: _logdet_blocks with the one block of all of A."""
+    """log det(I - A) at one resolution: _logdet_blocks with the one block of all of A, on
+    the double path or, given a scheme on 80-bit nodes, straight on the 80-bit one."""
     return _logdet_blocks(config, scheme, (0,))[0]
+
+
+def _certified(s, value: float) -> bool:
+    """Whether value = log det(I - A) of a determinant with weights s certifies itself as
+    a double Cholesky value: every s_j >= NEAR_ONE_GAP, or det(I - A) >= DEEP_GAP_THRESHOLD."""
+    return value >= math.log(DEEP_GAP_THRESHOLD) or min(s) >= NEAR_ONE_GAP
 
 
 def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[float]:
@@ -372,43 +384,44 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     entry as in A, in 80-bit too: a block escalates only with every wider one, whose
     determinant its own bounds (a Schur complement of I - A is at most I).
 
-    2 sum log diag L of one double Cholesky I - A_k = L L^T, kept when it
-    certifies itself.  Every s_j >= NEAR_ONE_GAP keeps the eigenvalues of
-    A = S^(1/2) A_0 S^(1/2) (A_0 unthinned, a projection; S = diag(1 - s_j))
-    at most 1 - min s on a resolved grid, and a failed factorization (a grid
-    too coarse) raises NumericalError.  Else A is a positive semidefinite
-    Gram matrix, so det(I - A) <= min(1 - lambda) and a value of at least
-    DEEP_GAP_THRESHOLD is kept.  I - A is formed in place, so each I - A_k
-    is its trailing block, no copy.  The blocks left take the 80-bit path:
-    the widest block assembled on float128 nodes of the scheme's own
-    layout, then _ritz_logdet on each block made contiguous.
+    On a double scheme, 2 sum log diag L of one double Cholesky I - A_k = L L^T,
+    kept when it certifies itself (_certified).  Every s_j >= NEAR_ONE_GAP keeps
+    the eigenvalues of A = S^(1/2) A_0 S^(1/2) (A_0 unthinned, a projection;
+    S = diag(1 - s_j)) at most 1 - min s on a resolved grid, and a failed
+    factorization (a grid too coarse) raises NumericalError.  Else A is a
+    positive semidefinite Gram matrix, so det(I - A) <= min(1 - lambda) and a
+    value of at least DEEP_GAP_THRESHOLD is kept.  I - A is formed in place, so
+    each I - A_k is its trailing block, no copy.  The blocks left escalate: the
+    same call on the scheme's own layout mapped in 80-bit.  On an 80-bit scheme
+    (a rung after one that did not certify, or an escalation) the widest block
+    is assembled once and _ritz_logdet runs on each block as a view of it.
     """
     n, t0 = scheme.nodes_per_panel, starts[0]
     A = _trailing_kernel(config, scheme, t0)
+    if A.dtype == _LD:
+        return [_ritz_logdet(A[t - t0:, t - t0:]) for t in starts]
     np.negative(A, out=A)  # I - A in place
     A.flat[::A.shape[0] + 1] += 1.0
     values, deep = [], []
     for i, t in enumerate(starts):
-        k = config.m - int(scheme.layout[2][t // n])
-        thinned = min(config.s[:k]) >= NEAR_ONE_GAP
+        s = config.s[:config.m - int(scheme.layout[2][t // n])]
         try:
             value = float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A[t - t0:, t - t0:])))))
         except np.linalg.LinAlgError as exc:
-            if thinned:
+            if min(s) >= NEAR_ONE_GAP:
                 raise NumericalError(
                     f"I - A is not positive definite (N={scheme.size - t}, {n} nodes per panel, "
-                    f"min s={min(config.s[:k]):g}): the grid does not resolve "
+                    f"min s={min(s):g}): the grid does not resolve "
                     "this configuration") from exc
             value = -math.inf
         values.append(value)
-        if not (thinned or value >= math.log(DEEP_GAP_THRESHOLD)):
+        if not _certified(s, value):
             deep.append(i)
     if deep:
         del A
-        A = _trailing_kernel(config, _layout_scheme(scheme.layout, (n,), _LD)[0], t0)
-        for i in deep:
-            t = starts[i] - t0
-            values[i] = _ritz_logdet(np.ascontiguousarray(A[t:, t:]))
+        extended = _layout_scheme(scheme.layout, (n,), _LD)[0]
+        for i, value in zip(deep, _logdet_blocks(config, extended, [starts[i] for i in deep])):
+            values[i] = value
     return values
 
 
@@ -491,18 +504,20 @@ def log_det(config: GapConfig, *,
 
 
 def _rungs(config: GapConfig, nodes_per_panel: int | None, tail_length: float | None):
-    """A Nystrom ladder's rule orders, its _panel_layout and scheme_at(n), the scheme of
-    rung n: DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n, all on one
-    layout, checked for the top rung first (every escalation maps it again in 80-bit).
-    The first two rungs always run, so one _layout_scheme call builds both (each node's
-    Airy value is its own); a later rung is built only when it runs."""
+    """A Nystrom ladder's rule orders, its _panel_layout and scheme_at(n, dtype), the
+    scheme of rung n: DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n, all
+    on one layout, checked for the top rung first (every escalation and every 80-bit rung
+    maps it again in 80-bit).  The first two rungs always run, so one _layout_scheme call
+    builds both in double (each node's Airy value is its own); a later rung, or a rung
+    asked for in 80-bit, is built only when it runs."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
     layout = _panel_layout(_scheme_intervals(config, tail_length), orders[0], orders[-1])
     first = dict(zip(orders[:2], _layout_scheme(layout, orders[:2])))
 
-    def scheme_at(k):
-        return first.pop(k) if k in first else _layout_scheme(layout, (k,))[0]
+    def scheme_at(k, dtype=np.float64):
+        built = first.pop(k, None)
+        return built if built is not None and dtype is np.float64 else _layout_scheme(layout, (k,), dtype)[0]
 
     return orders, layout, scheme_at
 
@@ -519,17 +534,32 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
     F(x_1; s_1) on the trailing blocks of the same rungs, the full one first.  Each stops
     at its own first gap below CONVERGENCE_TOL, and an unconverged one logs a WARNING.  A
     rung runs _logdet_blocks once for the blocks still walking; the full block alone is
-    logdet_single, the call a profiler wraps."""
+    logdet_single, the call a profiler wraps.  A rung on which every block still walking
+    did not certify its value at the rung before (_certified) runs on an 80-bit scheme
+    from the start, with no double assembly or Cholesky, and logs it at INFO."""
     orders, layout, scheme_at = _rungs(config, nodes_per_panel, tail_length)
     configs, panels = [config], [0]
     if reference:
         configs.append(GapConfig(config.x[:1], config.s[:1]))
         panels.append(int(np.count_nonzero(layout[2] < config.m - 1)))  # panels below x_1
+    uncertified = set()  # the blocks whose value at the rung before did not certify
 
     def values_at(k, live):
+        extended = uncertified.issuperset(live)
+        if extended:
+            _log.info("rung %d nodes per panel starts on the 80-bit path: x=%s did not certify "
+                      "at the rung before", k, ", ".join(str(configs[i].x) for i in live))
+        scheme = scheme_at(k, _LD if extended else np.float64)
         if live == [0]:
-            return [logdet_single(config, scheme_at(k))]
-        return _logdet_blocks(config, scheme_at(k), [panels[i] * k for i in live])
+            values = [logdet_single(config, scheme)]
+        else:
+            values = _logdet_blocks(config, scheme, [panels[i] * k for i in live])
+        for i, value in zip(live, values):
+            if _certified(configs[i].s, value):
+                uncertified.discard(i)
+            else:
+                uncertified.add(i)
+        return values
 
     reports = _ladder(configs, orders, values_at, "nystrom")
     for block, report in zip(configs, reports):
@@ -556,11 +586,11 @@ def log_E0(config: GapConfig, **kwargs) -> float:
     would move deep conditioned values by up to ~1e-8.  F(x_1; 0) is
     discretized on the panels of the tail (x_1, x_0) of F(x; s), so it is
     the trailing block of the same matrix: one layout, one scheme and one
-    assembly per rung (one more of each in 80-bit where either escalates)
-    serve both, each value the bits of its own ladder; a rung F(x_1; 0)
-    walks alone assembles its block only.  Given
-    nodes_per_panel = n, both run the same rungs (n, ceil(1.5 n)); otherwise
-    each walks DEFAULT_LADDER and stops where it converges on its own.
+    assembly per rung (one more of each in 80-bit where either escalates, the
+    80-bit ones alone on a rung after both did) serve both, each value the
+    bits of its own ladder; a rung F(x_1; 0) walks alone assembles its block
+    only.  Given nodes_per_panel = n, both run the same rungs (n, ceil(1.5 n));
+    otherwise each walks DEFAULT_LADDER and stops where it converges on its own.
     """
     if config.s[0] != 0.0:
         raise ValueError("log_E0 requires s_1 = 0")

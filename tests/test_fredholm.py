@@ -412,10 +412,17 @@ def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
     monkeypatch.setattr(fr, "_panel_layout", laying)
     monkeypatch.setattr(fr, "_layout_scheme", building)
     monkeypatch.setattr(fr, "logdet_single", running)
-    # log F(-6; 0) is below log DEEP_GAP_THRESHOLD: each rung escalates by
-    # mapping its own layout in 80-bit; (-40; 0.5) needs a third rung
-    for x, s, rungs, escalates in [((-6.0,), (0.0,), [16, 24], True),
-                                   ((-40.0,), (0.5,), [16, 24, 36], False)]:
+    # log F(-6; 0) is below log DEEP_GAP_THRESHOLD: rung 16 escalates by
+    # mapping its own layout in 80-bit, and rung 24, after a rung that did not
+    # certify, runs on its 80-bit scheme alone; (-40; 0.5) needs a third rung
+    double, extended = np.float64, np.longdouble
+    for x, s, rungs, expected in [
+            ((-6.0,), (0.0,), [16, 24],
+             [("build", (16, 24), double), ("run", 16, double), ("build", (16,), extended),
+              ("build", (24,), extended), ("run", 24, extended)]),
+            ((-40.0,), (0.5,), [16, 24, 36],
+             [("build", (16, 24), double), ("run", 16, double), ("run", 24, double),
+              ("build", (36,), double), ("run", 36, double)])]:
         events.clear()
         layouts.clear()
         report = fr._nystrom_log_det(GapConfig(x, s))
@@ -423,12 +430,8 @@ def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
         # one panel layout for the whole ladder, its escalations included
         assert len(layouts) == 1
         # the first two rungs always run and are built by one call; a later
-        # rung is built only after the one before it ran
-        double = [event[:2] for event in events if event[2] is np.float64]
-        assert double == [("build", (16, 24)), ("run", 16), ("run", 24)] + [
-            event for n in rungs[2:] for event in (("build", (n,)), ("run", n))]
-        extended = [n for kind, orders, dtype in events if dtype is np.longdouble for n in orders]
-        assert bool(extended) == escalates and all(n in rungs for n in extended)
+        # rung, or an 80-bit one, is built only after the one before it ran
+        assert events == expected
 
 
 @pytest.mark.parametrize("n, rungs", [(24, [24, 36]), (48, [48, 72]), (17, [17, 26])])
@@ -821,8 +824,30 @@ def test_extended_matches_double_where_double_suffices(caplog):
         certified = fr.logdet_single(cfg, scheme)
         assert certified >= math.log(fr.DEEP_GAP_THRESHOLD)  # the Cholesky value is kept
         assert abs(extended - certified) < 1e-11
+        # an 80-bit scheme runs logdet_single on the 80-bit path alone, as a
+        # rung does after one that did not certify
+        assert abs(fr.logdet_single(cfg, xscheme) - certified) < 1e-11
     # x = -1, s = 0.5 has no eigenvalue near 1: the Ritz block is empty
     assert f"N={scheme.size}, k=0 " in caplog.records[-1].getMessage()
+
+
+@pytest.mark.parametrize("x, s", [((-6.0,), (0.0,)), ((-8.0,), (0.0,)), ((-10.0,), (0.0,)),
+                                  ((-8.0, -12.0), (0.0, 0.3)), ((-8.5, -11.0), (0.0, 0.5))])
+def test_a_rung_after_an_escalation_starts_in_80_bit_to_the_bit(caplog, x, s):
+    # hard gaps at 24 nodes per panel and the conditioned pool points with their
+    # references: every rung after the first starts on the 80-bit path, and its
+    # value is the bits of logdet_single on the rung's own fresh double scheme
+    cfg = GapConfig(x, s)
+    kwargs = {"nodes_per_panel": 24} if cfg.m == 1 else {}
+    with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
+        reports = fr._nystrom_ladders(cfg, cfg.m > 1, **kwargs)
+    for head, report in zip((cfg, GapConfig(x[:1], s[:1])), reports):
+        assert len(report.resolutions) >= 2
+        assert report.resolutions == tuple((n, fr.logdet_single(head, fr.build_scheme(head, n)))
+                                           for n, _ in report.resolutions)
+    started = [r.getMessage() for r in caplog.records if "starts on the 80-bit path" in r.getMessage()]
+    assert [int(m.split()[1]) for m in started] == [n for n, _ in reports[0].resolutions[1:]]
+    assert all(f"x={x}" in m and "did not certify at the rung before" in m for m in started)
 
 
 @pytest.mark.parametrize("x, s, expected, tol", [
@@ -954,19 +979,20 @@ def test_a_reference_walking_alone_assembles_only_its_block(monkeypatch):
 
 
 def test_log_E0_builds_one_ladder(monkeypatch):
-    # cond-8-12: both determinants escalate at rungs 16 and 24 on one panel
-    # layout, one double scheme call and one assembly per rung and precision
+    # cond-8-12: both determinants escalate at rung 16 and rung 24 runs in 80-bit
+    # from the start, on one panel layout: one double scheme call, one double
+    # assembly and Cholesky per block at rung 16, one 80-bit assembly per rung
     counts = {}
 
-    def counted(name, key):
-        original = getattr(fr, name)
+    def counted(name, key, module=fr):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             label = (name, key(*args, **kwargs))
             counts[label] = counts.get(label, 0) + 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fr, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     def precision(dtype):
         return "80-bit" if np.dtype(dtype) == np.longdouble else "double"
@@ -975,11 +1001,12 @@ def test_log_E0_builds_one_ladder(monkeypatch):
     counted("_layout_scheme", lambda layout, orders, dtype=np.float64: precision(dtype))
     counted("_kernel_matrix", lambda xi, w, airy=None: precision(xi.dtype))
     counted("_ritz_logdet", lambda A: "")
+    counted("cholesky", lambda M: "", np.linalg)
     fr.log_E0(GapConfig((-8.0, -12.0), (0.0, 0.3)))
     assert counts == {("_panel_layout", ""): 1,
                       ("_layout_scheme", "double"): 1, ("_layout_scheme", "80-bit"): 2,
-                      ("_kernel_matrix", "double"): 2, ("_kernel_matrix", "80-bit"): 2,
-                      ("_ritz_logdet", ""): 4}
+                      ("_kernel_matrix", "double"): 1, ("_kernel_matrix", "80-bit"): 2,
+                      ("cholesky", ""): 2, ("_ritz_logdet", ""): 4}
 
 
 def test_log_E0_refuses_as_its_full_determinant():
