@@ -19,12 +19,14 @@ whatever N), LAPACK eigh of the r x r Gram matrix of that factor gives the
 eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
 Rayleigh-Ritz step on them.  A ladder rung after one on which no determinant
 still walking certified its value starts on that path, its scheme built on
-80-bit nodes alone: a double Cholesky there would fail the certificate again
-unless the two rungs straddle DEEP_GAP_THRESHOLD, where the values differ by
-~1e-12.  That path loses accuracy with depth and refuses near x = -13, so
-log_det sends the one-point hard gap F(x; 0) at its default resolution to
-the Painleve II solve of the painleve module instead: ~1e-13 relative down
-to x = -100, ~eps max|q|/q(x) near RIGHT.
+80-bit nodes alone, and so does the first rung where s_1 = 0 and the tail
+asymptotics.log_F_m1_s0(x_1) is below log DEEP_GAP_THRESHOLD (x_1 < -5.4469),
+since each block is at most F(x_1; 0): a double Cholesky there would fail
+the certificate again unless the value straddles the threshold, where the
+two differ by ~1e-12.  That path loses accuracy with depth and refuses near
+x = -13, so log_det sends the one-point hard gap F(x; 0) at its default
+resolution to the Painleve II solve of the painleve module instead: ~1e-13
+relative down to x = -100, ~eps max|q|/q(x) near RIGHT.
 The determinant of the first k points sits in the trailing block of A on
 (x_k, x_{k-1}), ..., (x_1, x_0), so log_E0's F(x_1; 0) walks its ladder on
 the blocks of F(x; s): one layout, scheme and assembly per rung serve both.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import painleve, specfun
+from . import asymptotics, painleve, specfun
 from .specfun import NumericalError, check_endpoints, check_weights
 
 
@@ -311,11 +313,13 @@ def _numerical_range(A: np.ndarray) -> tuple[np.ndarray, float]:
     d = np.diagonal(A).copy()
     tol = n * np.finfo(A.dtype).eps * d.max()
     rows = np.empty_like(A)  # rows[:r] is L^T
-    r, p = 0, np.argmax(d)
+    r, p = 0, d.argmax()
     while r < n and d[p] > tol:
-        rows[r] = (A[p] - rows[:r, p] @ rows[:r]) / np.sqrt(d[p])
-        d -= rows[r] * rows[r]
-        r, p = r + 1, np.argmax(d)
+        row = rows[r]  # each row is written in place
+        np.subtract(A[p], np.dot(rows[:r, p], rows[:r], out=row), out=row)
+        row /= math.sqrt(d[p])
+        d -= row * row
+        r, p = r + 1, d.argmax()
     return rows[:r].T, float(np.sum(d))
 
 
@@ -507,17 +511,19 @@ def _rungs(config: GapConfig, nodes_per_panel: int | None, tail_length: float | 
     """A Nystrom ladder's rule orders, its _panel_layout and scheme_at(n, dtype), the
     scheme of rung n: DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n, all
     on one layout, checked for the top rung first (every escalation and every 80-bit rung
-    maps it again in 80-bit).  The first two rungs always run, so one _layout_scheme call
-    builds both in double (each node's Airy value is its own); a later rung, or a rung
-    asked for in 80-bit, is built only when it runs."""
+    maps it again in 80-bit).  The first two rungs always run, so asking for the first
+    builds both by one _layout_scheme call in its dtype (each node's Airy value is its
+    own); a later rung, or the second in another dtype, is built only when it runs."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
     layout = _panel_layout(_scheme_intervals(config, tail_length), orders[0], orders[-1])
-    first = dict(zip(orders[:2], _layout_scheme(layout, orders[:2])))
+    first = {}
 
     def scheme_at(k, dtype=np.float64):
+        if k == orders[0]:
+            first.update(zip(orders[:2], _layout_scheme(layout, orders[:2], dtype)))
         built = first.pop(k, None)
-        return built if built is not None and dtype is np.float64 else _layout_scheme(layout, (k,), dtype)[0]
+        return built if built is not None and built.xi.dtype == dtype else _layout_scheme(layout, (k,), dtype)[0]
 
     return orders, layout, scheme_at
 
@@ -536,19 +542,27 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
     rung runs _logdet_blocks once for the blocks still walking; the full block alone is
     logdet_single, the call a profiler wraps.  A rung on which every block still walking
     did not certify its value at the rung before (_certified) runs on an 80-bit scheme
-    from the start, with no double assembly or Cholesky, and logs it at INFO."""
+    from the start, with no double assembly or Cholesky, and logs it at INFO.  So does
+    the first rung where s_1 = 0 and the tail log_F_m1_s0(x_1) is below log
+    DEEP_GAP_THRESHOLD: every block is then at most F(x_1; 0) (a Schur complement of
+    I - A is at most I), and a double pass could certify only where the tail is off by
+    its ~3e-4, within ~1e-4 of the crossing in x_1."""
     orders, layout, scheme_at = _rungs(config, nodes_per_panel, tail_length)
     configs, panels = [config], [0]
     if reference:
         configs.append(GapConfig(config.x[:1], config.s[:1]))
         panels.append(int(np.count_nonzero(layout[2] < config.m - 1)))  # panels below x_1
-    uncertified = set()  # the blocks whose value at the rung before did not certify
+    tail = asymptotics.log_F_m1_s0(config.x[0]) if config.s[0] == 0.0 and config.x[0] < 0.0 else 0.0
+    # the blocks whose value at the rung before did not certify; at first all, if the tail rules double out
+    uncertified = set(range(len(configs))) if tail < math.log(DEEP_GAP_THRESHOLD) else set()
 
     def values_at(k, live):
         extended = uncertified.issuperset(live)
         if extended:
-            _log.info("rung %d nodes per panel starts on the 80-bit path: x=%s did not certify "
-                      "at the rung before", k, ", ".join(str(configs[i].x) for i in live))
+            reason = (f"has the tail log F(x_1; 0) = {tail:.6g} < log DEEP_GAP_THRESHOLD"
+                      if k == orders[0] else "did not certify at the rung before")
+            _log.info("rung %d nodes per panel starts on the 80-bit path: x=%s %s", k,
+                      ", ".join(str(configs[i].x) for i in live), reason)
         scheme = scheme_at(k, _LD if extended else np.float64)
         if live == [0]:
             values = [logdet_single(config, scheme)]
@@ -587,10 +601,12 @@ def log_E0(config: GapConfig, **kwargs) -> float:
     discretized on the panels of the tail (x_1, x_0) of F(x; s), so it is
     the trailing block of the same matrix: one layout, one scheme and one
     assembly per rung (one more of each in 80-bit where either escalates, the
-    80-bit ones alone on a rung after both did) serve both, each value the
-    bits of its own ladder; a rung F(x_1; 0) walks alone assembles its block
-    only.  Given nodes_per_panel = n, both run the same rungs (n, ceil(1.5 n));
-    otherwise each walks DEFAULT_LADDER and stops where it converges on its own.
+    80-bit ones alone on a rung after both did, and on every rung for x_1
+    below -5.4469, where the tail of F(x_1; 0) rules out double from the
+    start) serve both, each value the bits of its own ladder; a rung F(x_1; 0)
+    walks alone assembles its block only.  Given nodes_per_panel = n, both
+    run the same rungs (n, ceil(1.5 n)); otherwise each walks DEFAULT_LADDER
+    and stops where it converges on its own.
     """
     if config.s[0] != 0.0:
         raise ValueError("log_E0 requires s_1 = 0")

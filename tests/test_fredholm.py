@@ -10,7 +10,7 @@ import pytest
 from airy_gap import fredholm as fr
 from airy_gap import painleve as pii
 from airy_gap import specfun as sf
-from airy_gap.asymptotics import beta_from_s
+from airy_gap.asymptotics import beta_from_s, log_F_m1_s0
 from airy_gap.fredholm import GapConfig, NumericalError
 
 #: frozen regression value for log F(-2; 0) (nodes_per_panel = 160)
@@ -412,14 +412,13 @@ def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
     monkeypatch.setattr(fr, "_panel_layout", laying)
     monkeypatch.setattr(fr, "_layout_scheme", building)
     monkeypatch.setattr(fr, "logdet_single", running)
-    # log F(-6; 0) is below log DEEP_GAP_THRESHOLD: rung 16 escalates by
-    # mapping its own layout in 80-bit, and rung 24, after a rung that did not
-    # certify, runs on its 80-bit scheme alone; (-40; 0.5) needs a third rung
+    # the tail of log F(-6; 0) is below log DEEP_GAP_THRESHOLD: rungs 16 and 24
+    # are built together in 80-bit and run there alone, with no double scheme;
+    # (-40; 0.5) needs a third rung
     double, extended = np.float64, np.longdouble
     for x, s, rungs, expected in [
             ((-6.0,), (0.0,), [16, 24],
-             [("build", (16, 24), double), ("run", 16, double), ("build", (16,), extended),
-              ("build", (24,), extended), ("run", 24, extended)]),
+             [("build", (16, 24), extended), ("run", 16, extended), ("run", 24, extended)]),
             ((-40.0,), (0.5,), [16, 24, 36],
              [("build", (16, 24), double), ("run", 16, double), ("run", 24, double),
               ("build", (36,), double), ("run", 36, double)])]:
@@ -835,8 +834,9 @@ def test_extended_matches_double_where_double_suffices(caplog):
                                   ((-8.0, -12.0), (0.0, 0.3)), ((-8.5, -11.0), (0.0, 0.5))])
 def test_a_rung_after_an_escalation_starts_in_80_bit_to_the_bit(caplog, x, s):
     # hard gaps at 24 nodes per panel and the conditioned pool points with their
-    # references: every rung after the first starts on the 80-bit path, and its
-    # value is the bits of logdet_single on the rung's own fresh double scheme
+    # references: every rung starts on the 80-bit path, the first by the tail of
+    # F(x_1; 0), and its value is the bits of logdet_single on the rung's own
+    # fresh double scheme
     cfg = GapConfig(x, s)
     kwargs = {"nodes_per_panel": 24} if cfg.m == 1 else {}
     with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
@@ -846,8 +846,58 @@ def test_a_rung_after_an_escalation_starts_in_80_bit_to_the_bit(caplog, x, s):
         assert report.resolutions == tuple((n, fr.logdet_single(head, fr.build_scheme(head, n)))
                                            for n, _ in report.resolutions)
     started = [r.getMessage() for r in caplog.records if "starts on the 80-bit path" in r.getMessage()]
-    assert [int(m.split()[1]) for m in started] == [n for n, _ in reports[0].resolutions[1:]]
-    assert all(f"x={x}" in m and "did not certify at the rung before" in m for m in started)
+    assert [int(m.split()[1]) for m in started] == [n for n, _ in reports[0].resolutions]
+    tail = log_F_m1_s0(x[0])
+    assert f"x={x}" in started[0] and f"has the tail log F(x_1; 0) = {tail:.6g} <" in started[0]
+    assert all(f"x={x}" in m and "did not certify at the rung before" in m for m in started[1:])
+
+
+def _s1_zero_draws():
+    """16 seeded s_1 = 0 configurations: m = 1-3, x_1 in [-12, -3] away from the tail's
+    threshold crossing, s_j log-uniform on [1e-3, 1], default or explicit rule orders."""
+    rng, draws = np.random.default_rng(1812), []
+    while len(draws) < 16:
+        m, x1 = int(rng.integers(1, 4)), float(rng.uniform(-12.0, -3.0))
+        if abs(x1 + 5.447) < 0.05:
+            continue
+        x = (x1, *(x1 - np.cumsum(rng.uniform(0.5, 4.0, m - 1))).tolist())
+        s = (0.0, *(10.0 ** rng.uniform(-3.0, 0.0, m - 1)).tolist())
+        n = None if rng.random() < 0.5 else int(rng.integers(8, 30))
+        draws.append((x, s, n))
+    return draws
+
+
+def _ladders_or_refusal(cfg, n):
+    try:
+        return fr._nystrom_ladders(cfg, cfg.m > 1, n)
+    except NumericalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("x, s, n", _s1_zero_draws())
+def test_the_tail_prediction_changes_no_bit(monkeypatch, x, s, n):
+    # starting a ladder on the 80-bit path where the tail of F(x_1; 0) is below
+    # DEEP_GAP_THRESHOLD skips only double passes that could not certify: values,
+    # rungs, est_error and refusals are those of the ladder without the prediction
+    cfg = GapConfig(x, s)
+    predicted = _ladders_or_refusal(cfg, n)
+    monkeypatch.setattr(fr.asymptotics, "log_F_m1_s0", lambda x1: 0.0)
+    assert predicted == _ladders_or_refusal(cfg, n)
+
+
+def test_the_tail_prediction_window_moves_a_value_within_its_error(monkeypatch):
+    # x_1 = -5.44695 is just past the tail's crossing of log DEEP_GAP_THRESHOLD,
+    # but the double Cholesky at rung 14 would still certify: the 80-bit value
+    # stands in for it, about 1e-12 away and within either ladder's est_error
+    cfg = GapConfig((-5.44695,), (0.0,))
+    assert log_F_m1_s0(cfg.x[0]) < math.log(fr.DEEP_GAP_THRESHOLD)
+    on, = fr._nystrom_ladders(cfg, False, 14)
+    monkeypatch.setattr(fr.asymptotics, "log_F_m1_s0", lambda x1: 0.0)
+    off, = fr._nystrom_ladders(cfg, False, 14)
+    assert off.resolutions[0][1] >= math.log(fr.DEEP_GAP_THRESHOLD)
+    assert [n for n, _ in on.resolutions] == [n for n, _ in off.resolutions] == [14, 21]
+    for (_, a), (_, b) in zip(on.resolutions, off.resolutions):
+        assert abs(a - b) <= min(1e-11, on.est_error, off.est_error)
 
 
 @pytest.mark.parametrize("x, s, expected, tol", [
@@ -979,9 +1029,9 @@ def test_a_reference_walking_alone_assembles_only_its_block(monkeypatch):
 
 
 def test_log_E0_builds_one_ladder(monkeypatch):
-    # cond-8-12: both determinants escalate at rung 16 and rung 24 runs in 80-bit
-    # from the start, on one panel layout: one double scheme call, one double
-    # assembly and Cholesky per block at rung 16, one 80-bit assembly per rung
+    # cond-8-12: the tail of F(-8; 0) puts both determinants on the 80-bit path
+    # from rung 16, on one panel layout: one 80-bit scheme call for rungs 16 and
+    # 24, one 80-bit assembly per rung, and no double scheme, assembly or Cholesky
     counts = {}
 
     def counted(name, key, module=fr):
@@ -1003,10 +1053,8 @@ def test_log_E0_builds_one_ladder(monkeypatch):
     counted("_ritz_logdet", lambda A: "")
     counted("cholesky", lambda M: "", np.linalg)
     fr.log_E0(GapConfig((-8.0, -12.0), (0.0, 0.3)))
-    assert counts == {("_panel_layout", ""): 1,
-                      ("_layout_scheme", "double"): 1, ("_layout_scheme", "80-bit"): 2,
-                      ("_kernel_matrix", "double"): 1, ("_kernel_matrix", "80-bit"): 2,
-                      ("cholesky", ""): 2, ("_ritz_logdet", ""): 4}
+    assert counts == {("_panel_layout", ""): 1, ("_layout_scheme", "80-bit"): 1,
+                      ("_kernel_matrix", "80-bit"): 2, ("_ritz_logdet", ""): 4}
 
 
 def test_log_E0_refuses_as_its_full_determinant():
