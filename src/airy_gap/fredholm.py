@@ -29,7 +29,9 @@ resolution to the Painleve II solve of the painleve module instead: ~1e-13
 relative down to x = -100, ~eps max|q|/q(x) near RIGHT.
 The determinant of the first k points sits in the trailing block of A on
 (x_k, x_{k-1}), ..., (x_1, x_0), so log_E0's F(x_1; 0) walks its ladder on
-the blocks of F(x; s): one layout, scheme and assembly per rung serve both.
+the blocks of F(x; s): one layout, scheme and assembly per rung serve both,
+and on the 80-bit path one pivoted Cholesky of the widest block, whose rows
+from a block's first node factor that block.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,7 +136,7 @@ class QuadratureScheme:
     def panels(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.layout[0].tolist(), self.layout[1].tolist()))
 
-    @property
+    @cached_property
     def interval_index(self) -> np.ndarray:
         """Each node's interval by its position in the list the layout covers, ascending
         (x_m, x_{m-1}), ..., (x_1, x_0) for a determinant."""
@@ -285,30 +288,53 @@ def _kernel_matrix(xi: np.ndarray, w: np.ndarray, airy=None) -> np.ndarray:
 # log determinant
 # ---------------------------------------------------------------------------
 
-def _cholesky_logdet_ld(M: np.ndarray) -> np.longdouble:
-    """log det of a small symmetric positive definite float128 matrix.
+def _cholesky_logdet_ld(M) -> np.ndarray:
+    """log det of a small symmetric positive definite float128 matrix M, or of each in a
+    list M of them, by one Cholesky loop over their stack, each padded with the identity
+    to the largest order.
 
-    Reads the lower triangle only, like LAPACK potrf with uplo='L'.
+    Reads the lower triangle only, like LAPACK potrf with uplo='L'.  Each pivot and column
+    is summed in one matrix's own order and a padded pivot is exactly 1, so every value is
+    the bits of its matrix factored alone.  A non-positive pivot raises NumericalError for
+    the first matrix in the list that has one, its position in the error's `index`.
+    Returns one value for one matrix, else an array of one per matrix.
     """
-    k = M.shape[0]
-    L = np.zeros_like(M)
-    logdet = _LD(0.0)
-    for j in range(k):
-        d = M[j, j] - L[j, :j] @ L[j, :j]
-        if not d > 0.0:
-            raise NumericalError(f"non-positive Cholesky pivot {float(d):.3g} at {j} of {k}")
-        L[j, j] = np.sqrt(d)
-        L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-        logdet += np.log(d)
-    return logdet
+    matrices = [M] if isinstance(M, np.ndarray) else M
+    orders = [m.shape[0] for m in matrices]
+    k = max(orders, default=0)
+    S = np.zeros((len(matrices), k, k), _LD)
+    S.reshape(len(S), -1)[:, ::k + 1] = 1.0  # the identity under every matrix
+    for padded, m, n in zip(S, matrices, orders):
+        padded[:n, :n] = m
+    L, pivots = np.zeros_like(S), np.ones((len(S), k + 1), _LD)  # pivots[:, 0] stays 1
+    with np.errstate(divide="ignore", invalid="ignore"):  # a refused matrix goes on in NaN alone
+        for j in range(k):
+            # column j from the pivot down, each dot summed as the one-matrix loop sums it;
+            # L[j, j] = d / sqrt(d) here, but no later column reads it
+            column = S[:, j:, j] - (L[:, j:, :j] @ L[:, j, :j, None])[..., 0]
+            pivots[:, j + 1] = column[:, 0]
+            L[:, j:, j] = column / np.sqrt(column[:, :1])
+    refused = ~(pivots > 0.0)
+    if refused.any():
+        i = int(refused.any(axis=1).argmax())
+        j = int(refused[i].argmax())  # pivots[i, j] is that of column j - 1
+        error = NumericalError(f"non-positive Cholesky pivot {float(pivots[i, j]):.3g} at {j - 1} "
+                               f"of {orders[i]}")
+        error.index = i
+        raise error
+    # accumulate adds the logs one by one to log 1 = 0, as the one-matrix loop did
+    logdet = np.add.accumulate(np.log(pivots), axis=1)[:, -1]
+    return logdet[0] if isinstance(M, np.ndarray) else logdet
 
 
-def _numerical_range(A: np.ndarray) -> tuple[np.ndarray, float]:
+def _numerical_range(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A ~ L L^T for a symmetric positive semidefinite A, by a pivoted Cholesky
     (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62 (2012)) stopped once
     every residual diagonal entry is at most N eps max diag A.  Returns L, N x r
-    with r the numerical rank, and the trace of the residual A - L L^T, which
-    bounds its norm; O(N r^2) work, r independent of N on a resolved grid."""
+    with r the numerical rank, and the diagonal of the residual A - L L^T, whose
+    trace bounds its norm; O(N r^2) work, r independent of N on a resolved grid.
+    The residual is positive semidefinite, so L[t:] factors A[t:, t:] with the
+    residual's trailing block, of trace sum(diagonal[t:])."""
     n = A.shape[0]
     d = np.diagonal(A).copy()
     tol = n * np.finfo(A.dtype).eps * d.max()
@@ -320,46 +346,52 @@ def _numerical_range(A: np.ndarray) -> tuple[np.ndarray, float]:
         row /= math.sqrt(d[p])
         d -= row * row
         r, p = r + 1, d.argmax()
-    return rows[:r].T, float(np.sum(d))
+    return rows[:r].T, d
 
 
-def _ritz_logdet(A: np.ndarray) -> float:
-    """log det(I - A) of a symmetric positive semidefinite float128 A with
-    eigenvalues below ~1.
+def _ritz_logdet(A: np.ndarray, offsets=(0,)) -> np.ndarray:
+    """log det(I - A[t:, t:]) for each t in `offsets` (0 first), A a symmetric positive
+    semidefinite float128 matrix with eigenvalues below ~1: one value per offset.
 
-    _numerical_range of A rounded to double gives A ~ L L^T, and eigh of the
-    r x r L^T L = U diag(lambda) U^T its nonzero spectrum, with eigenvectors
-    L U lambda^(-1/2).  Eigenvalues with 1 - lambda >= NEAR_ONE_GAP enter
-    through log1p in double, the residual (eigenvalues below N eps) through its
-    trace.  The k eigenvectors V of the rest span a nearly invariant subspace,
-    and the product of their eigenvalues of I - A is recomputed in float128 as
-    the Rayleigh-Ritz ratio det(V^T (I - A) V) / det(V^T V).  Its error is
-    second order in the double eigenvector error, and it does not depend on
-    how eigh mixes eigenvectors inside a cluster of near-1 eigenvalues.
-    Where np.longdouble is plain double, a gap under DEEP_GAP_THRESHOLD raises.
+    One _numerical_range of A rounded to double gives A ~ L L^T, and L[t:] factors each
+    trailing block.  One stacked eigh of the blocks' r x r L[t:]^T L[t:] = U diag(lambda)
+    U^T gives each its nonzero spectrum, with eigenvectors L[t:] U lambda^(-1/2).
+    Eigenvalues with 1 - lambda >= NEAR_ONE_GAP enter through log1p in double, the
+    residual (eigenvalues below N eps) through its trace.  The k eigenvectors V of the
+    rest span a nearly invariant subspace, and the product of their eigenvalues of I - A
+    is recomputed in float128 as the Rayleigh-Ritz ratio det(V^T (I - A) V) / det(V^T V),
+    every block's two matrices by one _cholesky_logdet_ld, so a refusal names the first
+    block that has one.  Its error is second order in the double eigenvector error, and
+    it does not depend on how eigh mixes eigenvectors inside a cluster of near-1
+    eigenvalues.  Where np.longdouble is plain double, a gap under DEEP_GAP_THRESHOLD
+    raises.
     """
-    L, residual = _numerical_range(A.astype(np.float64))
-    evals, vecs = np.linalg.eigh(L.T @ L)
-    gap = 1.0 - evals[-1]
-    if gap < DEEP_GAP_THRESHOLD and not EXTENDED_PRECISION:
-        raise NumericalError(f"spectral gap {gap:.3g} of I - A needs the 80-bit path, but "
-                             f"np.longdouble is plain double here (eps {np.finfo(_LD).eps:.3g})")
-    near = 1.0 - evals < NEAR_ONE_GAP
-    bulk = np.sum(np.log1p(-evals[~near])) - residual
-    V = (L @ (vecs[:, near] / np.sqrt(evals[near]))).astype(_LD)
-    # np.dot sums in matmul's order, but faster: numpy's longdouble matmul is a plain loop
-    ritz = np.dot(V.T, V - np.dot(A, V))
-    gram = np.dot(V.T, V)
-    _log.info("80-bit log det: N=%d, k=%d eigenvalues within %g of 1, numerical rank r=%d, "
-              "min(1-lambda)=%.3g", A.shape[0], V.shape[1], NEAR_ONE_GAP, L.shape[1], gap)
+    L, residual = _numerical_range(A.astype(np.float64))  # residual: its diagonal
+    evals, vecs = np.linalg.eigh(np.concatenate([(L[t:].T @ L[t:])[None] for t in offsets]))
+    blocks, matrices = [], []
+    for t, lam, U in zip(offsets, evals, vecs):
+        gap = 1.0 - lam[-1]
+        if gap < DEEP_GAP_THRESHOLD and not EXTENDED_PRECISION:
+            raise NumericalError(f"spectral gap {gap:.3g} of I - A needs the 80-bit path, but "
+                                 f"np.longdouble is plain double here (eps {np.finfo(_LD).eps:.3g})")
+        near = 1.0 - lam < NEAR_ONE_GAP
+        bulk = np.sum(np.log1p(-lam[~near])) - np.sum(residual[t:])
+        V = (L[t:] @ (U[:, near] / np.sqrt(lam[near]))).astype(_LD)
+        # np.dot sums in matmul's order, but faster: numpy's longdouble matmul is a plain loop
+        matrices += [np.dot(V.T, V - np.dot(A[t:, t:], V)), np.dot(V.T, V)]
+        blocks.append((bulk, A.shape[0] - t, V.shape[1], gap))
+        _log.info("80-bit log det: N=%d, k=%d eigenvalues within %g of 1, numerical rank r=%d, "
+                  "min(1-lambda)=%.3g", A.shape[0] - t, V.shape[1], NEAR_ONE_GAP, L.shape[1], gap)
     try:
-        ritz_logdet, gram_logdet = _cholesky_logdet_ld(ritz), _cholesky_logdet_ld(gram)
+        logdets = _cholesky_logdet_ld(matrices)
     except NumericalError as exc:
+        _, n, k, gap = blocks[exc.index // 2]
         raise NumericalError(
-            f"{exc} in the 80-bit Rayleigh-Ritz step (N={A.shape[0]}, k={V.shape[1]}, "
-            f"double min(1-lambda)={gap:.3g}) on numerical rank r={L.shape[1]}: 80-bit "
-            "arithmetic cannot resolve a spectral gap of I - A this small") from exc
-    return float(_LD(bulk) + ritz_logdet - gram_logdet)
+            f"{exc} in the 80-bit Rayleigh-Ritz step (N={n}, k={k}, double min(1-lambda)={gap:.3g}) "
+            f"on numerical rank r={L.shape[1]}: 80-bit arithmetic cannot resolve a spectral gap "
+            "of I - A this small") from exc
+    return np.array([float(_LD(bulk) + ritz - gram)
+                     for (bulk, *_), ritz, gram in zip(blocks, logdets[::2], logdets[1::2])])
 
 
 def _trailing_kernel(config: GapConfig, scheme: QuadratureScheme, t0: int) -> np.ndarray:
@@ -398,12 +430,14 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     each I - A_k is its trailing block, no copy.  The blocks left escalate: the
     same call on the scheme's own layout mapped in 80-bit.  On an 80-bit scheme
     (a rung after one that did not certify, or an escalation) the widest block
-    is assembled once and _ritz_logdet runs on each block as a view of it.
+    is assembled once and one _ritz_logdet serves every block: one pivoted
+    Cholesky of the widest, each narrower block taking its rows from the block's
+    first node, so only a narrower block's bits differ from its own scheme's.
     """
     n, t0 = scheme.nodes_per_panel, starts[0]
     A = _trailing_kernel(config, scheme, t0)
     if A.dtype == _LD:
-        return [_ritz_logdet(A[t - t0:, t - t0:]) for t in starts]
+        return _ritz_logdet(A, [t - t0 for t in starts]).tolist()
     np.negative(A, out=A)  # I - A in place
     A.flat[::A.shape[0] + 1] += 1.0
     values, deep = [], []
@@ -558,7 +592,7 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
 
     def values_at(k, live):
         extended = uncertified.issuperset(live)
-        if extended:
+        if extended and _log.isEnabledFor(logging.INFO):
             reason = (f"has the tail log F(x_1; 0) = {tail:.6g} < log DEEP_GAP_THRESHOLD"
                       if k == orders[0] else "did not certify at the rung before")
             _log.info("rung %d nodes per panel starts on the 80-bit path: x=%s %s", k,
@@ -603,10 +637,13 @@ def log_E0(config: GapConfig, **kwargs) -> float:
     assembly per rung (one more of each in 80-bit where either escalates, the
     80-bit ones alone on a rung after both did, and on every rung for x_1
     below -5.4469, where the tail of F(x_1; 0) rules out double from the
-    start) serve both, each value the bits of its own ladder; a rung F(x_1; 0)
-    walks alone assembles its block only.  Given nodes_per_panel = n, both
-    run the same rungs (n, ceil(1.5 n)); otherwise each walks DEFAULT_LADDER
-    and stops where it converges on its own.
+    start) serve both; a rung F(x_1; 0) walks alone assembles its block only.
+    F(x; s) is the bits of its own ladder.  So is F(x_1; 0), but on a rung
+    where both run the 80-bit path: there it reads its factor off the full
+    block's pivoted Cholesky, within the 80-bit Ritz noise of its own (6e-13
+    at (-8, -12), 3.5e-11 at (-8.5, -11), ~1e-8 near x_1 = -10).  Given
+    nodes_per_panel = n, both run the same rungs (n, ceil(1.5 n)); otherwise
+    each walks DEFAULT_LADDER and stops where it converges on its own.
     """
     if config.s[0] != 0.0:
         raise ValueError("log_E0 requires s_1 = 0")

@@ -729,7 +729,7 @@ def test_ritz_logdet_synthetic_spectrum(near_pair):
     value = fr._ritz_logdet(A)
     # every eigenvalue is at least 1/4: the numerical range is the whole space
     L, residual = fr._numerical_range(A.astype(np.float64))
-    assert L.shape == (16, 16) and abs(residual) < 1e-14
+    assert L.shape == (16, 16) and abs(np.sum(residual)) < 1e-14
     # 80-bit rounding of the O(1) entries of A V resolves a gap g only to
     # about eps/g relative; the bound is 1e-9 relative unless that is coarser
     floor = 2.0 * float(np.finfo(np.longdouble).eps * np.sum(1 / gaps[:4]))
@@ -760,6 +760,14 @@ def _escalated_matrix(cfg, n):
     return fr._kernel_matrix(xscheme.xi, fr._thinned_weights(cfg, xscheme), xscheme.airy)
 
 
+def _assert_within_the_full_eigh_bound(value, A):
+    """value is log det(I - A) within max(1e-9 |expected|, 2 eps_80 sum 1/(1 - lambda)) of
+    _ritz_logdet_full_eigh(A): the 80-bit Ritz noise of the near-1 eigenvalues."""
+    expected, gaps = _ritz_logdet_full_eigh(A)
+    floor = 2.0 * float(np.finfo(np.longdouble).eps * np.sum(1 / gaps))
+    assert abs(value - expected) < max(1e-9 * abs(expected), floor), (value, expected, floor)
+
+
 _ESCALATED = [(x, s, n) for x, s in (((-8.0, -12.0), (0.0, 0.3)), ((-8.0,), (0.0,)),
                                      ((-8.5, -11.0), (0.0, 0.5)), ((-8.5,), (0.0,)))
               for n in (16, 24)] + [((x,), (0.0,), 24) for x in (-7.0, -9.0, -10.0)]
@@ -776,6 +784,51 @@ def test_ritz_logdet_matches_the_full_eigh_reference(x, s, n):
     assert abs(fr._ritz_logdet(A) - expected) < max(1e-9 * abs(expected), floor)
 
 
+@pytest.mark.parametrize("x, s, n", [(x, s, n) for x, s, n in _ESCALATED if len(x) > 1])
+def test_the_reference_block_off_the_shared_factor_meets_the_full_eigh_bound(x, s, n):
+    # F(x_1; 0) read off the rows of the full block's pivoted Cholesky from its first
+    # node: within the Ritz bound of the full eigh of its own block, while the full
+    # value stays the bits of the full block factored alone
+    A = _escalated_matrix(GapConfig(x, s), n)
+    t = A.shape[0] - fr.build_scheme(GapConfig(x[:1], s[:1]), n).size
+    full, ref = fr._ritz_logdet(A, (0, t))
+    assert full == fr._ritz_logdet(A)[0]
+    _assert_within_the_full_eigh_bound(ref, A[t:, t:])
+
+
+def _cholesky_loop(M):
+    """log det of one float128 matrix by the plain one-matrix Cholesky loop on its lower triangle."""
+    L, logdet = np.zeros_like(M), np.longdouble(0.0)
+    for j in range(M.shape[0]):
+        d = M[j, j] - L[j, :j] @ L[j, :j]
+        assert d > 0.0
+        L[j, j] = np.sqrt(d)
+        L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+        logdet += np.log(d)
+    return logdet
+
+
+def test_batched_cholesky_is_the_one_matrix_loop_to_the_bit(monkeypatch):
+    # (-10, -13)/(0, 0.3): the full block has k = 5 eigenvalues near 1 and F(-10; 0) 4,
+    # so the reference's Ritz and Gram matrices are padded with the identity
+    stacks, batched = [], fr._cholesky_logdet_ld
+    monkeypatch.setattr(fr, "_cholesky_logdet_ld", lambda M: stacks.append(M) or batched(M))
+    fr._nystrom_ladders(GapConfig((-10.0, -13.0), (0.0, 0.3)), True)
+    assert [[m.shape[0] for m in M] for M in stacks] == [[5, 5, 4, 4], [5, 5, 4, 4], [4, 4]]
+    for M in stacks:
+        assert list(batched(M)) == [_cholesky_loop(m) for m in M]
+
+
+def test_batched_cholesky_refuses_for_the_first_failing_matrix():
+    # the second matrix fails at pivot 2 of 3 and the third sooner, at 0 of 2: the
+    # error names the second, by its own order and its place in the list
+    late = np.diag(np.array([1.0, 1.0, -1.0], dtype=np.longdouble))
+    early = -np.eye(2, dtype=np.longdouble)
+    with pytest.raises(NumericalError, match=r"^non-positive Cholesky pivot -1 at 2 of 3$") as info:
+        fr._cholesky_logdet_ld([np.eye(4, dtype=np.longdouble), late, early])
+    assert info.value.index == 1
+
+
 @pytest.mark.parametrize("x, s, n", [((-8.0, -12.0), (0.0, 0.3), 16), ((-8.0, -12.0), (0.0, 0.3), 24),
                                      ((-8.0,), (0.0,), 16), ((-10.0,), (0.0,), 30)])
 def test_numerical_range_is_low_rank_within_its_tolerance(x, s, n):
@@ -786,7 +839,7 @@ def test_numerical_range_is_low_rank_within_its_tolerance(x, s, n):
     tol = N * np.finfo(np.float64).eps * np.max(np.diagonal(A))
     # a positive semidefinite residual is bounded entrywise by its diagonal
     assert np.max(np.abs(A - L @ L.T)) <= tol
-    assert abs(residual) <= N * tol
+    assert abs(np.sum(residual)) <= N * tol
 
 
 def test_conditioned_escalations_run_no_full_eigh(monkeypatch):
@@ -795,7 +848,7 @@ def test_conditioned_escalations_run_no_full_eigh(monkeypatch):
     original = np.linalg.eigh
 
     def recording(M, *args, **kwargs):
-        orders.append(M.shape[0])
+        orders.extend([M.shape[-1]] * (M.shape[0] if M.ndim == 3 else 1))
         return original(M, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
@@ -835,16 +888,25 @@ def test_extended_matches_double_where_double_suffices(caplog):
 def test_a_rung_after_an_escalation_starts_in_80_bit_to_the_bit(caplog, x, s):
     # hard gaps at 24 nodes per panel and the conditioned pool points with their
     # references: every rung starts on the 80-bit path, the first by the tail of
-    # F(x_1; 0), and its value is the bits of logdet_single on the rung's own
-    # fresh double scheme
+    # F(x_1; 0), and its value is the bits of the rung's own fresh double scheme
+    # escalating: logdet_single for the full determinant, and for the reference
+    # _logdet_blocks of both blocks, which reads it off the full block's factor,
+    # within the Ritz bound of the full eigh of its own block
     cfg = GapConfig(x, s)
     kwargs = {"nodes_per_panel": 24} if cfg.m == 1 else {}
     with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
         reports = fr._nystrom_ladders(cfg, cfg.m > 1, **kwargs)
-    for head, report in zip((cfg, GapConfig(x[:1], s[:1])), reports):
-        assert len(report.resolutions) >= 2
-        assert report.resolutions == tuple((n, fr.logdet_single(head, fr.build_scheme(head, n)))
-                                           for n, _ in report.resolutions)
+    assert len(reports[0].resolutions) >= 2
+    assert reports[0].resolutions == tuple((n, fr.logdet_single(cfg, fr.build_scheme(cfg, n)))
+                                           for n, _ in reports[0].resolutions)
+    if cfg.m > 1:
+        head = GapConfig(x[:1], s[:1])
+        assert [n for n, _ in reports[1].resolutions] == [n for n, _ in reports[0].resolutions]
+        for n, value in reports[1].resolutions:
+            scheme = fr.build_scheme(cfg, n)
+            t = scheme.size - fr.build_scheme(head, n).size
+            assert value == fr._logdet_blocks(cfg, scheme, (0, t))[1]
+            _assert_within_the_full_eigh_bound(value, _escalated_matrix(head, n))
     started = [r.getMessage() for r in caplog.records if "starts on the 80-bit path" in r.getMessage()]
     assert [int(m.split()[1]) for m in started] == [n for n, _ in reports[0].resolutions]
     tail = log_F_m1_s0(x[0])
@@ -988,14 +1050,25 @@ def test_log_E0_trivial_conditioning():
     ((-2.0, -3.0), (0.0, 0.5), {"tail_length": 16.0}, (2, 2)),
 ], ids=["cond-8-12", "cond-8.5-11", "full-longer", "ref-longer", "unconverged", "m3", "n17", "n27", "tail"])
 def test_log_E0_is_two_ladders_to_the_bit(caplog, x, s, kwargs, rungs):
-    # F(x_1; 0) read off the trailing block of the full determinant's matrix is
-    # its own ladder, rung by rung: values, rungs and est_error
+    # F(x_1; 0) read off the trailing block of the full determinant's matrix walks
+    # its own ladder's rungs.  The full determinant is its own ladder to the bit:
+    # values, rungs and est_error.  So is each reference rung, but one where both
+    # blocks run on the full block's 80-bit factorization: that value is within
+    # the Ritz bound of the full eigh of its own block
     cfg, head = GapConfig(x, s), GapConfig(x[:1], (0.0,))
     with caplog.at_level(logging.ERROR, logger="airy_gap.fredholm"):
         full, ref = fr._nystrom_log_det(cfg, **kwargs), fr._nystrom_log_det(head, **kwargs)
-        assert fr._nystrom_ladders(cfg, True, **kwargs) == [full, ref]
-        assert fr.log_E0(cfg, **kwargs) == full.log_f - ref.log_f
+        shared_full, shared_ref = fr._nystrom_ladders(cfg, True, **kwargs)
+        assert shared_full == full
+        assert fr.log_E0(cfg, **kwargs) == full.log_f - shared_ref.log_f
     assert (len(full.resolutions), len(ref.resolutions)) == rungs
+    assert [n for n, _ in shared_ref.resolutions] == [n for n, _ in ref.resolutions]
+    full_values = dict(full.resolutions)
+    for (n, value), (_, alone) in zip(shared_ref.resolutions, ref.resolutions):
+        if n in full_values and not fr._certified(cfg.s, full_values[n]) and not fr._certified(head.s, alone):
+            _assert_within_the_full_eigh_bound(value, _escalated_matrix(head, n))
+        else:
+            assert value == alone
 
 
 @pytest.mark.parametrize("x, s, n", [((-2.0, -3.0), (0.5, 0.5), 16),  # every block certified in double
@@ -1003,13 +1076,22 @@ def test_log_E0_is_two_ladders_to_the_bit(caplog, x, s, kwargs, rungs):
                                      ((-7.0, -16.0, -24.0), (0.0, 0.4, 0.2), 16)])
 def test_each_trailing_block_is_the_determinant_of_the_leading_points(x, s, n):
     # the block from the first node of (x_k, x_{k-1}) is the determinant of
-    # (x_1, ..., x_k) on its own scheme, together with the wider blocks or alone
+    # (x_1, ..., x_k) on its own scheme: alone to the bit, and together with the
+    # wider blocks to the bit in double; a narrower block escalating with the
+    # widest reads its factor off the widest block's, within the Ritz bound
     cfg = GapConfig(x, s)
     scheme = fr.build_scheme(cfg, n)
     leading = [GapConfig(x[:k], s[:k]) for k in range(cfg.m, 0, -1)]
     starts = [scheme.size - fr.build_scheme(head, n).size for head in leading]
     expected = [fr.logdet_single(head, fr.build_scheme(head, n)) for head in leading]
-    assert starts[0] == 0 and fr._logdet_blocks(cfg, scheme, starts) == expected
+    values = fr._logdet_blocks(cfg, scheme, starts)
+    assert starts[0] == 0 and values[0] == expected[0]
+    deep = not fr._certified(cfg.s, expected[0])
+    for head, value, alone in zip(leading[1:], values[1:], expected[1:]):
+        if deep and not fr._certified(head.s, alone):
+            _assert_within_the_full_eigh_bound(value, _escalated_matrix(head, n))
+        else:
+            assert value == alone
     for t, value in zip(starts[1:], expected[1:]):
         assert fr._logdet_blocks(cfg, scheme, (t,)) == [value]
 
@@ -1031,7 +1113,8 @@ def test_a_reference_walking_alone_assembles_only_its_block(monkeypatch):
 def test_log_E0_builds_one_ladder(monkeypatch):
     # cond-8-12: the tail of F(-8; 0) puts both determinants on the 80-bit path
     # from rung 16, on one panel layout: one 80-bit scheme call for rungs 16 and
-    # 24, one 80-bit assembly per rung, and no double scheme, assembly or Cholesky
+    # 24, one 80-bit assembly and one Ritz step for both blocks per rung, and no
+    # double scheme, assembly or Cholesky
     counts = {}
 
     def counted(name, key, module=fr):
@@ -1050,11 +1133,11 @@ def test_log_E0_builds_one_ladder(monkeypatch):
     counted("_panel_layout", lambda *args: "")
     counted("_layout_scheme", lambda layout, orders, dtype=np.float64: precision(dtype))
     counted("_kernel_matrix", lambda xi, w, airy=None: precision(xi.dtype))
-    counted("_ritz_logdet", lambda A: "")
+    counted("_ritz_logdet", lambda A, offsets=(0,): len(offsets))
     counted("cholesky", lambda M: "", np.linalg)
     fr.log_E0(GapConfig((-8.0, -12.0), (0.0, 0.3)))
     assert counts == {("_panel_layout", ""): 1, ("_layout_scheme", "80-bit"): 1,
-                      ("_kernel_matrix", "80-bit"): 2, ("_ritz_logdet", ""): 4}
+                      ("_kernel_matrix", "80-bit"): 2, ("_ritz_logdet", 2): 2}
 
 
 def test_log_E0_refuses_as_its_full_determinant():
