@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from ._constants import EULER_GAMMA, PI_SQ, TWO_PI, ZETA_PRIME_MINUS_ONE
-from .specfun import (SingularityError, _is_imaginary, check_endpoints, check_negative,
-                      check_negative_pair, check_weights, log_barnes_g)
+from .specfun import (DomainError, SingularityError, _barnes_coefficients, _is_imaginary,
+                      check_endpoints, check_negative, check_negative_pair, check_weights)
 
 LOG2 = math.log(2.0)
 
@@ -110,11 +111,37 @@ def sigma_cov(tau_k: float, tau_j: float) -> float:
 
 
 def barnes_pair(beta) -> float:
-    """log[G(1 + beta) G(1 - beta)] for purely imaginary beta (real-valued)."""
+    """log[G(1 + beta) G(1 - beta)] for purely imaginary beta = i b, a real number.
+
+    It is 2 Re log G(1 + i b): specfun.log_barnes_g's resummed Taylor series at
+    w = i b without its odd powers of w, which are imaginary, and with
+    Re log1p(i b) = log1p(b^2) / 2,
+
+        gamma_E b^2 + log1p(b^2) - sum_{k>=2} (-1)^k (zeta(2k-1) - 1) b^(2k) / k,
+
+    summed in real arithmetic in powers of -b^2/4 with log_barnes_g's
+    coefficients, 1e-19 stop and 2000-term cap (k < 1000).  Within 3e-16
+    relative of mpmath for b in [1e-3, 0.9], also as b -> 0, where the complex
+    log1p(i b) of log_barnes_g loses 7e-11 relative at b = 1e-3.  The series
+    converges for |b| < 2, that is every weight ratio s_j / s_(j+1) (with
+    s_(m+1) = 1) within e^(-4 pi) ... e^(4 pi), and the cap reaches |b| = 1.963;
+    beyond either, DomainError naming beta.
+    """
     b = _imag_part(beta)
-    if b == 0.0:
-        return 0.0
-    return 2.0 * log_barnes_g(1.0 + 1j * b).real
+    q = -0.25 * b * b  # (w/2)^2; from |b| = 2 on, no term is small
+    qk = q  # q^k, loop starts at k = 2
+    total = 0.0
+    for k, c in zip(range(2, 1000), islice(_barnes_coefficients(), 1, None, 2)):
+        qk *= q
+        term = c * qk / k
+        total += term
+        if abs(term) < 1e-19 * (1.0 + abs(total)):
+            break
+    else:
+        raise DomainError(f"the Barnes G pair of beta = {b!r}i needs |beta| < 2, that is "
+                          "s_j/s_(j+1) within e^(-4 pi) ... e^(4 pi) (s_(m+1) = 1), and its "
+                          "series converges within 2000 terms only up to |beta| = 1.96")
+    return EULER_GAMMA * b * b + math.log1p(b * b) + total
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +159,7 @@ def log_E_m1(x: float, beta) -> float:
     """Thinned one-point tail.
 
     log[G(1+beta)G(1-beta)] - (3/2) beta^2 log|4x| - (4 i beta / 3) |x|^(3/2),
-    real-valued for beta in i R.
+    real-valued for beta in i R; |beta| < 2 (barnes_pair), else DomainError.
     """
     check_negative(x)
     b = _imag_part(beta)
@@ -185,7 +212,8 @@ def log_E_asym(x, beta) -> AsymptoticBreakdown:
     Drift: -2 pi i sum beta_j mu(x_j); variance: -2 pi^2 sum beta_j^2
     sigma2(x_j); cross: -4 pi^2 sum_{k<j} beta_j beta_k Sigma(x_k, x_j)
     (evaluated at the endpoints directly, using scale invariance); plus the
-    Barnes G pair terms.
+    Barnes G pair terms, which need every |beta_j| < 2, that is every ratio
+    s_j / s_(j+1) within e^(-4 pi) ... e^(4 pi) (barnes_pair), else DomainError.
     """
     xs, bs = _expansion_args(x, beta)
     return _breakdown(bs, [mu(v) for v in xs], [sigma2(v) for v in xs], xs)

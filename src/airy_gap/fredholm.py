@@ -7,10 +7,11 @@ Gauss-Legendre (Nystrom), panels at most 4 long where Ai oscillates (u < 0)
 and 12 where it only decays.  A scheme is geometry: nodes, rule weights and
 Airy values from one builder, _layout_scheme, for determinants, traces and
 the s_m identity alike.  The factor 1 - s_j enters at assembly, in the
-symmetrized A_ik = sqrt(w_i w_k) K(xi_i, xi_k), one outer product of
-sqrt(w) Ai and sqrt(w) Ai'.  One double Cholesky factorization of I - A
-gives log det(I - A) wherever it certifies itself: every s_j is at
-least NEAR_ONE_GAP (the weights keep the spectrum of A that far below 1), or
+symmetrized A_ik = sqrt(w_i w_k) K(xi_i, xi_k), whose numerator is one
+product of the stacks of sqrt(w) Ai and sqrt(w) Ai'.  One double Cholesky
+factorization of I - A gives log det(I - A) wherever it certifies itself:
+every s_j is at least NEAR_ONE_GAP (the weights keep the spectrum of A that
+far below 1), or
 det(I - A) >= DEEP_GAP_THRESHOLD, a lower bound on the spectral gap since A
 is positive semidefinite.  Every other configuration is a deep gap: the
 same assembly runs on 80-bit nodes, a pivoted Cholesky of its double
@@ -39,7 +40,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,6 +64,7 @@ MIN_TAIL_LENGTH = 8.0
 #: a double Cholesky det(I - A) at least this certifies min(1 - lambda) >= it;
 #: below it the float128 pipeline runs, refusing such gaps on plain double
 DEEP_GAP_THRESHOLD = 1e-6
+_LOG_DEEP_GAP_THRESHOLD = math.log(DEEP_GAP_THRESHOLD)
 #: min s at least this keeps the spectrum of A at most 1 - min s; eigenvalues
 #: with 1 - lambda below this get the 80-bit Rayleigh-Ritz correction, the
 #: double log1p of the rest loses at most ~1e-13 each
@@ -206,20 +209,30 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
 
 def _layout_scheme(layout, orders, dtype=np.float64) -> list[QuadratureScheme]:
     """A scheme for each rule order in `orders` on one _panel_layout, the one map of rules
-    onto panels: the orders' Gauss-Legendre rules, concatenated, mapped onto every panel by
-    one broadcast of QuadRule.mapped's arithmetic (80-bit nodes on the same double edges),
-    one _airy_pair call on every node, and each scheme taking its orders' columns."""
+    onto panels: the orders' Gauss-Legendre rules, concatenated once per orders and dtype
+    (_concatenated_rules), mapped onto every panel by one broadcast of QuadRule.mapped's
+    arithmetic (80-bit nodes on the same double edges), one _airy_pair call on every node,
+    and each scheme taking its orders' columns."""
     lo, hi, _ = layout
     a, b = lo.astype(dtype)[:, None], hi.astype(dtype)[:, None]
-    rules = [specfun.gauss_legendre_rule(n, dtype=dtype) for n in orders]
+    nodes, weights = _concatenated_rules(tuple(orders), np.dtype(dtype))
     half = 0.5 * (b - a)
-    xi = half * np.concatenate([r.nodes for r in rules]) + 0.5 * (a + b)
-    w = half * np.concatenate([r.weights for r in rules])
+    xi = half * nodes + 0.5 * (a + b)
+    w = half * weights
     ai, aip = _airy_pair(xi)
-    ends = np.cumsum((0, *orders))
+    ends = list(accumulate((0, *orders)))
     return [QuadratureScheme(layout, int(n), xi[:, i:j].ravel(), w[:, i:j].ravel(),
                              (ai[:, i:j].ravel(), aip[:, i:j].ravel()))
             for n, i, j in zip(orders, ends, ends[1:])]
+
+
+@lru_cache(maxsize=64)
+def _concatenated_rules(orders: tuple[int, ...], dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of each order in `orders`, concatenated, read-only."""
+    rules = [specfun.gauss_legendre_rule(n, dtype=dtype) for n in orders]
+    nodes, weights = np.concatenate([r.nodes for r in rules]), np.concatenate([r.weights for r in rules])
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller of the cache
+    return nodes, weights
 
 
 def _thinned_weights(config: GapConfig, scheme: QuadratureScheme) -> np.ndarray:
@@ -268,19 +281,25 @@ def _kernel_matrix(xi: np.ndarray, w: np.ndarray, airy=None) -> np.ndarray:
     confluent form; the precision follows the dtype of xi, so double and 80-bit
     determinants assemble alike; airy is _airy_pair(xi) if known.
 
-    sqrt(w) is folded into Ai and Ai' first, so the antisymmetric numerator
-    is one outer product M less its transpose, and the differences xi_i - xi_k
-    reuse M's memory: four N^2 passes in all.
+    sqrt(w) is folded into Ai and Ai' first, as the rows of one (3, N) array
+    [Ai; Ai'; -Ai], so the antisymmetric numerator Ai_i Ai'_k - Ai'_i Ai_k is
+    one product of its (N, 2) view [Ai, Ai'] with its (2, N) view [Ai'; -Ai],
+    by np.einsum, which adds the two rounded products to 0 in either precision
+    and so gives each entry of an outer product less its transpose (np.dot
+    would hand double to BLAS, whose fused multiply-add moves the entries).
+    Then the differences xi_i - xi_k and one division: three N^2 passes.
     """
     ai, aip = _airy_pair(xi) if airy is None else airy
     sw = np.sqrt(w)
-    ai, aip = ai * sw, aip * sw
-    M = np.outer(ai, aip)
-    A = M - M.T
-    den = np.subtract.outer(xi, xi, out=M)
-    np.fill_diagonal(den, 1.0)
+    rows = np.empty((3, xi.size), xi.dtype)
+    ai, aip = np.multiply(ai, sw, out=rows[0]), np.multiply(aip, sw, out=rows[1])
+    np.negative(ai, out=rows[2])
+    A = np.einsum("ji,jk->ik", rows[:2], rows[1:])
+    den = np.subtract.outer(xi, xi)
+    diagonal = slice(None, None, xi.size + 1)  # of a C-contiguous N x N array, flattened
+    den.reshape(-1)[diagonal] = 1.0
     A /= den
-    np.fill_diagonal(A, aip * aip - xi * ai * ai)
+    A.reshape(-1)[diagonal] = aip * aip - xi * ai * ai
     return A
 
 
@@ -409,7 +428,7 @@ def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
 def _certified(s, value: float) -> bool:
     """Whether value = log det(I - A) of a determinant with weights s certifies itself as
     a double Cholesky value: every s_j >= NEAR_ONE_GAP, or det(I - A) >= DEEP_GAP_THRESHOLD."""
-    return value >= math.log(DEEP_GAP_THRESHOLD) or min(s) >= NEAR_ONE_GAP
+    return value >= _LOG_DEEP_GAP_THRESHOLD or min(s) >= NEAR_ONE_GAP
 
 
 def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[float]:
@@ -439,12 +458,12 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     if A.dtype == _LD:
         return _ritz_logdet(A, [t - t0 for t in starts]).tolist()
     np.negative(A, out=A)  # I - A in place
-    A.flat[::A.shape[0] + 1] += 1.0
+    A.reshape(-1)[::A.shape[0] + 1] += 1.0  # a strided view of the diagonal
     values, deep = [], []
     for i, t in enumerate(starts):
         s = config.s[:config.m - int(scheme.layout[2][t // n])]
         try:
-            value = float(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(A[t - t0:, t - t0:])))))
+            value = float(2.0 * np.log(np.linalg.cholesky(A[t - t0:, t - t0:]).diagonal()).sum())
         except np.linalg.LinAlgError as exc:
             if min(s) >= NEAR_ONE_GAP:
                 raise NumericalError(
@@ -588,7 +607,7 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
         panels.append(int(np.count_nonzero(layout[2] < config.m - 1)))  # panels below x_1
     tail = asymptotics.log_F_m1_s0(config.x[0]) if config.s[0] == 0.0 and config.x[0] < 0.0 else 0.0
     # the blocks whose value at the rung before did not certify; at first all, if the tail rules double out
-    uncertified = set(range(len(configs))) if tail < math.log(DEEP_GAP_THRESHOLD) else set()
+    uncertified = set(range(len(configs))) if tail < _LOG_DEEP_GAP_THRESHOLD else set()
 
     def values_at(k, live):
         extended = uncertified.issuperset(live)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from airy_gap import asymptotics as asym
 from airy_gap import fredholm as fr
 from airy_gap._constants import EULER_GAMMA, PI_SQ, ZETA_PRIME_MINUS_ONE
-from airy_gap.specfun import SingularityError
+from airy_gap.specfun import DomainError, SingularityError, log_barnes_g
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,41 @@ def test_sigma_cov_errors():
         asym.sigma_cov(1.0, -2.0)
     with pytest.raises(SingularityError):
         asym.sigma_cov(-1.0, -1.0 - 1e-13)
+
+
+@pytest.mark.parametrize("b", [1e-3, 1e-2, 0.1, 0.3, 0.6, 0.9])
+def test_barnes_pair_against_mpmath(mp40, b):
+    # the real series keeps full relative accuracy as beta -> 0, where the
+    # complex route's log1p(i b) is off by 7e-11 relative at b = 1e-3
+    for sign in (1.0, -1.0):
+        ref = float(2 * mp40.re(mp40.log(mp40.barnesg(1 + 1j * mp40.mpf(sign * b)))))
+        assert abs(asym.barnes_pair(1j * sign * b) - ref) <= 1e-15 * abs(ref)
+
+
+def test_barnes_pair_matches_log_barnes_g():
+    # the twin: 2 Re log G(1 + i b) by the complex series, up to 1.3e-15 off mpmath
+    # near b = 1.8 where the real series is 8.9e-16 off, so 1e-15 of max(1, value)
+    for b in np.linspace(0.05, 1.9, 75):
+        twin = 2.0 * log_barnes_g(1.0 + 1j * b).real
+        assert abs(asym.barnes_pair(1j * b) - twin) <= 1e-15 * max(1.0, abs(twin))
+    assert asym.barnes_pair(0.0) == 0.0
+
+
+@pytest.mark.parametrize("b", [1.97, -2.0, 2.02, 5.0])
+def test_barnes_pair_domain_names_beta(b):
+    # |beta| < 2 is every ratio s_j/s_(j+1) within e^(+-4 pi); from |beta| = 1.97 the
+    # series does not converge within its 2000 terms
+    with pytest.raises(DomainError, match=rf"beta = {b!r}i needs \|beta\| < 2, that is s_j/s_\(j\+1\) "
+                                          r"within e\^\(-4 pi\) \.\.\. e\^\(4 pi\)"):
+        asym.barnes_pair(1j * b)
+
+
+def test_expansions_refuse_a_weight_ratio_beyond_e_4pi():
+    # s_2 = 3e-6 is below e^(-4 pi) = 3.5e-6: beta_2 = log(3e-6) / (2 pi) i = -2.02i
+    x, beta = (-4.0, -6.4), asym.beta_from_s((0.5, 3e-6))
+    for call in (lambda: asym.log_E_asym(x, beta), lambda: asym.log_E_m1(-6.4, beta[1])):
+        with pytest.raises(DomainError, match=r"beta = -2\.02.*i needs \|beta\| < 2"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,16 @@ def test_compare_near_the_edge_of_the_barnes_series(tmp_path, capsys):
     assert math.isfinite({r["label"]: r["value"] for r in json.loads(out)["results"]}["gap_final"])
 
 
+def test_compare_refuses_a_weight_ratio_beyond_e_4pi(tmp_path, capsys):
+    # s_2 = 3e-6 < e^(-4 pi): beta_2 = -2.02i, outside the Barnes G pair's |beta| < 2;
+    # the error names beta and the ratio bound, not log G's internal argument
+    cfg = write_config(tmp_path, {"tau": [-1.0, -1.6], "s": [0.5, 3e-6]})
+    code, _, err = run(["compare", cfg, "--r-list", "2,3"], capsys)
+    assert code == 2
+    assert "beta = -2.02" in err and "needs |beta| < 2, that is s_j/s_(j+1) within e^(-4 pi) ... e^(4 pi)" in err
+    assert "log_barnes_g" not in err
+
+
 @pytest.mark.parametrize("x", ([-5.0, -1.0], [-1.0, -5.0]))
 def test_config_rejects_x_with_tau_but_no_r(tmp_path, capsys, x):
     # without r nothing ties x to tau, and compare would run on tau alone

@@ -99,6 +99,33 @@ def test_kernel_precision_follows_node_dtype(monkeypatch):
     assert K.dtype == np.longdouble and calls == [xi.size]
 
 
+def _outer_product_kernel(xi, w, airy):
+    """The assembly with its numerator as an outer product M less its transpose."""
+    ai, aip = (v * np.sqrt(w) for v in airy)
+    M = np.outer(ai, aip)
+    A = M - M.T
+    den = np.subtract.outer(xi, xi)
+    np.fill_diagonal(den, 1.0)
+    A /= den
+    np.fill_diagonal(A, aip * aip - xi * ai * ai)
+    return A
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_kernel_numerator_is_the_outer_product_form(n):
+    # cond-8-12's first two rungs: np.einsum adds the two rounded products to 0, so each
+    # entry is the outer-product form's to the bit, in 80-bit and in double (a numpy whose
+    # einsum fused the multiply-add, as BLAS does for np.dot, would move double entries)
+    cfg = GapConfig((-8.0, -12.0), (0.0, 0.3))
+    _, layout, _ = fr._rungs(cfg, None, None)
+    for dtype in (np.longdouble, np.float64):
+        scheme = fr._layout_scheme(layout, (n,), dtype)[0]
+        w = fr._thinned_weights(cfg, scheme)
+        A = fr._kernel_matrix(scheme.xi, w, scheme.airy)
+        assert A.dtype == dtype
+        assert np.array_equal(A, _outer_product_kernel(scheme.xi, w, scheme.airy))
+
+
 def test_kernel_confluence():
     u, v = -1.0, -1.0 + 1e-5
     off_diag = fr.airy_kernel(u, v)
