@@ -4,7 +4,10 @@ All jump parameters beta are purely imaginary; writing beta = i*b with real b
 makes every term manifestly real, which is how the formulas are evaluated
 here.  The two equivalent statements of each expansion (product of one-point
 factors versus fully explicit exponent) are implemented separately so their
-algebraic identity is a meaningful cross-check.
+algebraic identity is a meaningful cross-check.  The argument check turns the
+endpoints and the imaginary parts of beta into Python floats, so the expansions
+are evaluated in Python float arithmetic, with no numpy scalars and no array
+conversions, and every sum adds its terms one by one, left to right (_sum).
 """
 
 from __future__ import annotations
@@ -30,19 +33,28 @@ def _imag_part(beta, name: str = "beta") -> float:
     return b.imag
 
 
-def _imag_vector(betas, name: str = "beta") -> np.ndarray:
-    return np.array([_imag_part(v, name) for v in np.atleast_1d(betas)])
+def _imag_vector(betas, name: str = "beta") -> list[float]:
+    return [_imag_part(v, name) for v in np.array(betas, ndmin=1)]
 
 
-def _expansion_args(x, beta, conditioned: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Negative endpoints x_1 > ... > x_m and the imaginary parts of beta.
+def _sum(terms) -> float:
+    """terms added one by one, left to right, to 0.0: the same rounding on every Python,
+    where sum() compensates the rounding of a sum of floats from Python 3.12 on."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _expansion_args(x, beta, conditioned: bool = False) -> tuple[list[float], list[float]]:
+    """Negative endpoints x_1 > ... > x_m and the imaginary parts of beta, as Python floats.
 
     A conditioned expansion needs m >= 2 and takes beta_2, ..., beta_m.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.array(x, dtype=float, ndmin=1).tolist()
     check_endpoints(xs)
     bs = _imag_vector(beta, "beta0" if conditioned else "beta")
-    if xs.size <= conditioned or bs.size != xs.size - conditioned:
+    if len(xs) <= conditioned or len(bs) != len(xs) - conditioned:
         raise ValueError(f"need m >= {1 + conditioned} and one beta per x_{1 + conditioned}, ..., x_m")
     check_negative(xs[0], "x_1")
     return xs, bs
@@ -192,17 +204,16 @@ class AsymptoticBreakdown:
 
 def _pair_term(bs, xs) -> float:
     """Pair prefactor -4 pi^2 sum_{k<j} beta_j beta_k Sigma(x_k, x_j), with beta = i b."""
-    return 4.0 * PI_SQ * float(
-        sum(bs[k] * bs[j] * sigma_cov(xs[k], xs[j])
-            for k in range(len(xs)) for j in range(k + 1, len(xs))))
+    return 4.0 * PI_SQ * _sum(bs[k] * bs[j] * sigma_cov(xs[k], xs[j])
+                              for k in range(len(xs)) for j in range(k + 1, len(xs)))
 
 
 def _breakdown(bs, mus, sigma2s, pair_points) -> AsymptoticBreakdown:
     """Drift -2 pi i sum beta_j mu_j, variance -2 pi^2 sum beta_j^2 sigma2_j,
     the pair prefactor at pair_points and the Barnes G pair terms."""
-    drift = TWO_PI * float(sum(b * m for b, m in zip(bs, mus)))
-    variance = 2.0 * PI_SQ * float(sum(b * b * v for b, v in zip(bs, sigma2s)))
-    barnes = float(sum(barnes_pair(1j * b) for b in bs))
+    drift = TWO_PI * _sum(b * m for b, m in zip(bs, mus))
+    variance = 2.0 * PI_SQ * _sum(b * b * v for b, v in zip(bs, sigma2s))
+    barnes = _sum(barnes_pair(1j * b) for b in bs)
     return AsymptoticBreakdown(drift, variance, _pair_term(bs, pair_points), barnes)
 
 
@@ -227,7 +238,7 @@ def log_E_product_form(x, beta) -> float:
     log_E_asym(...).total to rounding, which the tests pin at 1e-12.
     """
     xs, bs = _expansion_args(x, beta)
-    one_point = float(sum(log_E_m1(v, 1j * b) for v, b in zip(xs, bs)))
+    one_point = _sum(log_E_m1(v, 1j * b) for v, b in zip(xs, bs))
     return one_point + _pair_term(bs, xs)
 
 
@@ -250,9 +261,9 @@ def log_E0_asym(x, beta0) -> AsymptoticBreakdown:
     and Sigma0(tau_k, tau_j) = Sigma(tau_k - tau_1, tau_j - tau_1).
     """
     xs, bs = _expansion_args(x, beta0, conditioned=True)
-    x1 = float(xs[0])
-    rest = xs[1:]
-    return _breakdown(bs, [mu0(v, x1) for v in rest], [sigma2_0(v, x1) for v in rest], rest - x1)
+    x1, rest = xs[0], xs[1:]
+    return _breakdown(bs, [mu0(v, x1) for v in rest], [sigma2_0(v, x1) for v in rest],
+                      [v - x1 for v in rest])
 
 
 def log_E0_product_form(x, beta0) -> float:
@@ -262,13 +273,11 @@ def log_E0_product_form(x, beta0) -> float:
     beta_j^2 log[2(x1-x_j)/(x1-2x_j)] - 2 i beta_j |x1| |x1-x_j|^(1/2).
     """
     xs, bs = _expansion_args(x, beta0, conditioned=True)
-    x1 = float(xs[0])
-    y = xs[1:] - x1
-    shifted = log_E_asym(y, [1j * b for b in bs]).total
-    extra = float(sum(
-        -b * b * math.log(2.0 * (x1 - v) / (x1 - 2.0 * v))
-        + 2.0 * b * abs(x1) * math.sqrt(x1 - v)
-        for b, v in zip(bs, xs[1:])))
+    x1, rest = xs[0], xs[1:]
+    shifted = log_E_asym([v - x1 for v in rest], [1j * b for b in bs]).total
+    extra = _sum(-b * b * math.log(2.0 * (x1 - v) / (x1 - 2.0 * v))
+                 + 2.0 * b * abs(x1) * math.sqrt(x1 - v)
+                 for b, v in zip(bs, rest))
     return shifted + extra
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -139,7 +138,7 @@ class QuadratureScheme:
     def panels(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.layout[0].tolist(), self.layout[1].tolist()))
 
-    @cached_property
+    @property
     def interval_index(self) -> np.ndarray:
         """Each node's interval by its position in the list the layout covers, ascending
         (x_m, x_{m-1}), ..., (x_1, x_0) for a determinant."""
@@ -164,18 +163,23 @@ def _panel_layout(intervals, nodes_per_panel: int, top: int | None = None):
         raise ValueError(f"nodes_per_panel must be at least 4, got {nodes_per_panel}")
     if top > specfun.MAX_RULE_ORDER:
         raise ValueError(f"rule order {top} is above MAX_RULE_ORDER = {specfun.MAX_RULE_ORDER}")
-    counts = [max(1, math.ceil(_stretch(b) - _stretch(a) - 1e-12)) for a, b in intervals]
+    spans = [(_stretch(a), _stretch(b)) for a, b in intervals]
+    counts = [max(1, math.ceil(q - p - 1e-12)) for p, q in spans]
     size = sum(counts) * top
     if size > MAX_NODES:
         raise ValueError(f"the discretization needs N = {size} nodes, above MAX_NODES = {MAX_NODES}")
-    lo, hi = [], []
-    for (a, b), count in zip(intervals, counts):
-        start, step = _stretch(a), (_stretch(b) - _stretch(a)) / count
-        inner = (start + k * step for k in range(1, count))
-        edges = [a, *(t * (PANEL_MAX_LENGTH if t < 0.0 else 3.0 * PANEL_MAX_LENGTH) for t in inner), b]
-        lo += edges[:-1]
-        hi += edges[1:]
-    return np.array(lo), np.array(hi), np.arange(len(counts), dtype=np.int32).repeat(counts)
+    lo, hi, position = [], [], []
+    for i, ((a, b), (p, q), count) in enumerate(zip(intervals, spans, counts)):
+        step = (q - p) / count
+        lo.append(a)
+        for k in range(1, count):  # an interior edge ends one panel and starts the next
+            t = p + k * step
+            t *= PANEL_MAX_LENGTH if t < 0.0 else 3.0 * PANEL_MAX_LENGTH
+            lo.append(t)
+            hi.append(t)
+        hi.append(b)
+        position += [i] * count
+    return np.array(lo), np.array(hi), np.array(position, np.int32)
 
 
 def _halfline_cut(a: float, tail_length: float | None = None) -> float:
@@ -209,36 +213,25 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
 
 def _layout_scheme(layout, orders, dtype=np.float64) -> list[QuadratureScheme]:
     """A scheme for each rule order in `orders` on one _panel_layout, the one map of rules
-    onto panels: the orders' Gauss-Legendre rules, concatenated once per orders and dtype
-    (_concatenated_rules), mapped onto every panel by one broadcast of QuadRule.mapped's
-    arithmetic (80-bit nodes on the same double edges), one _airy_pair call on every node,
-    and each scheme taking its orders' columns."""
+    onto panels: each order's Gauss-Legendre rule mapped onto every panel by one broadcast
+    of QuadRule.mapped's arithmetic (80-bit nodes on the same double edges), whose C order
+    is the scheme's, one _airy_pair call on every order's nodes, and each scheme taking its
+    run of the values."""
     lo, hi, _ = layout
-    a, b = lo.astype(dtype)[:, None], hi.astype(dtype)[:, None]
-    nodes, weights = _concatenated_rules(tuple(orders), np.dtype(dtype))
-    half = 0.5 * (b - a)
-    xi = half * nodes + 0.5 * (a + b)
-    w = half * weights
-    ai, aip = _airy_pair(xi)
-    ends = list(accumulate((0, *orders)))
-    return [QuadratureScheme(layout, int(n), xi[:, i:j].ravel(), w[:, i:j].ravel(),
-                             (ai[:, i:j].ravel(), aip[:, i:j].ravel()))
-            for n, i, j in zip(orders, ends, ends[1:])]
-
-
-@lru_cache(maxsize=64)
-def _concatenated_rules(orders: tuple[int, ...], dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre nodes and weights of each order in `orders`, concatenated, read-only."""
+    a, b = lo.astype(dtype, copy=False)[:, None], hi.astype(dtype, copy=False)[:, None]
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
     rules = [specfun.gauss_legendre_rule(n, dtype=dtype) for n in orders]
-    nodes, weights = np.concatenate([r.nodes for r in rules]), np.concatenate([r.weights for r in rules])
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller of the cache
-    return nodes, weights
+    xi = [(half * rule.nodes + mid).ravel() for rule in rules]
+    ai, aip = _airy_pair(np.concatenate(xi))
+    ends = list(accumulate((0, *(x.size for x in xi))))
+    return [QuadratureScheme(layout, rule.order, x, (half * rule.weights).ravel(), (ai[i:j], aip[i:j]))
+            for rule, x, i, j in zip(rules, xi, ends, ends[1:])]
 
 
 def _thinned_weights(config: GapConfig, scheme: QuadratureScheme) -> np.ndarray:
     """The scheme's weights times 1 - s_j on (x_j, x_{j-1}), the weights A is assembled with."""
     thinning = np.array([1.0 - v for v in config.s[::-1]], dtype=scheme.w.dtype)
-    return scheme.w * thinning[scheme.interval_index]
+    return scheme.w * thinning.take(scheme.interval_index)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +406,6 @@ def _ritz_logdet(A: np.ndarray, offsets=(0,)) -> np.ndarray:
                      for (bulk, *_), ritz, gram in zip(blocks, logdets[::2], logdets[1::2])])
 
 
-def _trailing_kernel(config: GapConfig, scheme: QuadratureScheme, t0: int) -> np.ndarray:
-    """The trailing block of A from node t0, assembled on the scheme's nodes from t0 alone."""
-    ai, aip = scheme.airy
-    return _kernel_matrix(scheme.xi[t0:], _thinned_weights(config, scheme)[t0:], (ai[t0:], aip[t0:]))
-
-
 def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
     """log det(I - A) at one resolution: _logdet_blocks with the one block of all of A, on
     the double path or, given a scheme on 80-bit nodes, straight on the 80-bit one."""
@@ -454,7 +441,8 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     first node, so only a narrower block's bits differ from its own scheme's.
     """
     n, t0 = scheme.nodes_per_panel, starts[0]
-    A = _trailing_kernel(config, scheme, t0)
+    ai, aip = scheme.airy  # the widest block's nodes, from t0 on
+    A = _kernel_matrix(scheme.xi[t0:], _thinned_weights(config, scheme)[t0:], (ai[t0:], aip[t0:]))
     if A.dtype == _LD:
         return _ritz_logdet(A, [t - t0 for t in starts]).tolist()
     np.negative(A, out=A)  # I - A in place
@@ -463,7 +451,7 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     for i, t in enumerate(starts):
         s = config.s[:config.m - int(scheme.layout[2][t // n])]
         try:
-            value = float(2.0 * np.log(np.linalg.cholesky(A[t - t0:, t - t0:]).diagonal()).sum())
+            value = 2.0 * float(np.log(np.linalg.cholesky(A[t - t0:, t - t0:]).diagonal()).sum())
         except np.linalg.LinAlgError as exc:
             if min(s) >= NEAR_ONE_GAP:
                 raise NumericalError(
@@ -527,7 +515,7 @@ def _ladder(configs, rungs, values_at, route: str) -> list[DeterminantReport]:
             break
     reports = []
     for config, steps, gap in zip(configs, resolutions, gaps):
-        s = min((v for v in config.s if v > 0.0), default=0.0)
+        s = min(config.s) or min(config.s[1:], default=0.0)  # only s_1 may vanish
         floor = painleve.ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
         reports.append(DeterminantReport(tuple(steps), float(max(gap, floor * max(abs(steps[-1][1]), 1.0))),
                                          route))
@@ -560,27 +548,6 @@ def log_det(config: GapConfig, *,
     return _nystrom_log_det(config, nodes_per_panel, tail_length)
 
 
-def _rungs(config: GapConfig, nodes_per_panel: int | None, tail_length: float | None):
-    """A Nystrom ladder's rule orders, its _panel_layout and scheme_at(n, dtype), the
-    scheme of rung n: DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n, all
-    on one layout, checked for the top rung first (every escalation and every 80-bit rung
-    maps it again in 80-bit).  The first two rungs always run, so asking for the first
-    builds both by one _layout_scheme call in its dtype (each node's Airy value is its
-    own); a later rung, or the second in another dtype, is built only when it runs."""
-    n = nodes_per_panel
-    orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
-    layout = _panel_layout(_scheme_intervals(config, tail_length), orders[0], orders[-1])
-    first = {}
-
-    def scheme_at(k, dtype=np.float64):
-        if k == orders[0]:
-            first.update(zip(orders[:2], _layout_scheme(layout, orders[:2], dtype)))
-        built = first.pop(k, None)
-        return built if built is not None and built.xi.dtype == dtype else _layout_scheme(layout, (k,), dtype)[0]
-
-    return orders, layout, scheme_at
-
-
 def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
                      tail_length: float | None = None) -> DeterminantReport:
     """log_det's Nystrom ladder, whatever the configuration: _nystrom_ladders' full one."""
@@ -589,18 +556,25 @@ def _nystrom_log_det(config: GapConfig, nodes_per_panel: int | None = None,
 
 def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | None = None,
                      tail_length: float | None = None) -> list[DeterminantReport]:
-    """The Nystrom ladder of F(x; s) on the rungs of _rungs, and given `reference` that of
-    F(x_1; s_1) on the trailing blocks of the same rungs, the full one first.  Each stops
-    at its own first gap below CONVERGENCE_TOL, and an unconverged one logs a WARNING.  A
-    rung runs _logdet_blocks once for the blocks still walking; the full block alone is
-    logdet_single, the call a profiler wraps.  A rung on which every block still walking
-    did not certify its value at the rung before (_certified) runs on an 80-bit scheme
-    from the start, with no double assembly or Cholesky, and logs it at INFO.  So does
-    the first rung where s_1 = 0 and the tail log_F_m1_s0(x_1) is below log
-    DEEP_GAP_THRESHOLD: every block is then at most F(x_1; 0) (a Schur complement of
-    I - A is at most I), and a double pass could certify only where the tail is off by
-    its ~3e-4, within ~1e-4 of the crossing in x_1."""
-    orders, layout, scheme_at = _rungs(config, nodes_per_panel, tail_length)
+    """The Nystrom ladder of F(x; s), and given `reference` that of F(x_1; s_1) on the
+    trailing blocks of the same rungs, the full one first.  Each stops at its own first gap
+    below CONVERGENCE_TOL, and an unconverged one logs a WARNING.  The rule orders are
+    DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n, all on one _panel_layout,
+    checked for the top rung first (every escalation and every 80-bit rung maps it again in
+    80-bit).  The first two rungs always run, so the first builds both by one
+    _layout_scheme call in its dtype (each node's Airy value is its own); a later rung, or
+    the second in another dtype, is built only when it runs.  A rung runs _logdet_blocks
+    once for the blocks still walking; the full block alone is logdet_single, the call a
+    profiler wraps.  A rung on which every block still walking did not certify its value
+    at the rung before (_certified) runs on an 80-bit scheme from the start, with no
+    double assembly or Cholesky, and logs it at INFO.  So does the first rung where
+    s_1 = 0 and the tail log_F_m1_s0(x_1) is below log DEEP_GAP_THRESHOLD: every block is
+    then at most F(x_1; 0) (a Schur complement of I - A is at most I), and a double pass
+    could certify only where the tail is off by its ~3e-4, within ~1e-4 of the crossing
+    in x_1."""
+    n = nodes_per_panel
+    orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
+    layout = _panel_layout(_scheme_intervals(config, tail_length), orders[0], orders[-1])
     configs, panels = [config], [0]
     if reference:
         configs.append(GapConfig(config.x[:1], config.s[:1]))
@@ -608,24 +582,28 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
     tail = asymptotics.log_F_m1_s0(config.x[0]) if config.s[0] == 0.0 and config.x[0] < 0.0 else 0.0
     # the blocks whose value at the rung before did not certify; at first all, if the tail rules double out
     uncertified = set(range(len(configs))) if tail < _LOG_DEEP_GAP_THRESHOLD else set()
+    built = {}  # the second rung's scheme, built with the first
 
     def values_at(k, live):
+        nonlocal uncertified
         extended = uncertified.issuperset(live)
+        dtype = _LD if extended else np.float64
         if extended and _log.isEnabledFor(logging.INFO):
             reason = (f"has the tail log F(x_1; 0) = {tail:.6g} < log DEEP_GAP_THRESHOLD"
                       if k == orders[0] else "did not certify at the rung before")
             _log.info("rung %d nodes per panel starts on the 80-bit path: x=%s %s", k,
                       ", ".join(str(configs[i].x) for i in live), reason)
-        scheme = scheme_at(k, _LD if extended else np.float64)
+        if k == orders[0]:
+            built.update(zip(orders[:2], _layout_scheme(layout, orders[:2], dtype)))
+        scheme = built.pop(k, None)
+        if scheme is None or scheme.xi.dtype != dtype:
+            scheme = _layout_scheme(layout, (k,), dtype)[0]
         if live == [0]:
             values = [logdet_single(config, scheme)]
         else:
             values = _logdet_blocks(config, scheme, [panels[i] * k for i in live])
-        for i, value in zip(live, values):
-            if _certified(configs[i].s, value):
-                uncertified.discard(i)
-            else:
-                uncertified.add(i)
+        # the live blocks are the only ones read at the next rung
+        uncertified = {i for i, value in zip(live, values) if not _certified(configs[i].s, value)}
         return values
 
     reports = _ladder(configs, orders, values_at, "nystrom")

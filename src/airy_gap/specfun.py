@@ -310,16 +310,21 @@ def _row_step(t: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """(Ai, Ai') at the points t of one axis, lo = min t and hi = max t within
     [-100, 104), in the dtype of t: one Taylor step (|h| <= 1/32) off the
     nearest anchor 12 + k/16, every point by one matmul of its row in that
-    dtype.  k = rint((t - 12) 16) is monotone in t, so lo and hi give its range."""
+    dtype.  k = rint((t - 12) 16) is monotone in t, so lo and hi give its range.
+    The powers [h^15, ..., h, 1] are the columns of one (16, N) array, built a
+    row at a time: h^j = h^(j-1) h, the sequential product a cumprod along each
+    point's powers forms, by 14 multiplies over all N points; the matmul reads
+    the array's transposed view."""
     k, lo, hi = (np.rint((v - _ASYM_ANCHOR) * (1 / _ROW_STEP)) for v in (t, lo, hi))
     start, rows = _row_table(int(lo), int(hi))
-    powers = np.empty((t.size, _ROW_TERMS), dtype=t.dtype)
-    rising = powers[:, ::-1]  # 1, h, ..., h^15 written highest power first
-    rising[:, 0] = 1.0
-    rising[:, 1:] = (t - (_ASYM_ANCHOR + _ROW_STEP * k))[:, None]
-    np.cumprod(rising, axis=1, out=rising)
+    powers = np.empty((_ROW_TERMS, t.size), dtype=t.dtype)
+    power = list(powers)  # views of its rows h^15, ..., h, 1
+    power[-1][...] = 1.0
+    h = np.subtract(t, _ASYM_ANCHOR + _ROW_STEP * k, power[-2])
+    for j in range(_ROW_TERMS - 3, -1, -1):
+        np.multiply(power[j + 1], h, power[j])
     rows = rows["double" if t.dtype == np.float64 else "extended"]
-    values = np.matmul(rows[k.astype(np.intp) - start], powers[:, :, None])
+    values = np.matmul(rows[k.astype(np.intp) - start], powers.T[:, :, None])
     return values[:, 0, 0], values[:, 1, 0]
 
 
@@ -340,7 +345,7 @@ def airy_real(x):
     x = np.asarray(x)
     if x.dtype.kind not in "biuf":
         raise DomainError(f"airy_real needs real arguments, got dtype {x.dtype}")
-    t = x.astype(np.promote_types(x.dtype, np.float64))
+    t = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
     if not t.size:
         return np.empty_like(t), np.empty_like(t)
     lo, hi = t.min(), t.max()  # NaN anywhere makes both NaN
@@ -364,7 +369,7 @@ def airy_ai_real_xp(x):
     x is promoted, not cast, so complex x meets airy_real's DomainError.
     """
     x = np.asarray(x)
-    return airy_real(x.astype(np.promote_types(x.dtype, _LD)))
+    return airy_real(x.astype(np.promote_types(x.dtype, _LD), copy=False))
 
 
 # ---------------------------------------------------------------------------

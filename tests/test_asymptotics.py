@@ -229,6 +229,62 @@ def test_conditioned_two_point_vanishing_parameter():
     assert asym.log_E0_asym([-1.0, -4.0], [0.0]).total == 0.0
 
 
+_SEQUENCES = (tuple, list, np.array)
+
+
+def _bits(values):
+    assert all(type(v) is float for v in values)  # Python floats, not numpy scalars
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("x, s", [((-2.5168,), (0.764,)), ((-3.3438, -5.56441758), (0.4651, 0.4953)),
+                                  ((-2.1372, -3.75634272, -4.51034688), (0.1944, 0.0978, 0.1916))])
+def test_expansions_give_the_same_bits_for_any_sequence(x, s):
+    # thinned pool configurations: endpoints and betas as tuples, lists or arrays give
+    # one set of bits, and so do the conditioned forms on (x_1 + 1, x) with s_1 = 0
+    beta = asym.beta_from_s(s)
+    y, beta0 = (x[0] + 1.0, *x), asym.beta_from_s((0.0, *s))
+    got = [_bits([*vars(asym.log_E_asym(seq(x), seq(beta))).values(),
+                  asym.log_E_product_form(seq(x), seq(beta)),
+                  *vars(asym.log_E0_asym(seq(y), seq(beta0))).values(),
+                  asym.log_E0_product_form(seq(y), seq(beta0))]) for seq in _SEQUENCES]
+    assert got[0] == got[1] == got[2]
+    one_point = [[float(asym.log_E_m1(point(v), number(b))).hex() for v, b in zip(x, beta)]
+                 for point in (float, np.float64, np.array) for number in (complex, np.complex128)]
+    assert all(bits == one_point[0] for bits in one_point)
+
+
+@pytest.mark.parametrize("call, x, beta, error, message", [
+    (asym.log_E_asym, (-1.0, -2.0), (0.1j,), ValueError,
+     r"need m >= 1 and one beta per x_1, \.\.\., x_m"),
+    (asym.log_E0_asym, (-1.0,), (), ValueError, r"need m >= 2 and one beta per x_2, \.\.\., x_m"),
+    (asym.log_E_product_form, (-2.0, -1.0), (0.1j, 0.1j), ValueError,
+     "endpoints must be strictly decreasing and finite"),
+    (asym.log_E0_product_form, (-1.0, math.nan), (0.1j,), ValueError,
+     "endpoints must be strictly decreasing and finite"),
+    (asym.log_E_asym, (1.0,), (0.1j,), ValueError, r"x_1 must be finite and negative, got 1\.0"),
+    (asym.log_E_asym, (-1.0,), (0.1,), ValueError,
+     r"beta must be purely imaginary, got (np\.float64\(0\.1\)|0\.1)"),
+    (asym.log_E0_asym, (-1.0, -2.0), (0.1,), ValueError,
+     r"beta0 must be purely imaginary, got (np\.float64\(0\.1\)|0\.1)"),
+    (asym.log_E_product_form, (-1.0, -2.0), (0.1j, 2.5j), DomainError,
+     r"the Barnes G pair of beta = 2\.5i needs \|beta\| < 2"),
+    (asym.log_E0_product_form, (-1.0, -2.0, -3.0), (2.5j, 0.1j), DomainError,
+     r"the Barnes G pair of beta = 2\.5i needs \|beta\| < 2"),
+])
+def test_expansion_errors_are_the_same_for_any_sequence(call, x, beta, error, message):
+    texts = []
+    for seq in _SEQUENCES:
+        with pytest.raises(error, match=f"^{message}") as info:
+            call(seq(x), seq(beta))
+        texts.append(str(info.value))
+    assert texts[0] == texts[1] == texts[2]
+    with pytest.raises(ValueError, match=r"^x must be finite and negative, got 1\.0$"):
+        asym.log_E_m1(1.0, 0.1j)
+    with pytest.raises(ValueError, match=r"^beta must be purely imaginary, got 0\.3$"):
+        asym.log_E_m1(-1.0, 0.3)
+
+
 def test_realness_enforced():
     with pytest.raises(ValueError, match="imaginary"):
         asym.log_E_asym([-1.0, -2.0], [0.1 + 0.1j, 0.2j])

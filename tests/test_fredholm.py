@@ -117,7 +117,7 @@ def test_kernel_numerator_is_the_outer_product_form(n):
     # entry is the outer-product form's to the bit, in 80-bit and in double (a numpy whose
     # einsum fused the multiply-add, as BLAS does for np.dot, would move double entries)
     cfg = GapConfig((-8.0, -12.0), (0.0, 0.3))
-    _, layout, _ = fr._rungs(cfg, None, None)
+    layout = fr._panel_layout(fr._scheme_intervals(cfg, None), 16, 81)  # the default ladder's
     for dtype in (np.longdouble, np.float64):
         scheme = fr._layout_scheme(layout, (n,), dtype)[0]
         w = fr._thinned_weights(cfg, scheme)
@@ -353,6 +353,45 @@ def test_ladder_hands_each_rung_its_own_scheme(monkeypatch):
         scheme, reference = args[1], fr.build_scheme(cfg, n)
         assert scheme.nodes_per_panel == n and scheme.size == reference.size
         assert scheme.panels == reference.panels and np.array_equal(scheme.xi, reference.xi)
+
+
+@pytest.mark.parametrize("x, s", THINNED_POOL)
+def test_thinned_log_det_assembles_and_factors_once_per_rung(monkeypatch, x, s):
+    # one panel layout, one _layout_scheme call and one Airy call for both rungs, then
+    # per rung one assembly and one double Cholesky, each of that rung's whole matrix
+    events = []
+    lay, build, kernel = fr._panel_layout, fr._layout_scheme, fr._kernel_matrix
+    airy, cholesky = sf.airy_real, np.linalg.cholesky
+    monkeypatch.setattr(fr, "_panel_layout", lambda *a: events.append(("layout",)) or lay(*a))
+    monkeypatch.setattr(fr, "_layout_scheme", lambda *a: events.append(("schemes", a[1])) or build(*a))
+    monkeypatch.setattr(sf, "airy_real", lambda t: events.append(("airy", t.size)) or airy(t))
+    monkeypatch.setattr(fr, "_kernel_matrix",
+                        lambda xi, w, airy=None: events.append(("kernel", xi.size)) or kernel(xi, w, airy))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: events.append(("cholesky", a.shape)) or cholesky(a))
+    cfg = GapConfig(x, s)
+    report = fr.log_det(cfg)
+    monkeypatch.undo()
+    sizes = [fr.build_scheme(cfg, n).size for n, _ in report.resolutions]
+    assert [n for n, _ in report.resolutions] == [16, 24]
+    assert events == [("layout",), ("schemes", (16, 24)), ("airy", sum(sizes)),
+                      ("kernel", sizes[0]), ("cholesky", (sizes[0],) * 2),
+                      ("kernel", sizes[1]), ("cholesky", (sizes[1],) * 2)]
+
+
+@pytest.mark.parametrize("x, s, n", [(x, s, None) for x, s in THINNED_POOL[::3]] + [
+    ((-40.0,), (0.5,), None), ((-6.0,), (0.0,), 16), ((-5.4,), (0.0,), 14),
+    ((-2.0, -3.0, -4.5), (0.5, 0.5, 0.3), 24), ((-6.0, -8.0), (0.0, 0.5), None)])
+def test_logdet_single_sees_every_rung(monkeypatch, x, s, n):
+    # a profiler wraps logdet_single by module attribute and reads the scheme from its
+    # second argument: every rung of log_det, double or 80-bit, is one such call
+    calls = []
+    run = fr.logdet_single
+    monkeypatch.setattr(fr, "logdet_single", lambda *a: calls.append(a) or run(*a))
+    cfg = GapConfig(x, s)
+    report = fr.log_det(cfg, nodes_per_panel=n)
+    assert [(config, scheme.nodes_per_panel) for config, scheme in calls] == \
+        [(cfg, k) for k, _ in report.resolutions]
+    assert [value for _, value in report.resolutions] == [run(*a) for a in calls]
 
 
 @pytest.mark.parametrize("tail", (math.inf, math.nan))
@@ -788,10 +827,11 @@ def _escalated_matrix(cfg, n):
 
 
 def _assert_within_the_full_eigh_bound(value, A):
-    """value is log det(I - A) within max(1e-9 |expected|, 2 eps_80 sum 1/(1 - lambda)) of
-    _ritz_logdet_full_eigh(A): the 80-bit Ritz noise of the near-1 eigenvalues."""
+    """value is log det(I - A) within max(1e-9 |expected|, 2 eps_80 sum 1/|1 - lambda|) of
+    _ritz_logdet_full_eigh(A): the 80-bit Ritz noise of the near-1 eigenvalues.  A double
+    eigenvalue of A may round to 1 or above; its distance from 1 enters by its size."""
     expected, gaps = _ritz_logdet_full_eigh(A)
-    floor = 2.0 * float(np.finfo(np.longdouble).eps * np.sum(1 / gaps))
+    floor = 2.0 * float(np.finfo(np.longdouble).eps * np.sum(1 / np.abs(gaps)))
     assert abs(value - expected) < max(1e-9 * abs(expected), floor), (value, expected, floor)
 
 

@@ -357,6 +357,32 @@ def test_airy_real_of_concatenated_nodes_is_bit_identical(rng, dtype):
             assert _same_bits(got[:a.size], alone_a) and _same_bits(got[a.size:], alone_b)
 
 
+def _row_step_by_cumprod(t):
+    """(Ai, Ai') at the points t below 104 with the powers [h^15, ..., h, 1] of each point
+    formed by one cumprod along its row, the row-wise form of the column-wise step."""
+    k = np.rint((t - sf._ASYM_ANCHOR) * (1 / sf._ROW_STEP))
+    start, rows = sf._row_table(int(k.min()), int(k.max()))
+    powers = np.empty((t.size, sf._ROW_TERMS), dtype=t.dtype)
+    rising = powers[:, ::-1]
+    rising[:, 0] = 1.0
+    rising[:, 1:] = (t - (sf._ASYM_ANCHOR + sf._ROW_STEP * k))[:, None]
+    np.cumprod(rising, axis=1, out=rising)
+    values = np.matmul(rows["double" if t.dtype == np.float64 else "extended"][k.astype(np.intp) - start],
+                       powers[:, :, None])
+    return values[:, 0, 0], values[:, 1, 0]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("size", [1, 2, 80, 120, 240, 5000])
+def test_row_step_powers_are_the_cumprod_products(rng, dtype, size):
+    # h^j = h^(j-1) h over all points at once is the sequential product a cumprod along
+    # each point's row forms, and the matmul of the transposed view sums it alike
+    t = np.sort(rng.uniform(sf.AIRY_REAL_MIN, sf._ROWS_TOP, size)).astype(dtype)
+    t = t[t < sf._ROWS_TOP]
+    for got, want in zip(sf.airy_real(t), _row_step_by_cumprod(t)):
+        assert _same_bits(got, want)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_mask_free_step_matches_the_split(dtype):
     # points all below 104 skip the mask; across 104 the split keeps the series above
