@@ -34,7 +34,7 @@ def _imag_part(beta, name: str = "beta") -> float:
 
 
 def _imag_vector(betas, name: str = "beta") -> list[float]:
-    return [_imag_part(v, name) for v in np.array(betas, ndmin=1)]
+    return [_imag_part(v, name) for v in np.array(betas, ndmin=1).tolist()]
 
 
 def _sum(terms) -> float:
@@ -70,7 +70,10 @@ def beta_from_s(s) -> tuple[complex, ...]:
     beta_j = i log(s_j / s_{j+1}) / (2 pi) with s_{m+1} = 1.  If s_1 = 0 the
     first parameter is undefined and the returned tuple holds beta_2..beta_m.
     """
-    svals = [float(v) for v in np.atleast_1d(s)]
+    values = np.array(s, ndmin=1)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"weights s must be real numbers, got {s!r}")
+    svals = values.tolist()
     check_weights(svals)
     ext = svals + [1.0]
     start = 1 if svals[0] == 0.0 else 0

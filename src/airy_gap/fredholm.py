@@ -18,13 +18,13 @@ same assembly runs on 80-bit nodes, a pivoted Cholesky of its double
 rounding stops at the numerical rank r (10-18 for x_1 in [-12, -6],
 whatever N), LAPACK eigh of the r x r Gram matrix of that factor gives the
 eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
-Rayleigh-Ritz step on them.  A ladder rung after one on which no determinant
-still walking certified its value starts on that path, its scheme built on
-80-bit nodes alone, and so does the first rung where s_1 = 0 and the tail
-asymptotics.log_F_m1_s0(x_1) is below log DEEP_GAP_THRESHOLD (x_1 < -5.4469),
-since each block is at most F(x_1; 0): a double Cholesky there would fail
-the certificate again unless the value straddles the threshold, where the
-two differ by ~1e-12.  That path loses accuracy with depth and refuses near
+Rayleigh-Ritz step on them.  A ladder picks its precision once: where s_1 = 0
+and the tail asymptotics.log_F_m1_s0(x_1) is below log DEEP_GAP_THRESHOLD
+(x_1 < -5.4469) every rung runs that path, its schemes built on 80-bit nodes
+alone, since each block is at most F(x_1; 0): a double Cholesky there would
+fail the certificate unless the value straddles the threshold, where the two
+differ by ~1e-12.  Every other ladder runs double rungs, each escalating on
+its own.  That path loses accuracy with depth and refuses near
 x = -13, so log_det sends the one-point hard gap F(x; 0) at its default
 resolution to the Painleve II solve of the painleve module instead: ~1e-13
 relative down to x = -100, ~eps max|q|/q(x) near RIGHT.
@@ -435,10 +435,11 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     value of at least DEEP_GAP_THRESHOLD is kept.  I - A is formed in place, so
     each I - A_k is its trailing block, no copy.  The blocks left escalate: the
     same call on the scheme's own layout mapped in 80-bit.  On an 80-bit scheme
-    (a rung after one that did not certify, or an escalation) the widest block
-    is assembled once and one _ritz_logdet serves every block: one pivoted
-    Cholesky of the widest, each narrower block taking its rows from the block's
-    first node, so only a narrower block's bits differ from its own scheme's.
+    (an escalation, or every rung of a ladder the tail of F(x_1; 0) puts on this
+    path) the widest block is assembled once and one _ritz_logdet serves every
+    block: one pivoted Cholesky of the widest, each narrower block taking its
+    rows from the block's first node, so only a narrower block's bits differ
+    from its own scheme's.
     """
     n, t0 = scheme.nodes_per_panel, starts[0]
     ai, aip = scheme.airy  # the widest block's nodes, from t0 on
@@ -560,18 +561,16 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
     trailing blocks of the same rungs, the full one first.  Each stops at its own first gap
     below CONVERGENCE_TOL, and an unconverged one logs a WARNING.  The rule orders are
     DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n, all on one _panel_layout,
-    checked for the top rung first (every escalation and every 80-bit rung maps it again in
-    80-bit).  The first two rungs always run, so the first builds both by one
-    _layout_scheme call in its dtype (each node's Airy value is its own); a later rung, or
-    the second in another dtype, is built only when it runs.  A rung runs _logdet_blocks
-    once for the blocks still walking; the full block alone is logdet_single, the call a
-    profiler wraps.  A rung on which every block still walking did not certify its value
-    at the rung before (_certified) runs on an 80-bit scheme from the start, with no
-    double assembly or Cholesky, and logs it at INFO.  So does the first rung where
-    s_1 = 0 and the tail log_F_m1_s0(x_1) is below log DEEP_GAP_THRESHOLD: every block is
-    then at most F(x_1; 0) (a Schur complement of I - A is at most I), and a double pass
-    could certify only where the tail is off by its ~3e-4, within ~1e-4 of the crossing
-    in x_1."""
+    checked for the top rung first (every escalation maps it again in 80-bit).  The ladder
+    has one precision, chosen before its first rung: 80-bit where s_1 = 0 and the tail
+    log_F_m1_s0(x_1) is below log DEEP_GAP_THRESHOLD, since every block is then at most
+    F(x_1; 0) (a Schur complement of I - A is at most I) and a double pass could certify
+    only where the tail is off by its ~3e-4, within ~1e-4 of the crossing in x_1; each of
+    its rungs logs that at INFO.  Else double, each rung escalating in _logdet_blocks.  The
+    first two rungs always run, so one _layout_scheme call builds both (each node's Airy
+    value is its own); a later rung is built only when it runs.  A rung runs
+    _logdet_blocks once for the blocks still walking; the full block alone is
+    logdet_single, the call a profiler wraps."""
     n = nodes_per_panel
     orders = DEFAULT_LADDER if n is None else (n, math.ceil(1.5 * n))
     layout = _panel_layout(_scheme_intervals(config, tail_length), orders[0], orders[-1])
@@ -580,31 +579,18 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
         configs.append(GapConfig(config.x[:1], config.s[:1]))
         panels.append(int(np.count_nonzero(layout[2] < config.m - 1)))  # panels below x_1
     tail = asymptotics.log_F_m1_s0(config.x[0]) if config.s[0] == 0.0 and config.x[0] < 0.0 else 0.0
-    # the blocks whose value at the rung before did not certify; at first all, if the tail rules double out
-    uncertified = set(range(len(configs))) if tail < _LOG_DEEP_GAP_THRESHOLD else set()
-    built = {}  # the second rung's scheme, built with the first
+    dtype = _LD if tail < _LOG_DEEP_GAP_THRESHOLD else np.float64
+    schemes = dict(zip(orders[:2], _layout_scheme(layout, orders[:2], dtype)))  # both always run
 
     def values_at(k, live):
-        nonlocal uncertified
-        extended = uncertified.issuperset(live)
-        dtype = _LD if extended else np.float64
-        if extended and _log.isEnabledFor(logging.INFO):
-            reason = (f"has the tail log F(x_1; 0) = {tail:.6g} < log DEEP_GAP_THRESHOLD"
-                      if k == orders[0] else "did not certify at the rung before")
-            _log.info("rung %d nodes per panel starts on the 80-bit path: x=%s %s", k,
-                      ", ".join(str(configs[i].x) for i in live), reason)
-        if k == orders[0]:
-            built.update(zip(orders[:2], _layout_scheme(layout, orders[:2], dtype)))
-        scheme = built.pop(k, None)
-        if scheme is None or scheme.xi.dtype != dtype:
-            scheme = _layout_scheme(layout, (k,), dtype)[0]
+        if dtype is _LD and _log.isEnabledFor(logging.INFO):
+            _log.info("rung %d nodes per panel starts on the 80-bit path: x=%s has the tail "
+                      "log F(x_1; 0) = %.6g < log DEEP_GAP_THRESHOLD", k,
+                      ", ".join(str(configs[i].x) for i in live), tail)
+        scheme = schemes.pop(k) if k in schemes else _layout_scheme(layout, (k,), dtype)[0]
         if live == [0]:
-            values = [logdet_single(config, scheme)]
-        else:
-            values = _logdet_blocks(config, scheme, [panels[i] * k for i in live])
-        # the live blocks are the only ones read at the next rung
-        uncertified = {i for i, value in zip(live, values) if not _certified(configs[i].s, value)}
-        return values
+            return [logdet_single(config, scheme)]
+        return _logdet_blocks(config, scheme, [panels[i] * k for i in live])
 
     reports = _ladder(configs, orders, values_at, "nystrom")
     for block, report in zip(configs, reports):
@@ -631,10 +617,10 @@ def log_E0(config: GapConfig, **kwargs) -> float:
     would move deep conditioned values by up to ~1e-8.  F(x_1; 0) is
     discretized on the panels of the tail (x_1, x_0) of F(x; s), so it is
     the trailing block of the same matrix: one layout, one scheme and one
-    assembly per rung (one more of each in 80-bit where either escalates, the
-    80-bit ones alone on a rung after both did, and on every rung for x_1
-    below -5.4469, where the tail of F(x_1; 0) rules out double from the
-    start) serve both; a rung F(x_1; 0) walks alone assembles its block only.
+    assembly per rung serve both, all of them 80-bit for x_1 below -5.4469,
+    where the tail of F(x_1; 0) rules out double for the whole ladder, and
+    else double, with one more of each in 80-bit on a rung where either
+    escalates; a rung F(x_1; 0) walks alone assembles its block only.
     F(x; s) is the bits of its own ladder.  So is F(x_1; 0), but on a rung
     where both run the 80-bit path: there it reads its factor off the full
     block's pivoted Cholesky, within the 80-bit Ritz noise of its own (6e-13

@@ -1,6 +1,8 @@
 """Closed-form expansions: exact values, algebraic identities, realness."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +59,15 @@ def test_beta_invalid_weights():
         asym.beta_from_s([1.2])
     with pytest.raises(ValueError):
         asym.s_from_beta([0.3j])  # would need s > 1
+
+
+@pytest.mark.parametrize("s", [[0.5 + 0j, 0.3], [0.5, "0.3"], 0.5j])
+def test_beta_non_real_weights_raise(s):
+    # rejected by dtype before any cast: no ComplexWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^weights s must be real numbers, got " + re.escape(repr(s))):
+            asym.beta_from_s(s)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +275,9 @@ def test_expansions_give_the_same_bits_for_any_sequence(x, s):
      "endpoints must be strictly decreasing and finite"),
     (asym.log_E_asym, (1.0,), (0.1j,), ValueError, r"x_1 must be finite and negative, got 1\.0"),
     (asym.log_E_asym, (-1.0,), (0.1,), ValueError,
-     r"beta must be purely imaginary, got (np\.float64\(0\.1\)|0\.1)"),
+     r"beta must be purely imaginary, got 0\.1$"),
     (asym.log_E0_asym, (-1.0, -2.0), (0.1,), ValueError,
-     r"beta0 must be purely imaginary, got (np\.float64\(0\.1\)|0\.1)"),
+     r"beta0 must be purely imaginary, got 0\.1$"),
     (asym.log_E_product_form, (-1.0, -2.0), (0.1j, 2.5j), DomainError,
      r"the Barnes G pair of beta = 2\.5i needs \|beta\| < 2"),
     (asym.log_E0_product_form, (-1.0, -2.0, -3.0), (2.5j, 0.1j), DomainError,

@@ -943,8 +943,8 @@ def test_extended_matches_double_where_double_suffices(caplog):
         certified = fr.logdet_single(cfg, scheme)
         assert certified >= math.log(fr.DEEP_GAP_THRESHOLD)  # the Cholesky value is kept
         assert abs(extended - certified) < 1e-11
-        # an 80-bit scheme runs logdet_single on the 80-bit path alone, as a
-        # rung does after one that did not certify
+        # an 80-bit scheme runs logdet_single on the 80-bit path alone, as
+        # every rung of a ladder the tail of F(x_1; 0) puts there does
         assert abs(fr.logdet_single(cfg, xscheme) - certified) < 1e-11
     # x = -1, s = 0.5 has no eigenvalue near 1: the Ritz block is empty
     assert f"N={scheme.size}, k=0 " in caplog.records[-1].getMessage()
@@ -952,11 +952,11 @@ def test_extended_matches_double_where_double_suffices(caplog):
 
 @pytest.mark.parametrize("x, s", [((-6.0,), (0.0,)), ((-8.0,), (0.0,)), ((-10.0,), (0.0,)),
                                   ((-8.0, -12.0), (0.0, 0.3)), ((-8.5, -11.0), (0.0, 0.5))])
-def test_a_rung_after_an_escalation_starts_in_80_bit_to_the_bit(caplog, x, s):
+def test_every_rung_of_a_tail_ladder_starts_in_80_bit_to_the_bit(caplog, x, s):
     # hard gaps at 24 nodes per panel and the conditioned pool points with their
-    # references: every rung starts on the 80-bit path, the first by the tail of
-    # F(x_1; 0), and its value is the bits of the rung's own fresh double scheme
-    # escalating: logdet_single for the full determinant, and for the reference
+    # references: every rung starts on the 80-bit path by the tail of F(x_1; 0),
+    # and its value is the bits of the rung's own fresh double scheme escalating:
+    # logdet_single for the full determinant, and for the reference
     # _logdet_blocks of both blocks, which reads it off the full block's factor,
     # within the Ritz bound of the full eigh of its own block
     cfg = GapConfig(x, s)
@@ -977,8 +977,26 @@ def test_a_rung_after_an_escalation_starts_in_80_bit_to_the_bit(caplog, x, s):
     started = [r.getMessage() for r in caplog.records if "starts on the 80-bit path" in r.getMessage()]
     assert [int(m.split()[1]) for m in started] == [n for n, _ in reports[0].resolutions]
     tail = log_F_m1_s0(x[0])
-    assert f"x={x}" in started[0] and f"has the tail log F(x_1; 0) = {tail:.6g} <" in started[0]
-    assert all(f"x={x}" in m and "did not certify at the rung before" in m for m in started[1:])
+    assert all(f"x={x}" in m and f"has the tail log F(x_1; 0) = {tail:.6g} <" in m for m in started)
+
+
+@pytest.mark.parametrize("x, s, n", [((-10.0,), (1e-4,), None), ((-4.0, -12.0), (0.0, 0.05), None),
+                                     ((-4.0, -12.0), (0.0, 0.05), 20)])
+def test_a_deep_ladder_off_the_tail_escalates_each_double_rung_to_the_bit(caplog, x, s, n):
+    # min s < NEAR_ONE_GAP and det(I - A) < DEEP_GAP_THRESHOLD, but s_1 > 0 or
+    # x_1 above the tail's crossing: every rung is double and escalates on its
+    # own, no rung starts on the 80-bit path, and each value, the reference's
+    # (certified in double) too, is the bits of logdet_single on its own scheme
+    cfg = GapConfig(x, s)
+    with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
+        reports = fr._nystrom_ladders(cfg, cfg.m > 1, n)
+    for block, report in zip((cfg, GapConfig(x[:1], s[:1])), reports):
+        assert len(report.resolutions) >= 2
+        assert report.resolutions == tuple((k, fr.logdet_single(block, fr.build_scheme(block, k)))
+                                           for k, _ in report.resolutions)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("80-bit log det") for m in messages)
+    assert not any("starts on the 80-bit path" in m for m in messages)
 
 
 def _s1_zero_draws():
