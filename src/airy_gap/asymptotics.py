@@ -74,6 +74,8 @@ def beta_from_s(s) -> tuple[complex, ...]:
     if values.dtype.kind not in "biuf":
         raise ValueError(f"weights s must be real numbers, got {s!r}")
     svals = values.tolist()
+    if not svals:
+        raise ValueError(f"need m >= 1 weights s, got {s!r}")
     check_weights(svals)
     ext = svals + [1.0]
     start = 1 if svals[0] == 0.0 else 0

@@ -72,6 +72,13 @@ NEAR_ONE_GAP = 1e-3
 #: at s = 1e-3 against an 80-bit Cholesky, x down to -40 (see _ladder)
 SMALL_WEIGHT_NOISE = 0.09
 CONVERGENCE_TOL = 1e-8
+#: est_error of log_det, on either route, is at least ROUNDING_FLOOR
+#: max(|log F|, 1), since two rungs can round alike to a gap of 0.  32 ulps
+#: is 3.5x the 2e-15 relative painleve's cached sums keep to the n-point rule
+#: on [x, painleve.RIGHT] for x <= -2, 2.7x the 12 ulps the Painleve value
+#: sits from the four-term tail at x = -16, and 2.7x the 12 ulps between the
+#: Cholesky and eigenvalue log determinants of thinned configurations
+ROUNDING_FLOOR = 32 * math.ulp(1.0)
 
 _LD = np.longdouble
 #: False where np.longdouble is plain double (e.g. MSVC builds), so the
@@ -498,7 +505,7 @@ def _ladder(configs, rungs, values_at, route: str) -> list[DeterminantReport]:
     CONVERGENCE_TOL.
 
     est_error is the last gap, but at least the rounding noise of one rung:
-    painleve.ROUNDING_FLOOR max(|log F|, 1), since part of it does not shrink
+    ROUNDING_FLOOR max(|log F|, 1), since part of it does not shrink
     with |log F|, times max(1, SMALL_WEIGHT_NOISE / s) where s, the least
     positive s_j (s_1 = 0 leaves the conditioning to min_{j>=2} s_j), is at
     least NEAR_ONE_GAP.
@@ -517,7 +524,7 @@ def _ladder(configs, rungs, values_at, route: str) -> list[DeterminantReport]:
     reports = []
     for config, steps, gap in zip(configs, resolutions, gaps):
         s = min(config.s) or min(config.s[1:], default=0.0)  # only s_1 may vanish
-        floor = painleve.ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
+        floor = ROUNDING_FLOOR * (max(1.0, SMALL_WEIGHT_NOISE / s) if s >= NEAR_ONE_GAP else 1.0)
         reports.append(DeterminantReport(tuple(steps), float(max(gap, floor * max(abs(steps[-1][1]), 1.0))),
                                          route))
     return reports
@@ -703,12 +710,12 @@ def mean_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> flo
 
 def var_count(intervals, nodes_per_panel: int = DEFAULT_NODES_PER_PANEL) -> float:
     """Variance of the particle count, tr A - ||A||_F^2 on the determinants' weighted kernel
-    A = W^(1/2) K W^(1/2); one below -painleve.ROUNDING_FLOOR tr A raises NumericalError."""
+    A = W^(1/2) K W^(1/2); one below -ROUNDING_FLOOR tr A raises NumericalError."""
     scheme = _set_scheme(intervals, nodes_per_panel)
     A = _kernel_matrix(scheme.xi, scheme.w, scheme.airy)
     linear = float(np.trace(A))
     variance = linear - float(np.vdot(A, A))
-    if variance < -painleve.ROUNDING_FLOOR * linear:
+    if variance < -ROUNDING_FLOOR * linear:
         raise NumericalError(f"negative count variance {variance:.3g} on {intervals} "
                              f"at {nodes_per_panel} nodes per panel: the rule is too coarse")
     return variance

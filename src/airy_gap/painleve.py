@@ -10,10 +10,11 @@ interior; the initial-value route from Ai at the right end is unstable
 accuracy to the spectral gap of I - K the Nystrom route suffers from.
 
 One solve per Chebyshev order serves every x; it runs on the first call and
-is cached for the process, together with the barycentric columns (w q, w)
-and the tail integrals of q^2 and (t - t_k) q^2 from each Chebyshev point
-t_k to RIGHT.  A value then adds the integral from x to the next point by a
-GAP_NODES-point rule, its interpolant one matmul on 1/(s - t): O(n), about
+is cached for the process as one read-only record (_order): the Chebyshev
+points t_k, q there, the barycentric columns (w q, w), the tail integrals of
+q^2 and (t - t_k) q^2 from each t_k to RIGHT, and the GAP_NODES-point rule on
+(0, 1).  A value then adds the integral from x to the next point by that
+rule, its interpolant one matmul on 1/(s - t): O(n), about
 20-25 us per value and order on a 2-CPU x86-64 VM.  Interpolation rounds on the scale
 max|q| = 7.7, so toward RIGHT the relative error grows as about eps max|q|/q(x): 5e-14
 at x = 3.94, 1e-12 at 5, 2e-11 at 7, while the absolute error stays below 1e-20.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +40,6 @@ RIGHT = 8.0
 #: below 3e-11 on [-100, 8), at most 4e-16 relative.  Rounding in the
 #: second-derivative matrix grows like n^4; Newton stalls near n = 600
 RUNGS = (250, 375)
-#: est_error of fredholm.log_det, on this route and the Nystrom one, is at
-#: least ROUNDING_FLOOR max(|log F|, 1), since two rungs can round alike to a
-#: gap of 0.  32 ulps is 3.5x the 2e-15 relative the cached sums keep to the
-#: n-point rule on [x, RIGHT] for x <= -2, 2.7x the 12 ulps the value sits
-#: from the four-term tail at x = -16, and 2.7x the 12 ulps between the
-#: Cholesky and eigenvalue log determinants of thinned configurations
-ROUNDING_FLOOR = 32 * math.ulp(1.0)
 #: Newton stops after a step below this; convergence is quadratic, so the
 #: iterate is then at the rounding level (~1e-14)
 NEWTON_TOL = 1e-11
@@ -75,14 +70,12 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, D
 
 
-@functools.lru_cache(maxsize=8)
 def hastings_mcleod(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev points t on [LEFT, RIGHT] and the Hastings-McLeod q(t) there.
 
     Dirichlet data q(RIGHT) = Ai(RIGHT) and q(LEFT) from the four-term
     expansion; Newton starts from sqrt(max(-t, 0)/2) smoothed at 0 and raises
-    NumericalError when its step does not fall below NEWTON_TOL.  The arrays
-    are read-only: every caller shares them.
+    NumericalError when its step does not fall below NEWTON_TOL.
     """
     x, D = _chebyshev(n)
     t = 0.5 * (RIGHT - LEFT) * (x + 1.0) + LEFT
@@ -103,22 +96,7 @@ def hastings_mcleod(n: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise NumericalError(f"Painleve II Newton iteration at n={n} did not converge: "
                              f"last step {np.max(np.abs(step)):.3g}")
-    t.flags.writeable = False
-    q.flags.writeable = False
     return t, q
-
-
-@functools.lru_cache(maxsize=8)
-def _barycentric(n: int) -> np.ndarray:
-    """The columns w q and w of barycentric interpolation from the order-n
-    Chebyshev-Lobatto points, cached next to the solve and read-only."""
-    _, q = hastings_mcleod(n)
-    w = np.ones(n)
-    w[1::2] = -1.0
-    w[[0, -1]] *= 0.5
-    columns = np.column_stack((w * q, w))
-    columns.flags.writeable = False
-    return columns
 
 
 def _interpolate(columns: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -128,51 +106,65 @@ def _interpolate(columns: np.ndarray, d: np.ndarray) -> np.ndarray:
     return numerator / denominator
 
 
-@functools.cache
-def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The GAP_NODES-point Gauss-Legendre rule on (0, 1): nodes and weights."""
-    u, weights = specfun.gauss_legendre_rule(GAP_NODES).mapped(0.0, 1.0)
-    u.flags.writeable = False
-    weights.flags.writeable = False
-    return u, weights
-
-
-@functools.lru_cache(maxsize=8)
-def tail_integrals(n: int) -> tuple[np.ndarray, np.ndarray]:
+def tail_integrals(t: np.ndarray, columns: np.ndarray, u: np.ndarray,
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J(t_k) = integral_{t_k}^RIGHT q^2 and G(t_k) = integral_{t_k}^RIGHT
-    (t - t_k) q^2 at the order-n Chebyshev points t_k, q the interpolant.
+    (t - t_k) q^2 at the Chebyshev points t_k, q the interpolant of the
+    barycentric columns (w q, w).
 
-    Each gap [t_k, t_k+1] takes the GAP_NODES-point Gauss-Legendre rule, and
-    the sums run from the right: J(t_k) = J(t_k+1) + integral q^2 and
-    G(t_k) = G(t_k+1) + (t_k+1 - t_k) J(t_k+1) + integral (t - t_k) q^2 over
-    the gap.  Every term is positive, so both keep their relative accuracy.
-    Cached like the solve; the arrays are read-only.
+    Each gap [t_k, t_k+1] takes the rule (u, weights) on (0, 1), and the sums
+    run from the right: J(t_k) = J(t_k+1) + integral q^2 and G(t_k) =
+    G(t_k+1) + (t_k+1 - t_k) J(t_k+1) + integral (t - t_k) q^2 over the gap.
+    Every term is positive, so both keep their relative accuracy.
     """
-    t, _ = hastings_mcleod(n)
-    columns = _barycentric(n)
-    u, weights = _unit_rule()
     h = np.diff(t)
     offsets = h[:, None] * u  # t - t_k at the rule points of gap k
     points = (t[:-1, None] + offsets).ravel()
     p = np.concatenate([_interpolate(columns, points[i:i + INTERPOLATION_BLOCK, None] - t)
                         for i in range(0, points.size, INTERPOLATION_BLOCK)])
     q2 = h[:, None] * weights * p.reshape(offsets.shape) ** 2
-    J = np.zeros(n)
-    G = np.zeros(n)
+    J = np.zeros(t.size)
+    G = np.zeros(t.size)
     J[:-1] = np.cumsum(q2.sum(axis=1)[::-1])[::-1]
     G[:-1] = np.cumsum(((q2 * offsets).sum(axis=1) + h * J[1:])[::-1])[::-1]
-    J.flags.writeable = False
-    G.flags.writeable = False
     return J, G
 
 
+class Order(NamedTuple):
+    """Everything log_hard_gap reads of one Chebyshev order."""
+
+    t: np.ndarray  # the Chebyshev points t_k on [LEFT, RIGHT], ascending
+    q: np.ndarray  # the Hastings-McLeod q at t
+    columns: np.ndarray  # (w q, w), the barycentric columns of q
+    J: np.ndarray  # integral_{t_k}^RIGHT q^2
+    G: np.ndarray  # integral_{t_k}^RIGHT (t - t_k) q^2
+    u: np.ndarray  # the GAP_NODES-point Gauss-Legendre rule on (0, 1): nodes
+    weights: np.ndarray  # and weights
+
+
+@functools.lru_cache(maxsize=8)
+def _order(n: int) -> Order:
+    """The order-n record, built once per process by the uncached solve and
+    tail integrals.  Every array is read-only: every caller shares them."""
+    t, q = hastings_mcleod(n)
+    w = np.ones(n)
+    w[1::2] = -1.0
+    w[[0, -1]] *= 0.5
+    columns = np.column_stack((w * q, w))
+    u, weights = specfun.gauss_legendre_rule(GAP_NODES).mapped(0.0, 1.0)
+    order = Order(t, q, columns, *tail_integrals(t, columns, u, weights), u, weights)
+    for a in order:
+        a.flags.writeable = False
+    return order
+
+
 def log_hard_gap(x: float, n: int) -> float:
-    """log F(x; 0) for specfun.AIRY_REAL_MIN <= x < RIGHT from the order-n solve.
+    """log F(x; 0) for specfun.AIRY_REAL_MIN <= x < RIGHT from the order-n record.
 
     With t_k the first Chebyshev point at or above x, log F = -(G(t_k) +
-    (t_k - x) J(t_k) + integral_x^t_k (t - x) q^2) from tail_integrals, and
-    -G(t_k) when x is t_k.  The last term takes the GAP_NODES-point rule on
-    (0, 1) scaled by t_k - x, its interpolated q one matmul on 1/(s - t), so
+    (t_k - x) J(t_k) + integral_x^t_k (t - x) q^2), and -G(t_k) when x is
+    t_k.  The last term takes the record's rule on (0, 1) scaled by t_k - x,
+    its interpolated q one matmul on 1/(s - t).  The record is read once, so
     a cached order costs O(n) per value: about 20-25 us at either order of
     RUNGS.  The domain is the Nystrom route's, so every hard gap has one edge.
     Toward RIGHT the relative error grows as eps max|q|/q(x), 2e-11 at x = 7 (absolute < 1e-20).
@@ -180,14 +172,12 @@ def log_hard_gap(x: float, n: int) -> float:
     x = float(x)
     if not specfun.AIRY_REAL_MIN <= x < RIGHT:
         raise DomainError(f"the hard gap supports {specfun.AIRY_REAL_MIN} <= x < {RIGHT}, got {x}")
-    t, _ = hastings_mcleod(n)
-    J, G = tail_integrals(n)
+    t, _, columns, J, G, u, weights = _order(n)
     k = int(np.searchsorted(t, x))
     if t[k] == x:
         return -float(G[k])
     h = t[k] - x
-    u, weights = _unit_rule()
     # s_i - t_j as (x - t_j) + h u_i: 0 < u_i < 1, so none is 0, even where
     # x + h u_i would round onto t_k
-    p = _interpolate(_barycentric(n), (x - t) + h * u[:, None])
+    p = _interpolate(columns, (x - t) + h * u[:, None])
     return -float(G[k] + h * J[k] + h * h * (weights @ (u * p * p)))

@@ -252,13 +252,12 @@ _ROW_TERMS = 16
 #: double Ai is subnormal from about here; points at or above it, double or
 #: 80-bit, take the 80-bit series
 _ROWS_TOP = 104.0
-#: a row in both precisions: built in 80-bit, and its float64 copy rounded once
-_ROW_DTYPE = np.dtype([("double", np.float64, (2, _ROW_TERMS)), ("extended", _LD, (2, _ROW_TERMS))])
-#: (start, rows): rows[i] is the Taylor row of the anchor 12 + (start + i)/16,
-#: [a_15, ..., a_1, a_0] over [0, 15 a_15, ..., 2 a_2, a_1], so that both meet
-#: the powers [h^15, ..., h, 1]; read-only, and _row_table swaps in a wider
-#: copy under _ROWS_LOCK
-_ROWS = (0, np.empty(0, _ROW_DTYPE))
+#: (start, double, extended): extended[i] is the 80-bit Taylor row of the
+#: anchor 12 + (start + i)/16, [a_15, ..., a_1, a_0] over [0, 15 a_15, ...,
+#: 2 a_2, a_1], so that both meet the powers [h^15, ..., h, 1], and double[i]
+#: its float64 copy, rounded once; both (K, 2, 16) and read-only, and
+#: _row_table swaps in a wider tuple under _ROWS_LOCK
+_ROWS = (0, np.empty((0, 2, _ROW_TERMS)), np.empty((0, 2, _ROW_TERMS), _LD))
 #: the CLI evaluates on one thread, but library callers may call airy_real
 #: from their own; unlocked, a narrower table built alongside could replace
 #: a wider one
@@ -283,27 +282,27 @@ def _build_rows(k: np.ndarray) -> np.ndarray:
         y[near], yp[near] = _taylor_step(pairs, _LD(-_ROW_STEP) * offset)
     y[~near], yp[~near] = _airy_asymptotic_ld(x0[~near])
     a = np.array(_taylor_coefficients(x0, y, yp, _ROW_TERMS))[::-1].T  # (len(k), 16)
-    rows = np.zeros(len(k), _ROW_DTYPE)
-    rows["extended"][:, 0] = a
-    rows["extended"][:, 1, 1:] = a[:, :-1] * np.arange(_ROW_TERMS - 1, 0, -1, dtype=_LD)
-    rows["double"] = rows["extended"]
+    rows = np.zeros((len(k), 2, _ROW_TERMS), _LD)
+    rows[:, 0] = a
+    rows[:, 1, 1:] = a[:, :-1] * np.arange(_ROW_TERMS - 1, 0, -1, dtype=_LD)
     return rows
 
 
-def _row_table(lo: int, hi: int) -> tuple[int, np.ndarray]:
-    """(start, rows) covering at least the anchors 12 + k/16, lo <= k <= hi."""
+def _row_table(lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(start, double, extended) covering at least the anchors 12 + k/16, lo <= k <= hi."""
     global _ROWS
-    start, rows = _ROWS
-    if start <= lo and hi < start + len(rows):
-        return start, rows
+    start, _, extended = table = _ROWS
+    if start <= lo and hi < start + len(extended):
+        return table
     with _ROWS_LOCK:
-        start, rows = _ROWS
-        end = start + len(rows)
-        rows = np.concatenate([_build_rows(np.arange(min(lo, start), start)), rows,
-                               _build_rows(np.arange(end, max(hi + 1, end)))])
-        rows.flags.writeable = False  # shared by every caller
-        _ROWS = start, rows = min(lo, start), rows
-    return start, rows
+        start, _, extended = _ROWS
+        end = start + len(extended)
+        extended = np.concatenate([_build_rows(np.arange(min(lo, start), start)), extended,
+                                   _build_rows(np.arange(end, max(hi + 1, end)))])
+        double = extended.astype(np.float64)
+        double.flags.writeable = extended.flags.writeable = False  # shared by every caller
+        _ROWS = table = min(lo, start), double, extended
+    return table
 
 
 def _row_step(t: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -316,15 +315,15 @@ def _row_step(t: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     point's powers forms, by 14 multiplies over all N points; the matmul reads
     the array's transposed view."""
     k, lo, hi = (np.rint((v - _ASYM_ANCHOR) * (1 / _ROW_STEP)) for v in (t, lo, hi))
-    start, rows = _row_table(int(lo), int(hi))
+    start, double, extended = _row_table(int(lo), int(hi))
     powers = np.empty((_ROW_TERMS, t.size), dtype=t.dtype)
     power = list(powers)  # views of its rows h^15, ..., h, 1
     power[-1][...] = 1.0
     h = np.subtract(t, _ASYM_ANCHOR + _ROW_STEP * k, power[-2])
     for j in range(_ROW_TERMS - 3, -1, -1):
         np.multiply(power[j + 1], h, power[j])
-    rows = rows["double" if t.dtype == np.float64 else "extended"]
-    values = np.matmul(rows[k.astype(np.intp) - start], powers.T[:, :, None])
+    rows = double if t.dtype == np.float64 else extended
+    values = np.matmul(rows.take(k.astype(np.intp) - start, axis=0), powers.T[:, :, None])
     return values[:, 0, 0], values[:, 1, 0]
 
 

@@ -61,6 +61,13 @@ def test_beta_invalid_weights():
         asym.s_from_beta([0.3j])  # would need s > 1
 
 
+@pytest.mark.parametrize("s", [[], (), np.array([])], ids=["list", "tuple", "array"])
+def test_beta_from_no_weights_raises(s):
+    # check_weights accepts no weights; s_1 would then be read past the end
+    with pytest.raises(ValueError, match=r"^need m >= 1 weights s, got "):
+        asym.beta_from_s(s)
+
+
 @pytest.mark.parametrize("s", [[0.5 + 0j, 0.3], [0.5, "0.3"], 0.5j])
 def test_beta_non_real_weights_raise(s):
     # rejected by dtype before any cast: no ComplexWarning on the way

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from airy_gap import fredholm as fr
-from airy_gap import painleve as pii
 from airy_gap import specfun as sf
 from airy_gap.asymptotics import beta_from_s, log_F_m1_s0
 from airy_gap.fredholm import GapConfig, NumericalError
@@ -505,7 +504,7 @@ def test_explicit_resolution_runs_two_rungs(n, rungs):
     report = fr.log_det(cfg, nodes_per_panel=n)
     assert [k for k, _ in report.resolutions] == rungs
     gap = abs(report.resolutions[1][1] - report.resolutions[0][1])
-    assert report.est_error == max(gap, pii.ROUNDING_FLOOR * max(abs(report.log_f), 1.0))
+    assert report.est_error == max(gap, fr.ROUNDING_FLOOR * max(abs(report.log_f), 1.0))
 
 
 def test_default_ladder_reports_its_last_gap_when_unconverged():
@@ -514,7 +513,7 @@ def test_default_ladder_reports_its_last_gap_when_unconverged():
     assert [n for n, _ in report.resolutions] == list(fr.DEFAULT_LADDER)
     assert not report.converged
     (_, coarse), (_, fine) = report.resolutions[-2:]
-    assert report.est_error == max(abs(fine - coarse), pii.ROUNDING_FLOOR * abs(fine))
+    assert report.est_error == max(abs(fine - coarse), fr.ROUNDING_FLOOR * abs(fine))
     assert report.log_f == fine
 
 
@@ -538,7 +537,7 @@ def test_small_weight_floor_covers_the_cholesky_rounding(x):
     # lambda_max(A) is near 1 - 0.001: the double Cholesky rounds to 50-140
     # ulps of |log F| here, beyond a 32-ulp floor
     cfg = GapConfig((x,), (0.001,))
-    floor = pii.ROUNDING_FLOOR * max(1.0, fr.SMALL_WEIGHT_NOISE / 0.001)
+    floor = fr.ROUNDING_FLOOR * max(1.0, fr.SMALL_WEIGHT_NOISE / 0.001)
     report = fr.log_det(cfg)
     assert report.converged and report.est_error >= floor * abs(report.log_f)
     for n, value in report.resolutions:
@@ -550,7 +549,7 @@ def test_small_weight_floor_takes_the_least_positive_weight_when_s1_vanishes():
     # which a floor from min s = 0 left 2x outside est_error of the 72-node ladder
     cfg = GapConfig((-2.099, -5.079), (0.0, 0.0015))
     report = fr.log_det(cfg)
-    floor = pii.ROUNDING_FLOOR * fr.SMALL_WEIGHT_NOISE / 0.0015 * abs(report.log_f)
+    floor = fr.ROUNDING_FLOOR * fr.SMALL_WEIGHT_NOISE / 0.0015 * abs(report.log_f)
     assert report.converged and report.est_error >= floor
     assert abs(report.log_f - fr.log_det(cfg, nodes_per_panel=72).log_f) <= report.est_error
 
@@ -562,7 +561,7 @@ def test_double_kernel_within_a_third_of_the_rounding_floor(x, s):
     # nodes, Airy values, assembly and Cholesky
     cfg = GapConfig(x, s)
     value = fr.logdet_single(cfg, fr.build_scheme(cfg, 24))
-    floor = pii.ROUNDING_FLOOR * max(1.0, fr.SMALL_WEIGHT_NOISE / min(s)) * max(abs(value), 1.0)
+    floor = fr.ROUNDING_FLOOR * max(1.0, fr.SMALL_WEIGHT_NOISE / min(s)) * max(abs(value), 1.0)
     assert abs(value - _logdet_80bit(cfg, 24)) <= floor / 3
 
 
@@ -678,7 +677,7 @@ def test_cholesky_logdet_matches_the_spectrum(x, s):
         A = fr._kernel_matrix(scheme.xi, fr._thinned_weights(cfg, scheme))
         twin = float(np.sum(np.log1p(-np.linalg.eigvalsh(A))))
         value = fr.logdet_single(cfg, scheme)
-        assert abs(value - twin) <= pii.ROUNDING_FLOOR * abs(twin), (n, value, twin)
+        assert abs(value - twin) <= fr.ROUNDING_FLOOR * abs(twin), (n, value, twin)
 
 
 @pytest.mark.parametrize("x, s", THINNED)

@@ -22,9 +22,9 @@ def four_term_tail(x):
 def reference_log_hard_gap(x, n):
     """The n-point Gauss-Legendre rule on [x, RIGHT], exact for (t - x) p^2
     with p the degree n - 1 interpolant of q: O(n^2) per value."""
-    t, _ = pii.hastings_mcleod(n)
+    order = pii._order(n)
     nodes, weights = sf.gauss_legendre_rule(n).mapped(x, pii.RIGHT)
-    p = pii._interpolate(pii._barycentric(n), nodes[:, None] - t)
+    p = pii._interpolate(order.columns, nodes[:, None] - order.t)
     return -float(weights @ ((nodes - x) * p * p))
 
 
@@ -33,9 +33,9 @@ def reference_log_hard_gap(x, n):
 # ---------------------------------------------------------------------------
 
 def test_solution_matches_its_asymptotics_inside_the_interval():
-    t, _ = pii.hastings_mcleod(pii.RUNGS[-1])
-    far_left, near_left, right = pii._interpolate(pii._barycentric(pii.RUNGS[-1]),
-                                                  np.array([-60.0, -30.0, 6.0])[:, None] - t)
+    order = pii._order(pii.RUNGS[-1])
+    far_left, near_left, right = pii._interpolate(order.columns,
+                                                  np.array([-60.0, -30.0, 6.0])[:, None] - order.t)
     assert abs(far_left - pii._left_value(-60.0)) < 1e-13 * far_left
     assert abs(near_left - pii._left_value(-30.0)) < 1e-13 * near_left
     # q - Ai is of order Ai^3 out here: 2e-11 relative at t = 6
@@ -46,7 +46,7 @@ def test_solution_matches_its_asymptotics_inside_the_interval():
 def test_newton_failure_raises(monkeypatch):
     monkeypatch.setattr(pii, "NEWTON_MAX_STEPS", 2)
     with pytest.raises(NumericalError, match="did not converge"):
-        pii.hastings_mcleod.__wrapped__(40)  # uncached
+        pii.hastings_mcleod(40)  # uncached
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +77,8 @@ def test_cached_sums_match_the_n_point_rule(x, n):
 
 @pytest.mark.parametrize("n", pii.RUNGS)
 def test_cached_sums_are_continuous_across_a_node(n):
-    t, _ = pii.hastings_mcleod(n)
-    J, _ = pii.tail_integrals(n)
+    order = pii._order(n)
+    t, J = order.t, order.J
     k = int(np.searchsorted(t, -10.0))
     at, below, above = (pii.log_hard_gap(t[k] + d, n) for d in (0.0, -1e-9, 1e-9))
     for x, value in ((t[k], at), (t[k] - 1e-9, below), (t[k] + 1e-9, above)):
@@ -89,10 +89,9 @@ def test_cached_sums_are_continuous_across_a_node(n):
 
 
 def test_a_value_on_a_chebyshev_point_is_its_table_entry():
-    u, _ = pii._unit_rule()
     for n in pii.RUNGS:
-        t, _ = pii.hastings_mcleod(n)
-        _, G = pii.tail_integrals(n)
+        order = pii._order(n)
+        t, G, u = order.t, order.G, order.u
         for k in np.searchsorted(t, [-60.0, -10.0, -3.0]):
             assert pii.log_hard_gap(t[k], n) == -G[k]
             below, above = np.nextafter(t[k], -np.inf), np.nextafter(t[k], np.inf)
@@ -104,9 +103,8 @@ def test_a_value_on_a_chebyshev_point_is_its_table_entry():
 
 def test_a_cached_value_interpolates_only_its_last_gap(monkeypatch):
     for n in pii.RUNGS:
-        pii.log_hard_gap(-10.0, n)  # warm-up: the solve and the table
-    caches = (pii.hastings_mcleod, pii._barycentric, pii.tail_integrals)
-    misses = [cache.cache_info().misses for cache in caches]
+        pii.log_hard_gap(-10.0, n)  # warm-up: the record of each order
+    misses = pii._order.cache_info().misses
     sizes = []
     interpolate = pii._interpolate
 
@@ -118,25 +116,23 @@ def test_a_cached_value_interpolates_only_its_last_gap(monkeypatch):
     for x in np.linspace(-99.0, 7.0, 100):
         fr.log_det(GapConfig((float(x),), (0.0,)))
     assert len(sizes) == 100 * len(pii.RUNGS) and max(sizes) <= pii.GAP_NODES
-    assert [cache.cache_info().misses for cache in caches] == misses
+    assert pii._order.cache_info().misses == misses
     for n in pii.RUNGS:
-        arrays = pii.hastings_mcleod(n) + (pii._barycentric(n),) + pii.tail_integrals(n)
-        assert not any(a.flags.writeable for a in arrays + pii._unit_rule())
+        assert not any(a.flags.writeable for a in pii._order(n))
 
 
 def test_table_build_interpolates_in_blocks():
     # one interpolation matrix for all (n - 1) GAP_NODES points would take
     # 13.5 MB at n = 375; the blocked build peaks at 0.89 MB
-    n = pii.RUNGS[-1]
-    pii.hastings_mcleod(n)
-    sf.gauss_legendre_rule(pii.GAP_NODES)
+    order = pii._order(pii.RUNGS[-1])
     tracemalloc.start()
     try:
-        pii.tail_integrals.__wrapped__(n)  # uncached
+        J, G = pii.tail_integrals(order.t, order.columns, order.u, order.weights)  # uncached
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+    assert np.array_equal(J, order.J) and np.array_equal(G, order.G)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def test_est_error_has_a_rounding_floor(x):
     # the value sat 1.1e-12 from the four-term tail
     report = fr.log_det(GapConfig((x,), (0.0,)))
     gap = abs(report.resolutions[-1][1] - report.resolutions[-2][1])
-    assert report.est_error == max(gap, pii.ROUNDING_FLOOR * abs(report.log_f))
+    assert report.est_error == max(gap, fr.ROUNDING_FLOOR * abs(report.log_f))
     assert abs(report.log_f - four_term_tail(x)) <= report.est_error
     assert report.converged
 

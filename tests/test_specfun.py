@@ -169,11 +169,17 @@ def test_airy_double_nodes_within_4_ulp_of_mpmath(mp40):
         assert float(err) <= 4 * np.finfo(np.float64).eps, x
 
 
+def _no_rows():
+    """An empty row table: the next airy_real call builds its rows afresh."""
+    start, double, extended = sf._ROWS
+    return 0, double[:0], extended[:0]
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_airy_real_independent_of_call_history(monkeypatch, dtype):
     xs = np.linspace(-5.3, 14.2, 97).astype(dtype)
     sf._anchor.cache_clear()  # the anchors are read only while rows are built,
-    monkeypatch.setattr(sf, "_ROWS", (0, sf._ROWS[1][:0]))  # so clear the rows too
+    monkeypatch.setattr(sf, "_ROWS", _no_rows())  # so clear the rows too
     before = sf.airy_real(xs)
     assert sf._anchor.cache_info().currsize == 70  # anchors 12 - j/4 down to -5.25
     sf.airy_real(np.linspace(-40.0, 0.0, 33).astype(dtype))  # builds deeper anchors
@@ -194,7 +200,7 @@ def test_anchor_table_grows_to_the_deepest_request_under_threads(monkeypatch):
     try:
         for _ in range(5):
             sf._anchor.cache_clear()
-            monkeypatch.setattr(sf, "_ROWS", (0, sf._ROWS[1][:0]))
+            monkeypatch.setattr(sf, "_ROWS", _no_rows())
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(sf.airy_real, grids, timeout=60))
             assert sf._anchor.cache_info().currsize == 445  # anchor 12 - 444/4 = -99
@@ -269,14 +275,19 @@ def test_double_rows_from_the_series_up_to_104(mp40):
 
 def test_double_rows_independent_of_call_history(monkeypatch):
     xs = np.linspace(-5.3, 14.2, 97)
-    monkeypatch.setattr(sf, "_ROWS", (0, sf._ROWS[1][:0]))  # the only row cache
+    monkeypatch.setattr(sf, "_ROWS", _no_rows())  # the only row cache
     sf.airy_real(1e6)  # the series alone: no row built
-    assert len(sf._ROWS[1]) == 0
+    assert len(sf._ROWS[1]) == len(sf._ROWS[2]) == 0
     before = sf.airy_real(xs)
-    assert sf._ROWS[0] == -277 and len(sf._ROWS[1]) == 313  # anchors 12 + k/16, -5.3125 to 14.1875
+    assert sf._ROWS[0] == -277 and len(sf._ROWS[2]) == 313  # anchors 12 + k/16, -5.3125 to 14.1875
     sf.airy_real(np.array([-40.0, 60.0, 1e6]))
-    start, rows = sf._ROWS
-    assert start == -832 and start + len(rows) - 1 == 768 and not rows.flags.writeable
+    start, double, extended = sf._ROWS
+    assert start == -832 and start + len(extended) - 1 == 768
+    assert double.dtype == np.float64 and extended.dtype == np.longdouble
+    for rows in (double, extended):
+        assert rows.shape == (1601, 2, sf._ROW_TERMS) and rows.flags.c_contiguous
+        assert not rows.flags.writeable
+    assert np.array_equal(double, extended.astype(np.float64))  # rounded once
     after = sf.airy_real(xs)
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -291,11 +302,12 @@ def test_row_table_grows_to_the_widest_request_under_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(sf, "_ROWS", (0, sf._ROWS[1][:0]))
+            monkeypatch.setattr(sf, "_ROWS", _no_rows())
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(sf.airy_real, grids, timeout=60))
-            start, rows = sf._ROWS
-            assert start == -1776 and start + len(rows) - 1 == 1408  # anchors -99 and 100
+            start, double, extended = sf._ROWS
+            assert start == -1776 and start + len(extended) - 1 == 1408  # anchors -99 and 100
+            assert len(double) == len(extended)
             for (ai, aip), (ref, refp) in zip(results, expected):
                 assert np.array_equal(ai, ref) and np.array_equal(aip, refp)
     finally:
@@ -361,13 +373,13 @@ def _row_step_by_cumprod(t):
     """(Ai, Ai') at the points t below 104 with the powers [h^15, ..., h, 1] of each point
     formed by one cumprod along its row, the row-wise form of the column-wise step."""
     k = np.rint((t - sf._ASYM_ANCHOR) * (1 / sf._ROW_STEP))
-    start, rows = sf._row_table(int(k.min()), int(k.max()))
+    start, double, extended = sf._row_table(int(k.min()), int(k.max()))
     powers = np.empty((t.size, sf._ROW_TERMS), dtype=t.dtype)
     rising = powers[:, ::-1]
     rising[:, 0] = 1.0
     rising[:, 1:] = (t - (sf._ASYM_ANCHOR + sf._ROW_STEP * k))[:, None]
     np.cumprod(rising, axis=1, out=rising)
-    values = np.matmul(rows["double" if t.dtype == np.float64 else "extended"][k.astype(np.intp) - start],
+    values = np.matmul((double if t.dtype == np.float64 else extended)[k.astype(np.intp) - start],
                        powers[:, :, None])
     return values[:, 0, 0], values[:, 1, 0]
 
