@@ -90,10 +90,10 @@ def s_from_beta(beta) -> tuple[float, ...]:
     acc = 0.0
     for b in bs[::-1]:
         acc += TWO_PI * b  # log s_j = log s_{j+1} + log ratio; ratio = e^{2 pi b}
+        if acc > math.log1p(1e-12):  # s_j above 1, checked before exp(acc) can overflow
+            raise ValueError("beta vector corresponds to weights above 1")
         out.append(math.exp(acc))
     out.reverse()
-    if any(v > 1.0 + 1e-12 for v in out):
-        raise ValueError("beta vector corresponds to weights above 1")
     return tuple(min(v, 1.0) for v in out)
 
 

@@ -8,26 +8,19 @@ and 12 where it only decays.  A scheme is geometry: nodes, rule weights and
 Airy values from one builder, _layout_scheme, for determinants, traces and
 the s_m identity alike.  The factor 1 - s_j enters at assembly, in the
 symmetrized A_ik = sqrt(w_i w_k) K(xi_i, xi_k), whose numerator is one
-product of the stacks of sqrt(w) Ai and sqrt(w) Ai'.  One double Cholesky
-factorization of I - A gives log det(I - A) wherever it certifies itself:
-every s_j is at least NEAR_ONE_GAP (the weights keep the spectrum of A that
-far below 1), or
-det(I - A) >= DEEP_GAP_THRESHOLD, a lower bound on the spectral gap since A
-is positive semidefinite.  Every other configuration is a deep gap: the
-same assembly runs on 80-bit nodes, a pivoted Cholesky of its double
-rounding stops at the numerical rank r (10-18 for x_1 in [-12, -6],
-whatever N), LAPACK eigh of the r x r Gram matrix of that factor gives the
-eigenvectors, and the eigenvalues near 1 are recomputed by an 80-bit
-Rayleigh-Ritz step on them.  A ladder picks its precision once: where s_1 = 0
-and the tail asymptotics.log_F_m1_s0(x_1) is below log DEEP_GAP_THRESHOLD
-(x_1 < -5.4469) every rung runs that path, its schemes built on 80-bit nodes
-alone, since each block is at most F(x_1; 0): a double Cholesky there would
-fail the certificate unless the value straddles the threshold, where the two
-differ by ~1e-12.  Every other ladder runs double rungs, each escalating on
-its own.  That path loses accuracy with depth and refuses near
-x = -13, so log_det sends the one-point hard gap F(x; 0) at its default
-resolution to the Painleve II solve of the painleve module instead: ~1e-13
-relative down to x = -100, ~eps max|q|/q(x) near RIGHT.
+product of the stacks of sqrt(w) Ai and sqrt(w) Ai'.  The weights alone pick
+the precision, once per ladder: A = S^(1/2) A_0 S^(1/2), with A_0 unthinned
+(a projection) and S = diag(1 - s_j), has its spectrum at most 1 - min s, so
+where every s_j is at least NEAR_ONE_GAP one double Cholesky factorization of
+I - A gives log det(I - A).  Every other configuration runs on 80-bit nodes:
+a pivoted Cholesky of the double rounding of A stops at the numerical rank r
+(10-18 for x_1 in [-12, -6], whatever N), LAPACK eigh of the r x r Gram
+matrix of that factor gives the eigenvectors, and the eigenvalues near 1 are
+recomputed by an 80-bit Rayleigh-Ritz step on them.  That path loses
+accuracy with depth and refuses near x = -13, so log_det sends the one-point
+hard gap F(x; 0) at its default resolution to the Painleve II solve of the
+painleve module instead: ~1e-13 relative down to x = -100, ~eps max|q|/q(x)
+near RIGHT.
 The determinant of the first k points sits in the trailing block of A on
 (x_k, x_{k-1}), ..., (x_1, x_0), so log_E0's F(x_1; 0) walks its ladder on
 the blocks of F(x; s): one layout, scheme and assembly per rung serve both,
@@ -44,7 +37,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import asymptotics, painleve, specfun
+from . import painleve, specfun
 from .specfun import NumericalError, check_endpoints, check_weights
 
 
@@ -60,13 +53,13 @@ MAX_NODES = 8192
 #: spectral gap (measured: 8e-2 shift at x = -10 when truncating at x + 14).
 TRUNCATION_POINT_MIN = 12.5
 MIN_TAIL_LENGTH = 8.0
-#: a double Cholesky det(I - A) at least this certifies min(1 - lambda) >= it;
-#: below it the float128 pipeline runs, refusing such gaps on plain double
+#: a spectral gap min(1 - lambda) of I - A below this needs np.longdouble wider
+#: than double: _ritz_logdet refuses it where np.longdouble is plain double
 DEEP_GAP_THRESHOLD = 1e-6
-_LOG_DEEP_GAP_THRESHOLD = math.log(DEEP_GAP_THRESHOLD)
-#: min s at least this keeps the spectrum of A at most 1 - min s; eigenvalues
-#: with 1 - lambda below this get the 80-bit Rayleigh-Ritz correction, the
-#: double log1p of the rest loses at most ~1e-13 each
+#: min s at least this keeps the spectrum of A at most 1 - min s, and the
+#: determinant runs in double (_precision); eigenvalues with 1 - lambda below
+#: this get the 80-bit Rayleigh-Ritz correction, the double log1p of the rest
+#: loses at most ~1e-13 each
 NEAR_ONE_GAP = 1e-3
 #: the Cholesky's rounding noise grows like 1/min s: up to 728 ulps of |log F|
 #: at s = 1e-3 against an 80-bit Cholesky, x down to -40 (see _ladder)
@@ -82,7 +75,7 @@ ROUNDING_FLOOR = 32 * math.ulp(1.0)
 
 _LD = np.longdouble
 #: False where np.longdouble is plain double (e.g. MSVC builds), so the
-#: 80-bit escalation could not resolve anything double does not
+#: 80-bit path could not resolve anything double does not
 EXTENDED_PRECISION = bool(np.finfo(_LD).eps < 1e-18)
 
 _log = logging.getLogger(__name__)
@@ -221,18 +214,17 @@ def build_scheme(config: GapConfig, nodes_per_panel: int = DEFAULT_NODES_PER_PAN
 def _layout_scheme(layout, orders, dtype=np.float64) -> list[QuadratureScheme]:
     """A scheme for each rule order in `orders` on one _panel_layout, the one map of rules
     onto panels: each order's Gauss-Legendre rule mapped onto every panel by one broadcast
-    of QuadRule.mapped's arithmetic (80-bit nodes on the same double edges), whose C order
-    is the scheme's, one _airy_pair call on every order's nodes, and each scheme taking its
-    run of the values."""
+    of QuadRule.mapped on the column edges (80-bit nodes on the same double edges), whose
+    C order is the scheme's, one _airy_pair call on every order's nodes, and each scheme
+    taking its run of the values."""
     lo, hi, _ = layout
     a, b = lo.astype(dtype, copy=False)[:, None], hi.astype(dtype, copy=False)[:, None]
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
     rules = [specfun.gauss_legendre_rule(n, dtype=dtype) for n in orders]
-    xi = [(half * rule.nodes + mid).ravel() for rule in rules]
-    ai, aip = _airy_pair(np.concatenate(xi))
-    ends = list(accumulate((0, *(x.size for x in xi))))
-    return [QuadratureScheme(layout, rule.order, x, (half * rule.weights).ravel(), (ai[i:j], aip[i:j]))
-            for rule, x, i, j in zip(rules, xi, ends, ends[1:])]
+    mapped = [[v.ravel() for v in rule.mapped(a, b)] for rule in rules]  # [xi, w] per order
+    ai, aip = _airy_pair(np.concatenate([xi for xi, _ in mapped]))
+    ends = list(accumulate((0, *(xi.size for xi, _ in mapped))))
+    return [QuadratureScheme(layout, rule.order, xi, w, (ai[i:j], aip[i:j]))
+            for rule, (xi, w), i, j in zip(rules, mapped, ends, ends[1:])]
 
 
 def _thinned_weights(config: GapConfig, scheme: QuadratureScheme) -> np.ndarray:
@@ -271,7 +263,7 @@ def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both take specfun.airy_real's one Taylor step off its row table: double
     nodes sum the float64 rows, within 4 eps of the exact pair relative to
     |Ai| + |Ai'|; 80-bit nodes sum the 80-bit rows (~3e-17) and go through
-    specfun.airy_ai_real_xp, the call a profiler wraps to count escalations.
+    specfun.airy_ai_real_xp, the call a profiler wraps to count 80-bit determinants.
     """
     return (specfun.airy_ai_real_xp if x.dtype == _LD else specfun.airy_real)(x)
 
@@ -307,18 +299,16 @@ def _kernel_matrix(xi: np.ndarray, w: np.ndarray, airy=None) -> np.ndarray:
 # log determinant
 # ---------------------------------------------------------------------------
 
-def _cholesky_logdet_ld(M) -> np.ndarray:
-    """log det of a small symmetric positive definite float128 matrix M, or of each in a
-    list M of them, by one Cholesky loop over their stack, each padded with the identity
-    to the largest order.
+def _cholesky_logdet_ld(matrices) -> np.ndarray:
+    """log det of each small symmetric positive definite float128 matrix in the list
+    `matrices`, by one Cholesky loop over their stack, each padded with the identity to the
+    largest order: an array of one value per matrix.
 
     Reads the lower triangle only, like LAPACK potrf with uplo='L'.  Each pivot and column
     is summed in one matrix's own order and a padded pivot is exactly 1, so every value is
     the bits of its matrix factored alone.  A non-positive pivot raises NumericalError for
     the first matrix in the list that has one, its position in the error's `index`.
-    Returns one value for one matrix, else an array of one per matrix.
     """
-    matrices = [M] if isinstance(M, np.ndarray) else M
     orders = [m.shape[0] for m in matrices]
     k = max(orders, default=0)
     S = np.zeros((len(matrices), k, k), _LD)
@@ -342,8 +332,7 @@ def _cholesky_logdet_ld(M) -> np.ndarray:
         error.index = i
         raise error
     # accumulate adds the logs one by one to log 1 = 0, as the one-matrix loop did
-    logdet = np.add.accumulate(np.log(pivots), axis=1)[:, -1]
-    return logdet[0] if isinstance(M, np.ndarray) else logdet
+    return np.add.accumulate(np.log(pivots), axis=1)[:, -1]
 
 
 def _numerical_range(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,15 +403,14 @@ def _ritz_logdet(A: np.ndarray, offsets=(0,)) -> np.ndarray:
 
 
 def logdet_single(config: GapConfig, scheme: QuadratureScheme) -> float:
-    """log det(I - A) at one resolution: _logdet_blocks with the one block of all of A, on
-    the double path or, given a scheme on 80-bit nodes, straight on the 80-bit one."""
+    """log det(I - A) at one resolution: _logdet_blocks with the one block of all of A, in
+    the precision _precision picks from config's weights, or on an 80-bit scheme 80-bit."""
     return _logdet_blocks(config, scheme, (0,))[0]
 
 
-def _certified(s, value: float) -> bool:
-    """Whether value = log det(I - A) of a determinant with weights s certifies itself as
-    a double Cholesky value: every s_j >= NEAR_ONE_GAP, or det(I - A) >= DEEP_GAP_THRESHOLD."""
-    return value >= _LOG_DEEP_GAP_THRESHOLD or min(s) >= NEAR_ONE_GAP
+def _precision(s):
+    """The dtype a determinant with weights s runs in: double iff every s_j >= NEAR_ONE_GAP."""
+    return np.float64 if min(s) >= NEAR_ONE_GAP else _LD
 
 
 def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[float]:
@@ -430,51 +418,41 @@ def _logdet_blocks(config: GapConfig, scheme: QuadratureScheme, starts) -> list[
     `starts`, widest first.  A block from the first node of (x_k, x_{k-1}) covers (x_k,
     x_{k-1}), ..., (x_1, x_0): the determinant of config's first k points, whose own scheme
     has the same panels, nodes and entries.  Only the widest block is assembled, entry for
-    entry as in A, in 80-bit too: a block escalates only with every wider one, whose
-    determinant its own bounds (a Schur complement of I - A is at most I).
+    entry as in A.
 
-    On a double scheme, 2 sum log diag L of one double Cholesky I - A_k = L L^T,
-    kept when it certifies itself (_certified).  Every s_j >= NEAR_ONE_GAP keeps
-    the eigenvalues of A = S^(1/2) A_0 S^(1/2) (A_0 unthinned, a projection;
-    S = diag(1 - s_j)) at most 1 - min s on a resolved grid, and a failed
-    factorization (a grid too coarse) raises NumericalError.  Else A is a
-    positive semidefinite Gram matrix, so det(I - A) <= min(1 - lambda) and a
-    value of at least DEEP_GAP_THRESHOLD is kept.  I - A is formed in place, so
-    each I - A_k is its trailing block, no copy.  The blocks left escalate: the
-    same call on the scheme's own layout mapped in 80-bit.  On an 80-bit scheme
-    (an escalation, or every rung of a ladder the tail of F(x_1; 0) puts on this
-    path) the widest block is assembled once and one _ritz_logdet serves every
-    block: one pivoted Cholesky of the widest, each narrower block taking its
-    rows from the block's first node, so only a narrower block's bits differ
-    from its own scheme's.
+    The widest block's weights pick the precision of every block (_precision), since a
+    narrower block's weights are a part of them.  Where every s_j >= NEAR_ONE_GAP the
+    eigenvalues of A = S^(1/2) A_0 S^(1/2) (A_0 unthinned, a projection; S = diag(1 - s_j))
+    are at most 1 - min s on a resolved grid: each value is 2 sum log diag L of one double
+    Cholesky I - A_k = L L^T, I - A formed in place so each I - A_k is its trailing block,
+    and a failed factorization (a grid too coarse) raises NumericalError.  Else a double
+    scheme is mapped once onto its own layout in 80-bit, and on an 80-bit scheme one
+    _ritz_logdet serves every block: one pivoted Cholesky of the widest, each narrower
+    block taking its rows from the block's first node, so only a narrower block's bits
+    differ from its own scheme's.
     """
     n, t0 = scheme.nodes_per_panel, starts[0]
+
+    def weights(t):  # the weights of the block from node t
+        return config.s[:config.m - int(scheme.layout[2][t // n])]
+
+    if scheme.xi.dtype != _LD and _precision(weights(t0)) is _LD:
+        scheme = _layout_scheme(scheme.layout, (n,), _LD)[0]
     ai, aip = scheme.airy  # the widest block's nodes, from t0 on
     A = _kernel_matrix(scheme.xi[t0:], _thinned_weights(config, scheme)[t0:], (ai[t0:], aip[t0:]))
     if A.dtype == _LD:
         return _ritz_logdet(A, [t - t0 for t in starts]).tolist()
     np.negative(A, out=A)  # I - A in place
     A.reshape(-1)[::A.shape[0] + 1] += 1.0  # a strided view of the diagonal
-    values, deep = [], []
-    for i, t in enumerate(starts):
-        s = config.s[:config.m - int(scheme.layout[2][t // n])]
+    values = []
+    for t in starts:
         try:
-            value = 2.0 * float(np.log(np.linalg.cholesky(A[t - t0:, t - t0:]).diagonal()).sum())
+            values.append(2.0 * float(np.log(np.linalg.cholesky(A[t - t0:, t - t0:]).diagonal()).sum()))
         except np.linalg.LinAlgError as exc:
-            if min(s) >= NEAR_ONE_GAP:
-                raise NumericalError(
-                    f"I - A is not positive definite (N={scheme.size - t}, {n} nodes per panel, "
-                    f"min s={min(s):g}): the grid does not resolve "
-                    "this configuration") from exc
-            value = -math.inf
-        values.append(value)
-        if not _certified(s, value):
-            deep.append(i)
-    if deep:
-        del A
-        extended = _layout_scheme(scheme.layout, (n,), _LD)[0]
-        for i, value in zip(deep, _logdet_blocks(config, extended, [starts[i] for i in deep])):
-            values[i] = value
+            raise NumericalError(
+                f"I - A is not positive definite (N={scheme.size - t}, {n} nodes per panel, "
+                f"min s={min(weights(t)):g}): the grid does not resolve "
+                "this configuration") from exc
     return values
 
 
@@ -568,14 +546,11 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
     trailing blocks of the same rungs, the full one first.  Each stops at its own first gap
     below CONVERGENCE_TOL, and an unconverged one logs a WARNING.  The rule orders are
     DEFAULT_LADDER, or (n, ceil(1.5 n)) given nodes_per_panel = n, all on one _panel_layout,
-    checked for the top rung first (every escalation maps it again in 80-bit).  The ladder
-    has one precision, chosen before its first rung: 80-bit where s_1 = 0 and the tail
-    log_F_m1_s0(x_1) is below log DEEP_GAP_THRESHOLD, since every block is then at most
-    F(x_1; 0) (a Schur complement of I - A is at most I) and a double pass could certify
-    only where the tail is off by its ~3e-4, within ~1e-4 of the crossing in x_1; each of
-    its rungs logs that at INFO.  Else double, each rung escalating in _logdet_blocks.  The
-    first two rungs always run, so one _layout_scheme call builds both (each node's Airy
-    value is its own); a later rung is built only when it runs.  A rung runs
+    checked for the top rung first.  The ladder has the one precision _precision picks from
+    config's weights before its first rung: double where every s_j >= NEAR_ONE_GAP, else
+    80-bit for every rung, each logging that at INFO, its schemes built on 80-bit nodes.
+    The first two rungs always run, so one _layout_scheme call builds both (each node's
+    Airy value is its own); a later rung is built only when it runs.  A rung runs
     _logdet_blocks once for the blocks still walking; the full block alone is
     logdet_single, the call a profiler wraps."""
     n = nodes_per_panel
@@ -585,15 +560,13 @@ def _nystrom_ladders(config: GapConfig, reference: bool, nodes_per_panel: int | 
     if reference:
         configs.append(GapConfig(config.x[:1], config.s[:1]))
         panels.append(int(np.count_nonzero(layout[2] < config.m - 1)))  # panels below x_1
-    tail = asymptotics.log_F_m1_s0(config.x[0]) if config.s[0] == 0.0 and config.x[0] < 0.0 else 0.0
-    dtype = _LD if tail < _LOG_DEEP_GAP_THRESHOLD else np.float64
+    dtype = _precision(config.s)
     schemes = dict(zip(orders[:2], _layout_scheme(layout, orders[:2], dtype)))  # both always run
 
     def values_at(k, live):
-        if dtype is _LD and _log.isEnabledFor(logging.INFO):
-            _log.info("rung %d nodes per panel starts on the 80-bit path: x=%s has the tail "
-                      "log F(x_1; 0) = %.6g < log DEEP_GAP_THRESHOLD", k,
-                      ", ".join(str(configs[i].x) for i in live), tail)
+        if dtype is _LD:
+            _log.info("rung %d nodes per panel runs on the 80-bit path: x=%s, s=%s has min s "
+                      "%g < NEAR_ONE_GAP = %g", k, config.x, config.s, min(config.s), NEAR_ONE_GAP)
         scheme = schemes.pop(k) if k in schemes else _layout_scheme(layout, (k,), dtype)[0]
         if live == [0]:
             return [logdet_single(config, scheme)]
@@ -624,14 +597,12 @@ def log_E0(config: GapConfig, **kwargs) -> float:
     would move deep conditioned values by up to ~1e-8.  F(x_1; 0) is
     discretized on the panels of the tail (x_1, x_0) of F(x; s), so it is
     the trailing block of the same matrix: one layout, one scheme and one
-    assembly per rung serve both, all of them 80-bit for x_1 below -5.4469,
-    where the tail of F(x_1; 0) rules out double for the whole ladder, and
-    else double, with one more of each in 80-bit on a rung where either
-    escalates; a rung F(x_1; 0) walks alone assembles its block only.
+    assembly per rung serve both, all of them 80-bit, since s_1 = 0 is below
+    NEAR_ONE_GAP; a rung F(x_1; 0) walks alone assembles its block only.
     F(x; s) is the bits of its own ladder.  So is F(x_1; 0), but on a rung
-    where both run the 80-bit path: there it reads its factor off the full
-    block's pivoted Cholesky, within the 80-bit Ritz noise of its own (6e-13
-    at (-8, -12), 3.5e-11 at (-8.5, -11), ~1e-8 near x_1 = -10).  Given
+    where both run: there it reads its factor off the full block's pivoted
+    Cholesky, within the 80-bit Ritz noise of its own (6e-13 at (-8, -12),
+    3.5e-11 at (-8.5, -11), ~1e-8 near x_1 = -10).  Given
     nodes_per_panel = n, both run the same rungs (n, ceil(1.5 n)); otherwise
     each walks DEFAULT_LADDER and stops where it converges on its own.
     """
@@ -653,15 +624,18 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
 
     R is the kernel of (I - K)^(-1) K.  Returns (finite_difference,
     resolvent_value, |difference|).  The central step is 1e-5 * max(s_m, 0.1),
-    balancing truncation against determinant noise.  The resolvent and both
-    determinants run on one scheme, whose nodes do not depend on s.
+    balancing truncation against determinant noise, but at most half the
+    distance from s_m to 0 or 1.  The resolvent and both determinants run on
+    one scheme, whose nodes do not depend on s, in the precision _precision
+    picks for the smaller weight, so both sides of the difference share it.
     """
     s_m = config.s[-1]
     if s_m == 1.0 or s_m == 0.0:
         raise ValueError("identity check needs s_m in (0, 1)")
-    step = 1e-5 * max(s_m, 0.1)
-    scheme = build_scheme(config, nodes_per_panel)
+    step = min(1e-5 * max(s_m, 0.1), 0.5 * min(s_m, 1.0 - s_m))
+    scheme = build_scheme(config, nodes_per_panel, dtype=_precision(config.s[:-1] + (s_m - step,)))
     A = _kernel_matrix(scheme.xi, _thinned_weights(config, scheme), scheme.airy)
+    A = A.astype(np.float64, copy=False)  # LAPACK solves in double
     try:
         B = np.linalg.solve(np.eye(A.shape[0]) - A, A)  # the Nystrom resolvent (I - A)^(-1) A
     except np.linalg.LinAlgError as exc:

@@ -61,6 +61,13 @@ def test_beta_invalid_weights():
         asym.s_from_beta([0.3j])  # would need s > 1
 
 
+@pytest.mark.parametrize("beta", [[300j], [0.1j, 300j], [300j, -0.1j]], ids=["one", "last", "first"])
+def test_s_from_a_large_positive_beta_raises_before_overflow(beta):
+    # exp(2 pi 300) overflows a float: the weight above 1 is refused before exp
+    with pytest.raises(ValueError, match="^beta vector corresponds to weights above 1$"):
+        asym.s_from_beta(beta)
+
+
 @pytest.mark.parametrize("s", [[], (), np.array([])], ids=["list", "tuple", "array"])
 def test_beta_from_no_weights_raises(s):
     # check_weights accepts no weights; s_1 would then be read past the end

@@ -630,6 +630,19 @@ def test_sweep_beta_field(tmp_path, capsys):
                 "--out", str(out_csv)], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["det", "{config}"], {"x": [-2.0], "beta": ["300i"]}),
+    (["sweep", "{config}", "--vary", "beta_1", "--values", "300", "--out", "{out}"], {"x": [-2.0], "s": [0.5]}),
+], ids=["det", "sweep"])
+def test_a_large_positive_beta_exits_2(tmp_path, capsys, argv, config):
+    # e^(2 pi 300) is past the float range: the weight above 1 is refused before
+    # exp can overflow, with exit 2 and the error line, not a traceback
+    names = {"config": write_config(tmp_path, config), "out": str(tmp_path / "out.csv")}
+    code, out, err = run([a.format(**names) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: beta vector corresponds to weights above 1\n"
+
+
 # ---------------------------------------------------------------------------
 # import cost
 # ---------------------------------------------------------------------------

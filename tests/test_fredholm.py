@@ -9,7 +9,7 @@ import pytest
 
 from airy_gap import fredholm as fr
 from airy_gap import specfun as sf
-from airy_gap.asymptotics import beta_from_s, log_F_m1_s0
+from airy_gap.asymptotics import beta_from_s
 from airy_gap.fredholm import GapConfig, NumericalError
 
 #: frozen regression value for log F(-2; 0) (nodes_per_panel = 160)
@@ -329,7 +329,7 @@ def test_ladder_values_are_the_values_of_single_rungs(monkeypatch, x, s, n):
     cfg = GapConfig(x, s)
     report = fr.log_det(cfg, nodes_per_panel=n)
     assert report.route == "nystrom" and len(report.resolutions) >= 2
-    assert bool(escalations) == (s[0] == 0.0)  # these s_1 = 0 gaps are deep enough to escalate
+    assert bool(escalations) == (s[0] == 0.0)  # s_1 = 0 puts a ladder on the 80-bit path
     assert list(report.resolutions) == [(k, fr.logdet_single(cfg, fr.build_scheme(cfg, k)))
                                         for k, _ in report.resolutions]
 
@@ -491,7 +491,7 @@ def test_default_ladder_builds_only_the_schemes_it_runs(monkeypatch):
         layouts.clear()
         report = fr._nystrom_log_det(GapConfig(x, s))
         assert [n for n, _ in report.resolutions] == rungs
-        # one panel layout for the whole ladder, its escalations included
+        # one panel layout for the whole ladder
         assert len(layouts) == 1
         # the first two rungs always run and are built by one call; a later
         # rung, or an 80-bit one, is built only after the one before it ran
@@ -529,7 +529,7 @@ def _logdet_80bit(config, n):
     A = fr._kernel_matrix(scheme.xi, fr._thinned_weights(config, scheme))
     np.negative(A, out=A)
     A.flat[::A.shape[0] + 1] += 1.0
-    return float(fr._cholesky_logdet_ld(A))
+    return float(fr._cholesky_logdet_ld([A])[0])
 
 
 @pytest.mark.parametrize("x", (-8.0, -20.0))
@@ -719,12 +719,14 @@ def test_cholesky_refuses_an_unresolved_grid():
 @pytest.mark.parametrize("x, s, route", [
     ((-2.0,), (0.5,), "cholesky"),
     ((-2.0,), (fr.NEAR_ONE_GAP,), "cholesky"),
-    ((-2.0,), (1e-4,), "cholesky"),  # det(I - A) >= DEEP_GAP_THRESHOLD
-    ((-2.0,), (0.0,), "cholesky"),
-    ((-9.0, -11.0), (0.0, 0.5), "cholesky-eigh"),  # det below it: the 80-bit eigh follows
-    ((-6.0,), (0.0,), "cholesky-eigh"),
+    ((-2.0,), (1e-4,), "eigh"),  # min s below NEAR_ONE_GAP: the 80-bit path alone
+    ((-2.0,), (0.0,), "eigh"),
+    ((-9.0, -11.0), (0.0, 0.5), "eigh"),
+    ((-6.0,), (0.0,), "eigh"),
 ])
 def test_factorization_follows_the_smallest_weight(monkeypatch, x, s, route):
+    # the weights alone pick the factorization, on a double scheme too: no double
+    # Cholesky runs before the 80-bit path, however shallow the gap
     calls = []
     for name in ("cholesky", "eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
@@ -744,7 +746,7 @@ def test_factorization_follows_the_smallest_weight(monkeypatch, x, s, route):
 def test_determinant_bounds_the_spectral_gap(x, s):
     # K(x, y) = int_0^inf Ai(x + t) Ai(y + t) dt makes A a Gram matrix, so
     # every 1 - lambda is at most 1 and det(I - A) <= min(1 - lambda): the
-    # premise of logdet_single's certificate
+    # lower bound the determinant puts on the spectral gap
     cfg = GapConfig(x, s)
     for n in (16, 24, 48):
         scheme = fr.build_scheme(cfg, n)
@@ -754,13 +756,13 @@ def test_determinant_bounds_the_spectral_gap(x, s):
 
 
 def test_logdet_deep_gap_uses_extended_path():
-    # at x = -10 the spectral gap of I - A is ~5e-12; the auto escalation
+    # at x = -10 the spectral gap of I - A is ~5e-12; the 80-bit path
     # keeps the value within the known tail expansion to ~4e-5
     cfg = GapConfig((-10.0,), (0.0,))
     report = fr.log_det(cfg, nodes_per_panel=64)
     expected = math.log(2.0) / 24.0 - 0.1654211437004509 - math.log(10.0) / 8.0 - 1000.0 / 12.0
     assert abs(report.log_f - expected) < 2e-4
-    # confirm this configuration actually crosses the escalation threshold
+    # confirm this configuration has a gap that plain double cannot resolve
     scheme = fr.build_scheme(cfg)
     A = fr._kernel_matrix(scheme.xi, fr._thinned_weights(cfg, scheme))
     spectral_gap = 1.0 - float(np.linalg.eigvalsh(A)[-1])
@@ -815,8 +817,8 @@ def _ritz_logdet_full_eigh(A):
     evals, vecs = np.linalg.eigh(A.astype(np.float64))
     near = 1.0 - evals < fr.NEAR_ONE_GAP
     V = vecs[:, near].astype(np.longdouble)
-    ritz = fr._cholesky_logdet_ld(V.T @ (V - A @ V)) - fr._cholesky_logdet_ld(V.T @ V)
-    return float(np.longdouble(np.sum(np.log1p(-evals[~near]))) + ritz), 1.0 - evals[near]
+    ritz, gram = fr._cholesky_logdet_ld([V.T @ (V - A @ V), V.T @ V])
+    return float(np.longdouble(np.sum(np.log1p(-evals[~near]))) + (ritz - gram)), 1.0 - evals[near]
 
 
 def _escalated_matrix(cfg, n):
@@ -939,12 +941,15 @@ def test_extended_matches_double_where_double_suffices(caplog):
         xscheme = fr.build_scheme(cfg, scheme.nodes_per_panel, dtype=np.longdouble)
         with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
             extended = fr._ritz_logdet(fr._kernel_matrix(xscheme.xi, fr._thinned_weights(cfg, xscheme)))
-        certified = fr.logdet_single(cfg, scheme)
-        assert certified >= math.log(fr.DEEP_GAP_THRESHOLD)  # the Cholesky value is kept
-        assert abs(extended - certified) < 1e-11
-        # an 80-bit scheme runs logdet_single on the 80-bit path alone, as
-        # every rung of a ladder the tail of F(x_1; 0) puts there does
-        assert abs(fr.logdet_single(cfg, xscheme) - certified) < 1e-11
+        # one double Cholesky of I - A, which resolves det(I - A) >= DEEP_GAP_THRESHOLD
+        A = fr._kernel_matrix(scheme.xi, fr._thinned_weights(cfg, scheme))
+        double = 2.0 * float(np.sum(np.log(np.diagonal(np.linalg.cholesky(np.eye(scheme.size) - A)))))
+        assert double >= math.log(fr.DEEP_GAP_THRESHOLD)
+        assert abs(extended - double) < 1e-11
+        # logdet_single runs the 80-bit path on an 80-bit scheme, and by the weights
+        # on a double one: on (-1,)/(0.5,) the double Cholesky
+        assert abs(fr.logdet_single(cfg, xscheme) - double) < 1e-11
+        assert abs(fr.logdet_single(cfg, scheme) - double) < 1e-11
     # x = -1, s = 0.5 has no eigenvalue near 1: the Ritz block is empty
     assert f"N={scheme.size}, k=0 " in caplog.records[-1].getMessage()
 
@@ -953,8 +958,8 @@ def test_extended_matches_double_where_double_suffices(caplog):
                                   ((-8.0, -12.0), (0.0, 0.3)), ((-8.5, -11.0), (0.0, 0.5))])
 def test_every_rung_of_a_tail_ladder_starts_in_80_bit_to_the_bit(caplog, x, s):
     # hard gaps at 24 nodes per panel and the conditioned pool points with their
-    # references: every rung starts on the 80-bit path by the tail of F(x_1; 0),
-    # and its value is the bits of the rung's own fresh double scheme escalating:
+    # references: every rung runs on the 80-bit path by min s < NEAR_ONE_GAP,
+    # and its value is the bits of the rung's own fresh double scheme mapped to 80-bit:
     # logdet_single for the full determinant, and for the reference
     # _logdet_blocks of both blocks, which reads it off the full block's factor,
     # within the Ritz bound of the full eigh of its own block
@@ -973,77 +978,74 @@ def test_every_rung_of_a_tail_ladder_starts_in_80_bit_to_the_bit(caplog, x, s):
             t = scheme.size - fr.build_scheme(head, n).size
             assert value == fr._logdet_blocks(cfg, scheme, (0, t))[1]
             _assert_within_the_full_eigh_bound(value, _escalated_matrix(head, n))
-    started = [r.getMessage() for r in caplog.records if "starts on the 80-bit path" in r.getMessage()]
+    started = [r.getMessage() for r in caplog.records if "runs on the 80-bit path" in r.getMessage()]
     assert [int(m.split()[1]) for m in started] == [n for n, _ in reports[0].resolutions]
-    tail = log_F_m1_s0(x[0])
-    assert all(f"x={x}" in m and f"has the tail log F(x_1; 0) = {tail:.6g} <" in m for m in started)
+    assert all(m.endswith(f"x={x}, s={s} has min s 0 < NEAR_ONE_GAP = 0.001") for m in started)
 
 
-@pytest.mark.parametrize("x, s, n", [((-10.0,), (1e-4,), None), ((-4.0, -12.0), (0.0, 0.05), None),
-                                     ((-4.0, -12.0), (0.0, 0.05), 20)])
-def test_a_deep_ladder_off_the_tail_escalates_each_double_rung_to_the_bit(caplog, x, s, n):
-    # min s < NEAR_ONE_GAP and det(I - A) < DEEP_GAP_THRESHOLD, but s_1 > 0 or
-    # x_1 above the tail's crossing: every rung is double and escalates on its
-    # own, no rung starts on the 80-bit path, and each value, the reference's
-    # (certified in double) too, is the bits of logdet_single on its own scheme
+@pytest.mark.parametrize("x, s, n", [((-2.0,), (0.5,), None), ((-2.0,), (fr.NEAR_ONE_GAP,), None),
+                                     ((-40.0,), (0.5,), None), ((-2.0,), (1e-4,), None),
+                                     ((-10.0,), (1e-4,), None), ((-5.0,), (0.0,), 16),
+                                     ((-4.0, -12.0), (0.0, 0.05), None), ((-4.0, -12.0), (0.0, 0.05), 20),
+                                     ((-2.0, -3.0, -4.5), (0.5, 0.5, 0.3), 24)])
+def test_every_rung_scheme_follows_min_s(monkeypatch, x, s, n):
+    # the weights pick the ladder's precision once: every _layout_scheme call, the
+    # first two rungs' and a later rung's, is double iff min s >= NEAR_ONE_GAP, no
+    # double Cholesky runs on an 80-bit ladder, and each value, the reference's too,
+    # is the bits of logdet_single on its own (double) scheme
+    dtypes, factorizations = [], []
+    build, cholesky = fr._layout_scheme, np.linalg.cholesky
+    monkeypatch.setattr(fr, "_layout_scheme", lambda layout, orders, dtype=np.float64:
+                        dtypes.append(np.dtype(dtype)) or build(layout, orders, dtype))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(a.shape) or cholesky(a))
     cfg = GapConfig(x, s)
-    with caplog.at_level(logging.INFO, logger="airy_gap.fredholm"):
-        reports = fr._nystrom_ladders(cfg, cfg.m > 1, n)
-    for block, report in zip((cfg, GapConfig(x[:1], s[:1])), reports):
-        assert len(report.resolutions) >= 2
-        assert report.resolutions == tuple((k, fr.logdet_single(block, fr.build_scheme(block, k)))
-                                           for k, _ in report.resolutions)
-    messages = [r.getMessage() for r in caplog.records]
-    assert any(m.startswith("80-bit log det") for m in messages)
-    assert not any("starts on the 80-bit path" in m for m in messages)
+    reports = fr._nystrom_ladders(cfg, cfg.m > 1 and s[0] == 0.0, n)
+    monkeypatch.undo()
+    double = min(s) >= fr.NEAR_ONE_GAP
+    assert dtypes and set(dtypes) == {np.dtype(np.float64 if double else np.longdouble)}
+    assert len(dtypes) == max(len(r.resolutions) for r in reports) - 1  # rungs 1 and 2 in one call
+    assert bool(factorizations) == double
+    full = dict(reports[0].resolutions)
+    assert all(value == fr.logdet_single(cfg, fr.build_scheme(cfg, k)) for k, value in full.items())
+    head = GapConfig(x[:1], s[:1])
+    for k, value in reports[1].resolutions if len(reports) > 1 else ():
+        if k in full:  # read off the full block's 80-bit factor
+            _assert_within_the_full_eigh_bound(value, _escalated_matrix(head, k))
+        else:
+            assert value == fr.logdet_single(head, fr.build_scheme(head, k))
 
 
-def _s1_zero_draws():
-    """16 seeded s_1 = 0 configurations: m = 1-3, x_1 in [-12, -3] away from the tail's
-    threshold crossing, s_j log-uniform on [1e-3, 1], default or explicit rule orders."""
-    rng, draws = np.random.default_rng(1812), []
-    while len(draws) < 16:
-        m, x1 = int(rng.integers(1, 4)), float(rng.uniform(-12.0, -3.0))
-        if abs(x1 + 5.447) < 0.05:
-            continue
-        x = (x1, *(x1 - np.cumsum(rng.uniform(0.5, 4.0, m - 1))).tolist())
-        s = (0.0, *(10.0 ** rng.uniform(-3.0, 0.0, m - 1)).tolist())
-        n = None if rng.random() < 0.5 else int(rng.integers(8, 30))
-        draws.append((x, s, n))
-    return draws
-
-
-def _ladders_or_refusal(cfg, n):
-    try:
-        return fr._nystrom_ladders(cfg, cfg.m > 1, n)
-    except NumericalError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("x, s, n", _s1_zero_draws())
-def test_the_tail_prediction_changes_no_bit(monkeypatch, x, s, n):
-    # starting a ladder on the 80-bit path where the tail of F(x_1; 0) is below
-    # DEEP_GAP_THRESHOLD skips only double passes that could not certify: values,
-    # rungs, est_error and refusals are those of the ladder without the prediction
+@pytest.mark.parametrize("x, s, n", [((-2.0,), (1e-4,), 24), ((-10.0,), (1e-4,), 24), ((-2.0,), (0.0,), 16),
+                                     ((-8.0, -12.0), (0.0, 0.3), 16), ((-2.0, -3.0), (0.5, 5e-4), 20)])
+def test_a_double_scheme_with_a_small_weight_runs_the_80_bit_scheme_to_the_bit(x, s, n):
+    # logdet_single and _logdet_blocks map a double scheme once to 80-bit where
+    # min s < NEAR_ONE_GAP: the value of the 80-bit scheme built outright, bit for bit
     cfg = GapConfig(x, s)
-    predicted = _ladders_or_refusal(cfg, n)
-    monkeypatch.setattr(fr.asymptotics, "log_F_m1_s0", lambda x1: 0.0)
-    assert predicted == _ladders_or_refusal(cfg, n)
+    double, extended = (fr.build_scheme(cfg, n, dtype=d) for d in (np.float64, np.longdouble))
+    assert fr.logdet_single(cfg, double) == fr.logdet_single(cfg, extended)
+    t = double.size - fr.build_scheme(GapConfig(x[:1], s[:1]), n).size
+    assert fr._logdet_blocks(cfg, double, (0, t)) == fr._logdet_blocks(cfg, extended, (0, t))
 
 
-def test_the_tail_prediction_window_moves_a_value_within_its_error(monkeypatch):
-    # x_1 = -5.44695 is just past the tail's crossing of log DEEP_GAP_THRESHOLD,
-    # but the double Cholesky at rung 14 would still certify: the 80-bit value
-    # stands in for it, about 1e-12 away and within either ladder's est_error
-    cfg = GapConfig((-5.44695,), (0.0,))
-    assert log_F_m1_s0(cfg.x[0]) < math.log(fr.DEEP_GAP_THRESHOLD)
-    on, = fr._nystrom_ladders(cfg, False, 14)
-    monkeypatch.setattr(fr.asymptotics, "log_F_m1_s0", lambda x1: 0.0)
-    off, = fr._nystrom_ladders(cfg, False, 14)
-    assert off.resolutions[0][1] >= math.log(fr.DEEP_GAP_THRESHOLD)
-    assert [n for n, _ in on.resolutions] == [n for n, _ in off.resolutions] == [14, 21]
-    for (_, a), (_, b) in zip(on.resolutions, off.resolutions):
-        assert abs(a - b) <= min(1e-11, on.est_error, off.est_error)
+def test_the_threshold_window_runs_one_precision_per_ladder(monkeypatch):
+    # around x_1 = -5.44693, where det(I - A) crosses DEEP_GAP_THRESHOLD, an
+    # s_1 = 0 ladder and log_E0's reference run every rung in 80-bit, so each
+    # rung's values across the window lie on one smooth curve: within 3e-13 of
+    # a quartic fit, where double and 80-bit values of one rung differ by ~1e-12
+    dtypes = set()
+    build = fr._layout_scheme
+    monkeypatch.setattr(fr, "_layout_scheme", lambda layout, orders, dtype=np.float64:
+                        dtypes.add(np.dtype(dtype)) or build(layout, orders, dtype))
+    xs = np.linspace(-5.4475, -5.4465, 21)
+    hard = [fr._nystrom_log_det(GapConfig((x,), (0.0,)), 14) for x in xs]
+    refs = [fr._nystrom_ladders(GapConfig((x, x - 3.0), (0.0, 0.5)), True, 14)[1] for x in xs]
+    assert dtypes == {np.dtype(np.longdouble)}
+    for reports in (hard, refs):
+        assert all([n for n, _ in r.resolutions] == [14, 21] for r in reports)
+        for rung in (0, 1):
+            values = np.array([r.resolutions[rung][1] for r in reports])
+            fit = np.polyval(np.polyfit(xs - xs.mean(), values, 4), xs - xs.mean())
+            assert np.max(np.abs(values - fit)) < 3e-13, rung
 
 
 @pytest.mark.parametrize("x, s, expected, tol", [
@@ -1075,10 +1077,10 @@ def test_auto_refuses_deep_gap_without_wider_longdouble(monkeypatch):
         fr.logdet_single(deep, fr.build_scheme(deep))
     shallow = GapConfig((-2.0,), (0.0,))
     assert fr.logdet_single(shallow, fr.build_scheme(shallow)) < 0.0
-    # det(I - A) ~ 1e-8 fails the Cholesky certificate, but the gap 2.9e-5
-    # measured on the way to the 80-bit path is wide enough for double
-    uncertified = GapConfig((-6.0,), (0.0,))
-    assert fr.logdet_single(uncertified, fr.build_scheme(uncertified, 48)) < 0.0
+    # det(I - A) ~ 1e-8, but the gap 2.9e-5 measured on the 80-bit path is
+    # wide enough for double
+    moderate = GapConfig((-6.0,), (0.0,))
+    assert fr.logdet_single(moderate, fr.build_scheme(moderate, 48)) < 0.0
 
 
 def test_unconverged_ladder_logs_a_warning(caplog):
@@ -1136,9 +1138,10 @@ def test_log_E0_trivial_conditioning():
 def test_log_E0_is_two_ladders_to_the_bit(caplog, x, s, kwargs, rungs):
     # F(x_1; 0) read off the trailing block of the full determinant's matrix walks
     # its own ladder's rungs.  The full determinant is its own ladder to the bit:
-    # values, rungs and est_error.  So is each reference rung, but one where both
-    # blocks run on the full block's 80-bit factorization: that value is within
-    # the Ritz bound of the full eigh of its own block
+    # values, rungs and est_error.  So is each reference rung F(x_1; 0) walks alone;
+    # s_1 = 0 puts every rung on the 80-bit path, so on a rung both blocks run the
+    # reference reads the full block's factorization, within the Ritz bound of the
+    # full eigh of its own block
     cfg, head = GapConfig(x, s), GapConfig(x[:1], (0.0,))
     with caplog.at_level(logging.ERROR, logger="airy_gap.fredholm"):
         full, ref = fr._nystrom_log_det(cfg, **kwargs), fr._nystrom_log_det(head, **kwargs)
@@ -1149,20 +1152,22 @@ def test_log_E0_is_two_ladders_to_the_bit(caplog, x, s, kwargs, rungs):
     assert [n for n, _ in shared_ref.resolutions] == [n for n, _ in ref.resolutions]
     full_values = dict(full.resolutions)
     for (n, value), (_, alone) in zip(shared_ref.resolutions, ref.resolutions):
-        if n in full_values and not fr._certified(cfg.s, full_values[n]) and not fr._certified(head.s, alone):
+        if n in full_values:
             _assert_within_the_full_eigh_bound(value, _escalated_matrix(head, n))
         else:
             assert value == alone
 
 
-@pytest.mark.parametrize("x, s, n", [((-2.0, -3.0), (0.5, 0.5), 16),  # every block certified in double
-                                     ((-8.0, -12.0), (0.0, 0.3), 24),  # every block escalates
-                                     ((-7.0, -16.0, -24.0), (0.0, 0.4, 0.2), 16)])
+@pytest.mark.parametrize("x, s, n", [((-2.0, -3.0), (0.5, 0.5), 16),  # every block in double
+                                     ((-8.0, -12.0), (0.0, 0.3), 24),  # every block in 80-bit
+                                     ((-7.0, -16.0, -24.0), (0.0, 0.4, 0.2), 16),
+                                     ((-2.0, -3.0, -4.5), (0.5, 0.5, 0.3), 16),
+                                     ((-2.0, -3.0, -4.5), (0.0, 0.5, 0.3), 16)])
 def test_each_trailing_block_is_the_determinant_of_the_leading_points(x, s, n):
     # the block from the first node of (x_k, x_{k-1}) is the determinant of
     # (x_1, ..., x_k) on its own scheme: alone to the bit, and together with the
-    # wider blocks to the bit in double; a narrower block escalating with the
-    # widest reads its factor off the widest block's, within the Ritz bound
+    # wider blocks to the bit in double (min s >= NEAR_ONE_GAP); on the 80-bit path
+    # a narrower block reads its factor off the widest block's, within the Ritz bound
     cfg = GapConfig(x, s)
     scheme = fr.build_scheme(cfg, n)
     leading = [GapConfig(x[:k], s[:k]) for k in range(cfg.m, 0, -1)]
@@ -1170,9 +1175,9 @@ def test_each_trailing_block_is_the_determinant_of_the_leading_points(x, s, n):
     expected = [fr.logdet_single(head, fr.build_scheme(head, n)) for head in leading]
     values = fr._logdet_blocks(cfg, scheme, starts)
     assert starts[0] == 0 and values[0] == expected[0]
-    deep = not fr._certified(cfg.s, expected[0])
+    deep = min(s) < fr.NEAR_ONE_GAP
     for head, value, alone in zip(leading[1:], values[1:], expected[1:]):
-        if deep and not fr._certified(head.s, alone):
+        if deep:
             _assert_within_the_full_eigh_bound(value, _escalated_matrix(head, n))
         else:
             assert value == alone
@@ -1275,6 +1280,19 @@ def test_weight_derivative_identity_singular_solve_raises(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(NumericalError, match="singular I - A"):
         fr.weight_derivative_identity_gap(GapConfig((-1.0, -3.0), (0.5, 0.5)), nodes_per_panel=16)
+
+
+@pytest.mark.parametrize("s_m", (0.999995, 5e-7, fr.NEAR_ONE_GAP, 0.5))
+def test_weight_derivative_identity_near_either_end_and_at_the_precision_edge(monkeypatch, s_m):
+    # the step stays inside (0, 1) within one step of either end, and both sides of the
+    # difference run in the precision of the smaller weight: 80-bit at NEAR_ONE_GAP,
+    # whose lower side is below it
+    dtypes = []
+    run = fr.logdet_single
+    monkeypatch.setattr(fr, "logdet_single", lambda c, sc: dtypes.append(sc.xi.dtype) or run(c, sc))
+    fd, res, gap = fr.weight_derivative_identity_gap(GapConfig((-2.0,), (s_m,)))
+    assert gap < 1e-8 and fd > 0.0 and res > 0.0
+    assert dtypes == [np.dtype(np.float64 if s_m > fr.NEAR_ONE_GAP else np.longdouble)] * 2
 
 
 @pytest.mark.parametrize("s_m", (0.0, 1.0))

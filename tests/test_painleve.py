@@ -175,9 +175,9 @@ def test_hard_gap_where_the_nystrom_route_refuses():
     assert abs(report.log_f - four_term_tail(-13.0)) <= report.est_error + 1e-10
 
 
-# Below x ~ -5.5, det(I - A) < DEEP_GAP_THRESHOLD and logdet_single takes the
-# 80-bit path; double assembly noise would spread the double value over
-# ~1e-10 there (min 1 - lambda = 2.9e-5 at x = -6).
+# s = 0 is below NEAR_ONE_GAP, so logdet_single takes the 80-bit path; double
+# assembly noise would spread a double value over ~1e-10 below x ~ -5.5
+# (min 1 - lambda = 2.9e-5 at x = -6).
 @pytest.mark.parametrize("x", [-6.25, -6.0, -4.0, -2.0, 0.0, 2.0],
                          ids=["-6.25-80bit", "-6-80bit", "-4", "-2", "0", "2"])
 def test_painleve_agrees_with_the_nystrom_determinant(x):
@@ -228,5 +228,8 @@ def test_log_E0_keeps_both_determinants_on_the_nystrom_route(monkeypatch):
     monkeypatch.setattr(pii, "log_hard_gap", no_painleve)
     cfg = GapConfig((-2.0, -3.0), (0.0, 0.5))
     full = fr._nystrom_log_det(cfg).log_f
-    ref = fr._nystrom_log_det(GapConfig((-2.0,), (0.0,))).log_f
-    assert fr.log_E0(cfg) == full - ref
+    ref = fr._nystrom_log_det(GapConfig((-2.0,), (0.0,)))
+    # s_1 = 0 puts both ladders on the 80-bit path, where F(-2; 0) reads its factor
+    # off the full block's pivoted Cholesky: within the 80-bit Ritz noise of its
+    # own ladder (3e-16 here), inside that ladder's est_error
+    assert abs(fr.log_E0(cfg) - (full - ref.log_f)) <= ref.est_error
