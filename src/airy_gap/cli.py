@@ -10,7 +10,6 @@ consumers are expected to ignore when comparing runs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -264,41 +263,11 @@ def cmd_stats(args) -> RunReport:
     return report
 
 
-_PARAMETRIX_RADII = (1.0, 3.0)
-_DET_SAMPLE_POINTS = (0.5, 2.0, 8.0)
-
-
 def cmd_parametrix(args) -> RunReport:
-    model = args.model
-    problem = parametrix.MODELS[model]
-    if (args.beta is None) == problem.takes_beta:
-        need = "required" if problem.takes_beta else "not accepted"
-        raise ValidationError(f"--beta is {need} for the {model} model")
-    # parametrix enforces |beta| <= CHG_MAX_BETA
     beta = None if args.beta is None else parse_imag(args.beta)
-    report = RunReport("parametrix", {"model": model, "beta": args.beta})
-
-    worst_jump = 0.0
-    for ray in problem.rays:
-        for t in _PARAMETRIX_RADII:
-            res = parametrix.jump_residual(model, ray, t, beta)
-            report.add(f"jump_ray{ray}_t{_fmt(t)}", res)
-            worst_jump = max(worst_jump, res)
-    report.add("jump_max", worst_jump)
-
-    worst_det = 0.0
-    for r in _DET_SAMPLE_POINTS:
-        for theta in (0.9, 2.1, -1.2, -2.6):
-            sample = parametrix._sample(model, r * cmath.exp(1j * theta), beta)
-            worst_det = max(worst_det, sample.det_residual)
-    report.add("det_max", worst_det)
-
-    fitted = parametrix.extract_asym_coeff(model, beta)
-    report.add("coeff_error", float(np.abs(fitted - problem.reference(beta)).max()))
-    if problem.takes_beta:
-        report.add("logderivative_error",
-                   abs(parametrix.hg_logderivative_limit(beta)
-                       - parametrix.hg_logderivative_exact(beta)))
+    report = RunReport("parametrix", {"model": args.model, "beta": args.beta})
+    for label, value in parametrix.verify(args.model, beta):
+        report.add(label, value)
     return report
 
 

@@ -216,14 +216,20 @@ def _layout_scheme(layout, orders, dtype=np.float64) -> list[QuadratureScheme]:
     onto panels: each order's Gauss-Legendre rule mapped onto every panel by one broadcast
     of QuadRule.mapped on the column edges (80-bit nodes on the same double edges), whose
     C order is the scheme's, one _airy_pair call on every order's nodes, and each scheme
-    taking its run of the values."""
+    taking its run of the values.  ValueError, naming the panel, unless the densest order's
+    nodes rise strictly from edge to edge of each panel: panels do not overlap, so then no
+    two nodes coincide, and the kernel divides by their differences."""
     lo, hi, _ = layout
     a, b = lo.astype(dtype, copy=False)[:, None], hi.astype(dtype, copy=False)[:, None]
     rules = [specfun.gauss_legendre_rule(n, dtype=dtype) for n in orders]
-    mapped = [[v.ravel() for v in rule.mapped(a, b)] for rule in rules]  # [xi, w] per order
-    ai, aip = _airy_pair(np.concatenate([xi for xi, _ in mapped]))
+    mapped = [rule.mapped(a, b) for rule in rules]  # [xi, w] per order, one row per panel
+    edged = np.concatenate((a, max(mapped, key=lambda m: m[0].shape[1])[0], b), axis=1)
+    if not (edged[:, 1:] > edged[:, :-1]).all():
+        i = int((edged[:, 1:] <= edged[:, :-1]).any(axis=1).argmax())
+        raise ValueError(f"nodes coincide in {edged.dtype} on the panel {(float(lo[i]), float(hi[i]))}")
+    ai, aip = _airy_pair(np.concatenate([xi.ravel() for xi, _ in mapped]))
     ends = list(accumulate((0, *(xi.size for xi, _ in mapped))))
-    return [QuadratureScheme(layout, rule.order, xi, w, (ai[i:j], aip[i:j]))
+    return [QuadratureScheme(layout, rule.order, xi.ravel(), w.ravel(), (ai[i:j], aip[i:j]))
             for rule, (xi, w), i, j in zip(rules, mapped, ends, ends[1:])]
 
 
@@ -623,30 +629,37 @@ def weight_derivative_identity_gap(config: GapConfig, nodes_per_panel: int = DEF
     """Residual of d/ds_m log F = (1 - s_m)^(-1) integral of R(x, x) over (x_m, x_{m-1}).
 
     R is the kernel of (I - K)^(-1) K.  Returns (finite_difference,
-    resolvent_value, |difference|).  The central step is 1e-5 * max(s_m, 0.1),
-    balancing truncation against determinant noise, but at most half the
-    distance from s_m to 0 or 1.  The resolvent and both determinants run on
-    one scheme, whose nodes do not depend on s, in the precision _precision
-    picks for the smaller weight, so both sides of the difference share it.
+    resolvent_value, |difference|).  An eigenvalue lambda of A moves with s_m by
+    the share p of its eigenvector on (x_m, x_{m-1}), so log F curves in s_m on
+    the scale min (1 - lambda)/p, from eigh of the double A the resolvent solves
+    with (about s_m on a deep one-point gap).  The central step is 1e-5 times
+    that, at most 1e-5 and half the distance from s_m to 0 or 1; ValueError
+    within 1e-8 of either end, where the difference would be rounding noise.
+    Both determinants and the resolvent run on one scheme (its nodes do not
+    depend on s) in the precision _precision picks for s_m - min(1e-5, s_m/2),
+    the least weight a step reaches, so both sides of the difference share it.
     """
     s_m = config.s[-1]
-    if s_m == 1.0 or s_m == 0.0:
-        raise ValueError("identity check needs s_m in (0, 1)")
-    step = min(1e-5 * max(s_m, 0.1), 0.5 * min(s_m, 1.0 - s_m))
-    scheme = build_scheme(config, nodes_per_panel, dtype=_precision(config.s[:-1] + (s_m - step,)))
+    if not min(s_m, 1.0 - s_m) >= 1e-8:
+        raise ValueError(f"the identity needs s_m in (0, 1), at least 1e-08 from either end; got {s_m!r}")
+    scheme = build_scheme(config, nodes_per_panel,
+                          dtype=_precision(config.s[:-1] + (s_m - min(1e-5, 0.5 * s_m),)))
     A = _kernel_matrix(scheme.xi, _thinned_weights(config, scheme), scheme.airy)
     A = A.astype(np.float64, copy=False)  # LAPACK solves in double
+    lam, V = np.linalg.eigh(A)
+    if not lam[-1] < 1.0:
+        raise NumericalError(f"I - A has spectral gap {1.0 - lam[-1]:.3g} in double: no resolvent solve")
+    share = np.sum(V[scheme.interval_index == 0] ** 2, axis=0)  # eigenvector weights on (x_m, x_{m-1})
+    step = min(1e-5 * float(np.min((1.0 - lam) / (share + 1e-300))), 1e-5, 0.5 * min(s_m, 1.0 - s_m))
     try:
         B = np.linalg.solve(np.eye(A.shape[0]) - A, A)  # the Nystrom resolvent (I - A)^(-1) A
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular I - A in resolvent solve: {exc}") from exc
     # R(xi_i, xi_i) = B_ii / w_i, so the quadrature of R over (x_m, x_{m-1}) sums B_ii there
     resolvent_value = float(np.sum(np.diagonal(B)[scheme.interval_index == 0])) / (1.0 - s_m)
-
-    def at(sm: float) -> float:
-        return logdet_single(GapConfig(config.x, config.s[:-1] + (sm,)), scheme)
-
-    fd = (at(s_m + step) - at(s_m - step)) / (2.0 * step)
+    up, down = (logdet_single(GapConfig(config.x, config.s[:-1] + (s_m + h,)), scheme)
+                for h in (step, -step))
+    fd = (up - down) / (2.0 * step)
     return fd, resolvent_value, abs(fd - resolvent_value)
 
 

@@ -6,7 +6,8 @@ verified through three independent surfaces: unimodularity, the ray jump
 relations, and the large-z asymptotic coefficient matrices.  What sets one
 model apart (domain, branch, rays, sectors, formulas, fit plan, reference
 coefficient) is one ModelProblem record in MODELS, which the single sampler
-and the verification surfaces read.  Ray orientation follows the
+and the verification surfaces read; verify runs all three at a fixed plan of
+points, the check `airy-gap parametrix` prints.  Ray orientation follows the
 jump-contour figures: the real-axis rays and the rays reaching into the left
 half plane are traversed toward the origin where the sector tables require
 it, and the + side of a ray is the side lying to the left of its traversal.
@@ -330,13 +331,10 @@ def _resolve(name: str, beta) -> tuple[ModelProblem, complex | None]:
         problem = MODELS[name.lower()]
     except KeyError:
         raise ValueError(f"unknown model {name!r}") from None
-    if not problem.takes_beta:
-        if beta is not None:
-            raise ValueError(f"the {problem.name} model takes no beta")
-        return problem, None
-    if beta is None:
-        raise ValueError(f"the {problem.name} model requires beta")
-    return problem, _validate_beta(beta)
+    if (beta is None) == problem.takes_beta:
+        need = "requires beta" if problem.takes_beta else "takes no beta"
+        raise ValueError(f"the {problem.name} model {need}")
+    return problem, None if beta is None else _validate_beta(beta)
 
 
 def _locate(problem: ModelProblem, z: complex) -> tuple[float, str]:
@@ -461,3 +459,22 @@ def hg_logderivative_limit(beta) -> complex:
     center = _phi_hg_at(z_abs, theta, b, "II")
     derivative = (plus - minus) / (2j * step)
     return complex((_inv2(center) @ derivative)[1, 0])
+
+
+def verify(model: str, beta=None) -> list[tuple[str, float]]:
+    """The (label, value) pairs of one model's check, in report order: jump_ray{k}_t{t},
+    jump_residual at t = 1 and 3 on each ray, and their max jump_max; det_max, the largest
+    |det Phi - 1| at |z| in {0.5, 2, 8} and arg z in {0.9, 2.1, -1.2, -2.6}; coeff_error,
+    extract_asym_coeff's distance from the reference; for CHG logderivative_error.  The
+    model and beta are _resolve's."""
+    problem, b = _resolve(model, beta)
+    jumps = [(f"jump_ray{k}_t{t:g}", jump_residual(problem.name, k, t, b))
+             for k in problem.rays for t in (1.0, 3.0)]
+    pairs = jumps + [("jump_max", max(v for _, v in jumps)),
+                     ("det_max", max(_sample(problem.name, r * cmath.exp(1j * a), b).det_residual
+                                     for r in (0.5, 2.0, 8.0) for a in (0.9, 2.1, -1.2, -2.6)))]
+    coeff = extract_asym_coeff(problem.name, b)
+    pairs.append(("coeff_error", float(np.abs(coeff - problem.reference(b)).max())))
+    if problem.takes_beta:
+        pairs.append(("logderivative_error", abs(hg_logderivative_limit(b) - hg_logderivative_exact(b))))
+    return pairs

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -414,6 +415,18 @@ def test_stats_refuses_a_negative_variance_with_exit_4(capsys):
     code, out, err = run(["stats", "--interval", "-99", "-50", "--nodes", "16"], capsys)
     assert code == 4 and out == ""
     assert "negative count variance -1.61 on [(-99.0, -50.0)] at 16 nodes per panel" in err
+
+
+@pytest.mark.parametrize("argv", [["det", "{config}"],
+                                  ["stats", "--interval", "-2.0000000000000004", "-2.0"]])
+def test_one_ulp_interval_exits_2_before_the_kernel_divides(tmp_path, capsys, argv):
+    # its nodes coincide, so the kernel would divide by zero: one error line, no warning
+    config = write_config(tmp_path, {"x": [-2.0, -2.0000000000000004], "s": [0.5, 0.5]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([a.format(config=config) for a in argv], capsys)
+    assert code == 2 and out == "" and not caught
+    assert err == "error: nodes coincide in float64 on the panel (-2.0000000000000004, -2.0)\n"
 
 
 # ---------------------------------------------------------------------------

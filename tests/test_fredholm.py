@@ -193,6 +193,25 @@ def test_scheme_validation():
         fr.build_scheme(cfg, tail_length=4.0)
 
 
+_ULP = math.ulp(2.0)
+
+
+@pytest.mark.parametrize("call, panel", [
+    # a panel one ulp long
+    (lambda: fr.var_count([(-2.0, -1.9999999999999998)]), "(-2.0, -1.9999999999999998)"),
+    # x_1 + T rounds back to x_1
+    (lambda: fr.log_det(GapConfig((1e17,), (0.5,))), "(1e+17, 1e+17)"),
+    (lambda: fr.weight_derivative_identity_gap(GapConfig((1e17,), (0.5,)), 16), "(1e+17, 1e+17)"),
+    # nodes distinct within each panel, but two neighbours' round onto their shared edge
+    (lambda: fr.log_det(GapConfig((-2.0, -2.0 - 200 * _ULP, -2.0 - 400 * _ULP), (0.5,) * 3),
+                        nodes_per_panel=24), "(-2.0000000000001776, -2.000000000000089)"),
+], ids=["one-ulp-interval", "log-det-tail", "identity-tail", "shared-edge"])
+def test_coinciding_nodes_raise_before_the_kernel_divides(call, panel):
+    with np.errstate(all="raise"):  # a 0/0 in _kernel_matrix would raise FloatingPointError
+        with pytest.raises(ValueError, match=re.escape(f"nodes coincide in float64 on the panel {panel}")):
+            call()
+
+
 @pytest.mark.parametrize("a", (-3.0, -1.0, 0.0, 6.0))
 def test_one_halfline_cut_for_determinants_and_traces(a):
     trace = fr._set_scheme([(a, math.inf)], 8)
@@ -1282,6 +1301,13 @@ def test_weight_derivative_identity_singular_solve_raises(monkeypatch):
         fr.weight_derivative_identity_gap(GapConfig((-1.0, -3.0), (0.5, 0.5)), nodes_per_panel=16)
 
 
+def test_weight_derivative_identity_refuses_no_spectral_gap_in_double(monkeypatch):
+    # the step is a fraction of 1 - lambda_max, which must be positive
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: (np.array([0.5, 1.0]), np.eye(2)))
+    with pytest.raises(NumericalError, match="I - A has spectral gap 0 in double"):
+        fr.weight_derivative_identity_gap(GapConfig((-1.0, -3.0), (0.5, 0.5)), nodes_per_panel=16)
+
+
 @pytest.mark.parametrize("s_m", (0.999995, 5e-7, fr.NEAR_ONE_GAP, 0.5))
 def test_weight_derivative_identity_near_either_end_and_at_the_precision_edge(monkeypatch, s_m):
     # the step stays inside (0, 1) within one step of either end, and both sides of the
@@ -1295,11 +1321,23 @@ def test_weight_derivative_identity_near_either_end_and_at_the_precision_edge(mo
     assert dtypes == [np.dtype(np.float64 if s_m > fr.NEAR_ONE_GAP else np.longdouble)] * 2
 
 
-@pytest.mark.parametrize("s_m", (0.0, 1.0))
+@pytest.mark.parametrize("s_m", (0.0, 1.0, 1e-9, 1.0 - 1e-9))
 def test_weight_derivative_identity_needs_interior_weight(s_m):
-    # the central difference would step outside [0, 1]
-    with pytest.raises(ValueError, match=r"s_m in \(0, 1\)"):
+    # the central difference would step outside [0, 1], or within 1e-8 of an end
+    # divide the determinants' rounding noise by a step of ~1e-9
+    with pytest.raises(ValueError, match=r"s_m in \(0, 1\), at least 1e-08 from either end"):
         fr.weight_derivative_identity_gap(GapConfig((-1.0,), (s_m,)))
+
+
+def test_weight_derivative_identity_steps_on_the_spectral_gap_of_a_deep_gap():
+    # log F curves in s_m on the scale of 1 - lambda over the eigenvector's share on
+    # (x_m, x_{m-1}): ~s_m on a deep one-point gap; with a smaller weight elsewhere,
+    # its eigenvalue's gap alone would make the step rounding noise
+    for x, s in [((-8.0,), (1e-3,)), ((-8.0,), (1e-5,)), ((-8.0,), (1e-6,)),
+                 ((-6.0, -8.0), (1e-6, 0.5)), ((-8.0, -9.0), (0.0, 1e-4))]:
+        fd, res, gap = fr.weight_derivative_identity_gap(GapConfig(x, s))
+        assert gap < 1e-5 * res, (x, s)
+
 
 
 # ---------------------------------------------------------------------------

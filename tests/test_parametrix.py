@@ -1,6 +1,7 @@
 """Model Riemann-Hilbert solutions: unimodularity, jumps, asymptotics."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -222,6 +223,59 @@ def test_logderivative_conjugation_symmetry():
     plus = px.hg_logderivative_limit(b)
     minus = px.hg_logderivative_limit(-b)
     assert abs(minus - plus.conjugate()) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the verification plan
+# ---------------------------------------------------------------------------
+
+def _jump_labels(rays):
+    return [f"jump_ray{k}_t{t}" for k in rays for t in (1, 3)]
+
+
+@pytest.mark.parametrize("model, beta, labels", [
+    ("airy", None, _jump_labels(range(4)) + ["jump_max", "det_max", "coeff_error"]),
+    ("bessel", None, _jump_labels(range(1, 4)) + ["jump_max", "det_max", "coeff_error"]),
+    ("chg", 0.3j, _jump_labels(range(1, 7)) + ["jump_max", "det_max", "coeff_error",
+                                               "logderivative_error"]),
+])
+def test_verify_labels_in_report_order(model, beta, labels):
+    pairs = px.verify(model, beta)
+    assert [label for label, _ in pairs] == labels
+    values = dict(pairs)
+    assert values["jump_max"] == max(v for label, v in pairs if label.startswith("jump_ray"))
+
+
+@pytest.mark.parametrize("argv, model, beta", [
+    (["--model", "airy"], "airy", None),
+    (["--model", "bessel"], "bessel", None),
+    (["--model", "chg", "--beta=-0.25i"], "chg", -0.25j),
+], ids=["airy", "bessel", "chg"])
+def test_verify_is_what_the_cli_prints(capsys, argv, model, beta):
+    from airy_gap import cli
+
+    assert cli.main(["parametrix", *argv]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == [{"label": label, "value": value} for label, value in px.verify(model, beta)]
+
+
+def test_verify_calls_the_surfaces_through_the_module(monkeypatch):
+    # a profiler wraps px.jump_residual and px.extract_asym_coeff and counts each call
+    calls = []
+    for name in ("jump_residual", "extract_asym_coeff"):
+        monkeypatch.setattr(px, name, lambda *a, f=getattr(px, name), n=name: calls.append(n) or f(*a))
+    px.verify("bessel")
+    assert calls == ["jump_residual"] * 6 + ["extract_asym_coeff"]
+
+
+@pytest.mark.parametrize("model, beta, message", [
+    ("chg", None, "the chg model requires beta"),
+    ("airy", 0.1j, "the airy model takes no beta"),
+    ("chg", 0.6j, r"beta must be purely imaginary with \|beta\| <= 0.5, got 0.6j"),
+])
+def test_verify_refuses_beta_by_the_models_rule(model, beta, message):
+    with pytest.raises(ValueError, match=message):
+        px.verify(model, beta)
 
 
 # ---------------------------------------------------------------------------
