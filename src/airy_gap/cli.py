@@ -208,10 +208,15 @@ def cmd_det(args) -> RunReport:
 def _compare_row(tau, s, r, nodes):
     x = tuple(r * t for t in tau)
     gap = GapConfig(x, s)
-    conditioned = s[0] == 0.0
-    numeric = (fredholm.log_E0 if conditioned else fredholm.log_E)(gap, nodes_per_panel=nodes)
-    asym = asymptotics.log_E0_asym if conditioned else asymptotics.log_E_asym
-    total = asym(x, asymptotics.beta_from_s(s)).total
+    if s[0] != 0.0:
+        numeric = fredholm.log_E(gap, nodes_per_panel=nodes)
+        total = asymptotics.log_E_asym(x, asymptotics.beta_from_s(s)).total
+    elif len(s) > 1:  # conditioned on an empty (x_1, inf)
+        numeric = fredholm.log_E0(gap, nodes_per_panel=nodes)
+        total = asymptotics.log_E0_asym(x, asymptotics.beta_from_s(s)).total
+    else:  # the one-point hard gap against its tail
+        numeric = fredholm.log_det(gap, nodes_per_panel=nodes).log_f
+        total = asymptotics.log_F_m1_s0(x[0])
     diff = abs(numeric - total)
     scaled = diff * r * math.sqrt(r) / math.log(r) if r > 1 else float("nan")  # inf where r ** 1.5 raises
     return [r, numeric, total, diff, scaled]

@@ -318,6 +318,20 @@ def test_compare_conditioned_route(tmp_path, capsys):
     assert labels["gap_final"] < 0.1
 
 
+def test_compare_one_point_hard_gap(tmp_path, capsys):
+    # m = 1, s = (0,): log_det against the tail log_F_m1_s0, whose next terms
+    # 3/(64 r^3) + 63/(256 r^6) + 7221/(1536 r^9) the gap must follow up to
+    # O(r^-12): 1.5e-7 at r = 6, 3.4e-9 at r = 8
+    cfg = write_config(tmp_path, {"tau": [-1], "s": [0]})
+    code, out, err = run(["compare", cfg, "--r-list", "6,8"], capsys)
+    assert code == 0, err
+    labels = {r["label"]: r["value"] for r in json.loads(out)["results"]}
+    for r in (6, 8):
+        assert abs(labels[f"gap_r_{r}"] - (3 / (64 * r ** 3) + 63 / (256 * r ** 6)
+                                          + 7221 / (1536 * r ** 9))) < 1e3 / r ** 12, labels
+    assert labels["gap_monotone_decreasing"] == 1.0
+
+
 def test_compare_validation(tmp_path, capsys):
     cfg = write_config(tmp_path, {"tau": [-1.0, -2.0], "s": [0.5, 0.5]})
     assert run(["compare", cfg, "--r-list", ""], capsys)[0] == 2

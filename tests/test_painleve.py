@@ -12,6 +12,8 @@ from airy_gap import specfun as sf
 from airy_gap.asymptotics import log_F_m1_s0
 from airy_gap.fredholm import GapConfig, NumericalError
 
+EPS = np.finfo(float).eps
+
 
 def four_term_tail(x):
     """log F(x; 0) up to O(|x|^-12): good to 2e-10 at x = -10, 1e-14 at -16."""
@@ -41,6 +43,53 @@ def test_solution_matches_its_asymptotics_inside_the_interval():
     # q - Ai is of order Ai^3 out here: 2e-11 relative at t = 6
     ai = sf.airy_real(6.0)[0]
     assert abs(right - ai) < 1e-9 * ai
+
+
+def reference_hastings_mcleod(n):
+    """The Newton build with a fresh Jacobian per step, D and D^2 kept apart and
+    the differentiation matrix through np.eye and np.diag."""
+    k = np.arange(n)
+    x = -np.cos(np.pi * k / (n - 1))
+    c = np.where((k == 0) | (k == n - 1), 2.0, 1.0) * (-1.0) ** k
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n))
+    D -= np.diag(D.sum(axis=1))
+    t = 0.5 * (pii.RIGHT - pii.LEFT) * (x + 1.0) + pii.LEFT
+    D2 = (D @ D) * (2.0 / (pii.RIGHT - pii.LEFT)) ** 2
+    q = np.sqrt((np.sqrt(t * t + 1.0) - t) / 4.0)
+    q[0] = pii._left_value(pii.LEFT)
+    q[-1] = float(sf.airy_real(pii.RIGHT)[0])
+    for _ in range(pii.NEWTON_MAX_STEPS):
+        residual = D2 @ q - t * q - 2.0 * q ** 3
+        jacobian = D2 - np.diag(t + 6.0 * q * q)
+        residual[[0, -1]] = 0.0
+        jacobian[[0, -1]] = 0.0
+        jacobian[0, 0] = jacobian[-1, -1] = 1.0
+        step = np.linalg.solve(jacobian, residual)
+        q -= step
+        if np.max(np.abs(step)) < pii.NEWTON_TOL:
+            return t, q
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("n", pii.RUNGS)
+def test_one_matrix_newton_build_keeps_the_bits(n):
+    order = pii._order(n)
+    t, q = reference_hastings_mcleod(n)
+    assert np.array_equal(order.t, t) and np.array_equal(order.q, q)
+
+
+def test_newton_build_keeps_one_matrix():
+    # one n x n matrix carried through the loop and the copy np.linalg.solve
+    # makes of it: 2.4 MB at n = 375, where D, D^2, a diagonal matrix and a
+    # Jacobian per step held together would take 5.4 MB
+    n = pii.RUNGS[-1]
+    tracemalloc.start()
+    try:
+        pii.hastings_mcleod(n)  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
 
 
 def test_newton_failure_raises(monkeypatch):
@@ -101,24 +150,66 @@ def test_a_value_on_a_chebyshev_point_is_its_table_entry():
                 assert abs(value - reference_log_hard_gap(x, n)) <= 2e-15 * abs(value), (n, k, x)
 
 
-def test_a_cached_value_interpolates_only_its_last_gap(monkeypatch):
+def test_a_cached_value_interpolates_nothing(monkeypatch):
     for n in pii.RUNGS:
         pii.log_hard_gap(-10.0, n)  # warm-up: the record of each order
     misses = pii._order.cache_info().misses
-    sizes = []
+    calls = []
     interpolate = pii._interpolate
 
     def counting(columns, d):
-        sizes.append(d.shape[0])
+        calls.append(d.shape)
         return interpolate(columns, d)
 
     monkeypatch.setattr(pii, "_interpolate", counting)
     for x in np.linspace(-99.0, 7.0, 100):
         fr.log_det(GapConfig((float(x),), (0.0,)))
-    assert len(sizes) == 100 * len(pii.RUNGS) and max(sizes) <= pii.GAP_NODES
+    assert calls == []
     assert pii._order.cache_info().misses == misses
     for n in pii.RUNGS:
-        assert not any(a.flags.writeable for a in pii._order(n))
+        order = pii._order(n)
+        assert not any(a.flags.writeable for a in order[:-1])
+        assert type(order.table) is tuple and all(type(row) is tuple for row in order.table)
+
+
+def twelve_point_log_hard_gap(x, n):
+    """The value as a 12-point sum over its last gap, O(n) per value: -(G(t_k) +
+    h J(t_k) + h^2 sum_i w_i u_i q(x + h u_i)^2), q interpolated from every t_j."""
+    order = pii._order(n)
+    t = order.t
+    k = int(np.searchsorted(t, x))
+    if t[k] == x:
+        return -float(order.G[k])
+    h = t[k] - x
+    p = pii._interpolate(order.columns, (x - t) + h * order.u[:, None])
+    return -float(order.G[k] + h * order.J[k] + h * h * (order.weights @ (order.u * p * p)))
+
+
+@pytest.mark.parametrize("n", pii.RUNGS)
+def test_the_gap_table_matches_the_twelve_point_sum(n):
+    # seeded x, every Chebyshev point on [-100, 3] and its neighbours either side
+    t = pii._order(n).t
+    points = t[(t >= -100.0) & (t <= 3.0)]
+    xs = np.concatenate([np.random.default_rng(41).uniform(-100.0, 3.0, 400), points,
+                         np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+    for x in xs[xs >= -100.0].tolist():
+        value, reference = pii.log_hard_gap(x, n), twelve_point_log_hard_gap(x, n)
+        assert type(value) is float
+        assert abs(value - reference) <= 4 * EPS * max(abs(reference), 1.0), (x, value, reference)
+
+
+def test_gap_table_interpolates_in_blocks():
+    # one interpolation matrix for all (n - 1) LOCAL_POINTS points would take
+    # 27 MB at n = 375; the blocked build peaks at 1.1 MB
+    order = pii._order(pii.RUNGS[-1])
+    tracemalloc.start()
+    try:
+        coefficients = pii.gap_table(order.t, order.columns, order.u, order.weights)  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert [row[4:] for row in order.table] == [tuple(c) for c in coefficients.tolist()]
 
 
 def test_table_build_interpolates_in_blocks():
